@@ -51,6 +51,19 @@ def _write_artifacts(network, trace: tuple[str, ...], out_dir: str) -> dict:
     return summary
 
 
+def _simulate(config):
+    """Run the scenario: (result, 0), or (None, exit code) after a message."""
+    try:
+        return run_scenario(config), 0
+    except ConfigError as exc:
+        # Fixture-level configuration defects surface at network build time.
+        print(f"error: {exc}", file=sys.stderr)
+        return None, 2
+    except ProtocolError as exc:
+        print(f"protocol error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return None, 1
+
+
 def cmd_run(args) -> int:
     try:
         config = ScenarioConfig.from_file(args.scenario, seed_override=args.seed)
@@ -60,15 +73,9 @@ def cmd_run(args) -> int:
     except OSError as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return 2
-    try:
-        result = run_scenario(config)
-    except ConfigError as exc:
-        # Fixture-level configuration defects surface at network build time.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ProtocolError as exc:
-        print(f"protocol error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    result, code = _simulate(config)
+    if result is None:
+        return code
     try:
         summary = _write_artifacts(result.network, result.trace, args.out)
     except OSError as exc:
@@ -166,7 +173,9 @@ def cmd_verify(args) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    result = run_scenario(config)
+    result, code = _simulate(config)
+    if result is None:
+        return code
     network = result.network
     expected = {
         "trace.txt": ("\n".join(result.trace) + "\n").encode(),

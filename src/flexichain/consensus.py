@@ -58,13 +58,6 @@ class FinalityMode(enum.Enum):
     EXHAUSTIVE = "exhaustive"
     NARRATED = "narrated"
 
-    @classmethod
-    def parse(cls, name: str) -> "FinalityMode":
-        try:
-            return cls(name)
-        except ValueError:
-            raise InvalidParameters(f"unknown finality mode {name!r}") from None
-
 
 class ModuleRegistry:
     """Genesis registry of trusted-module public keys."""
@@ -196,10 +189,10 @@ def enroll_respond(
     vault = responder.vault
     if len(vault) == 0:
         raise EmptyChain("responder holds no genesis state")
-    if any(e.extrinsic_digest == request.container1 for e in vault.entries):
+    if vault.holds_extrinsic(request.container1):
         raise AlreadyEnrolled("extrinsic digest already enrolled")
 
-    prev_uid = vault.entries[-1].real_uid
+    prev_uid = vault.entry_at(len(vault)).real_uid
     uid = derive_uid(request.container1, prev_uid, kdf)
     tuid = tokenize_uid(uid, token_salt)
     ledger: NodeChainLedger = responder.ledger

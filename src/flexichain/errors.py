@@ -79,6 +79,10 @@ class EmptyRoster(ProtocolError):
     """Finality evaluation requires at least one enrolled identity."""
 
 
+class BlockNotPending(ProtocolError):
+    """Attestation names a block that is not, or no longer, pending."""
+
+
 # vault
 class IndexGap(ProtocolError):
     """Vault entry index is not the immediate successor of the current size."""

@@ -49,6 +49,7 @@ from .consensus import (
     check_finality,
 )
 from .errors import (
+    BlockNotPending,
     ConfigError,
     DomainError,
     OfflineViolation,
@@ -290,8 +291,21 @@ class ScenarioConfig:
                     raise ConfigError(
                         f"{where}.branch: {ev.get('branch')!r} not registered earlier"
                     )
-            if kind == "transactions" and not isinstance(ev.get("count", 1), int):
-                raise ConfigError(f"{where}.count: must be an integer")
+            if kind == "transactions":
+                count = ev.get("count", 1)
+                if not isinstance(count, int) or count < 0:
+                    raise ConfigError(f"{where}.count: must be an integer >= 0")
+            if kind == "build_block" and "window" in ev:
+                window = ev["window"]
+                if (
+                    not isinstance(window, (list, tuple))
+                    or len(window) != 2
+                    or not all(isinstance(t, int) for t in window)
+                    or window[0] > window[1]
+                ):
+                    raise ConfigError(
+                        f"{where}.window: must be two integers with start <= end"
+                    )
             if kind == "authenticate":
                 who = ev.get("nodes", "all")
                 if who != "all":
@@ -590,26 +604,14 @@ class Network:
         self.record(at, responder.name, "response", response.encode())
         self.metrics["enrollments"] += 1
         block = response.virtual_block
-
-        # Vault delta replication to every online full node (secure channel,
-        # never part of the broadcast message encoding).
-        entry = responder.vault.entries[-1]
-        for peer in self.full_nodes():
-            if peer is responder or not peer.online:
-                continue
-            peer.vault.append(entry, peer.role)
-
-        # Ledger broadcast: online nodes advance their VES cursor.
-        for peer in self.nodes.values():
-            if peer.online and peer.enrolled:
-                peer.local_ves_index = self.nodechain.ves.index
+        ves_index = self._broadcast_enrollment(responder)
 
         # The joining node receives its ledger view, its hardware identity,
         # and (for full roles) a vault copy.
         node.ledger = self.nodechain
         node.enrolled = True
         node.tuid = block.tuid
-        node.local_ves_index = self.nodechain.ves.index
+        node.local_ves_index = ves_index
         provisioned = responder.vault.lookup(block.tuid, CallOrigin.LOCAL)
         node.hardware_uid = provisioned.real_uid
         if node.role in FULL_NODE_ROLES and node.vault is None:
@@ -618,6 +620,25 @@ class Network:
                 copy.append(past, node.role)
             node.vault = copy
         self.record(at, node.name, "sync", encode_fields(node.local_ves_index))
+
+    def _broadcast_enrollment(self, responder: NodeState) -> int:
+        """Deliver the enrollment the responder just accepted; return the VES.
+
+        One pass over the nodes: every other online full node receives the
+        responder's newest vault entry (secure channel, never part of the
+        broadcast message encoding), and every online enrolled node
+        advances its VES cursor to the new ledger version.
+        """
+        entry = responder.vault.entry_at(len(responder.vault))
+        ves_index = self.nodechain.ves.index
+        for peer in self.nodes.values():
+            if not peer.online:
+                continue
+            if peer.vault is not None and peer is not responder:
+                peer.vault.append(entry, peer.role)
+            if peer.enrolled:
+                peer.local_ves_index = ves_index
+        return ves_index
 
     def _route_responder(self, node: NodeState) -> NodeState:
         if node.role is NodeRole.SUBSCRIBER and node.via:
@@ -716,7 +737,12 @@ class Network:
         match layer); receivers then verify the broadcast attestation
         against the node's on-chain constructed key.
         """
-        block = self.pending_blocks[block_digest]
+        block = self.pending_blocks.get(block_digest)
+        if block is None:
+            # The block finalized earlier in this round of attestations.
+            self.reject(at, node.name, "authenticate",
+                        BlockNotPending("block is no longer pending"))
+            return
         try:
             result = consensus.authenticate_block(
                 node, block, self.network_ves_index(), self.config.token_salt
@@ -954,20 +980,13 @@ def _enroll_fabricated_identity(net: Network, at: int) -> NodeState | None:
         return None
     net.record(at, name, "attack_enroll", response.encode())
     net.metrics["enrollments"] += 1
-    block = response.virtual_block
-    entry = responder.vault.entries[-1]
-    for peer in net.full_nodes():
-        if peer is not responder and peer.online:
-            peer.vault.append(entry, peer.role)
-    for peer in net.nodes.values():
-        if peer.online and peer.enrolled:
-            peer.local_ves_index = net.nodechain.ves.index
+    ves_index = net._broadcast_enrollment(responder)
     # The fabricated device has no genuine hardware: its real UID exists
     # only inside the vault copies.
     fake.enrolled = True
-    fake.tuid = block.tuid
+    fake.tuid = response.virtual_block.tuid
     fake.hardware_uid = None
-    fake.local_ves_index = net.nodechain.ves.index
+    fake.local_ves_index = ves_index
     fake.ledger = net.nodechain
     net.nodes[name] = fake
     return fake

@@ -67,6 +67,7 @@ class Vault:
         self._token_salt = token_salt
         self._entries: list[VaultEntry] = []
         self._by_tuid: dict[bytes, VaultEntry] = {}
+        self._extrinsic_digests: set[bytes] = set()
         self._reads = {CallOrigin.LOCAL: 0, CallOrigin.REMOTE: 0}
         self._remote_rejections = 0
 
@@ -86,12 +87,18 @@ class Vault:
             )
         if tokenize_uid(entry.real_uid, self._token_salt) != entry.tuid:
             raise ConsistencyViolation("tuid does not tokenize from real_uid")
+        # Every stored entry passed the tokenize check above under this same
+        # salt, so a repeated real UID brings a repeated TUID: this one
+        # check also rejects a real UID that is already bound.
         if entry.tuid.value in self._by_tuid:
-            raise DuplicateIdentity("tuid already bound")
-        if any(e.real_uid == entry.real_uid for e in self._entries):
-            raise DuplicateIdentity("real uid already bound")
+            raise DuplicateIdentity("tuid or real uid already bound")
         self._entries.append(entry)
         self._by_tuid[entry.tuid.value] = entry
+        self._extrinsic_digests.add(entry.extrinsic_digest)
+
+    def holds_extrinsic(self, digest: bytes) -> bool:
+        """Whether some entry was enrolled with this extrinsic digest."""
+        return digest in self._extrinsic_digests
 
     def lookup(self, tuid: TokenizedUid, origin: CallOrigin) -> VaultEntry | None:
         """Return the entry for a token, or None. Rejects remote provenance."""

@@ -1,5 +1,6 @@
 """CLI tests: subcommands, exit codes, reproducible outputs."""
 
+import hashlib
 import json
 from importlib import resources
 
@@ -65,6 +66,23 @@ def test_run_protocol_error_exits_one(tmp_path, capsys):
     }))
     assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 1
     assert "AlreadyInitialized" in capsys.readouterr().err
+
+
+def test_run_late_attestation_is_a_rejection(tmp_path):
+    # Narrated finality: c1 is the newest identity, so its attestation
+    # finalizes the block and bn's comes after the block left the pool.
+    data = json.loads(read(DEMO))
+    data["finality_mode"] = "narrated"
+    data["script"][6]["nodes"] = ["c1", "bn"]
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+    summary = json.loads(read(out / "summary.json"))
+    assert summary["blocks_finalized"] == 1
+    assert summary["rejections"] == 1
+    reason = hashlib.sha256(b"authenticate:BlockNotPending").hexdigest()
+    assert f"actor=bn event=reject payload={reason}" in read(out / "trace.txt").decode()
 
 
 def test_seed_flag_overrides_scenario(tmp_path):
@@ -143,3 +161,12 @@ def test_verify_detects_tampered_trace(tmp_path, capsys):
 def test_verify_missing_artifacts(tmp_path, capsys):
     assert main(["verify", "--scenario", DEMO, "--out", str(tmp_path / "empty")]) == 2
     assert "cannot read artifact" in capsys.readouterr().err
+
+
+def test_verify_protocol_error_exits_one(tmp_path, capsys):
+    data = json.loads(read(DEMO))
+    data["script"].append({"at": 90, "event": "genesis"})
+    path = tmp_path / "double-genesis.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "AlreadyInitialized" in capsys.readouterr().err

@@ -87,10 +87,14 @@ BLOCK_FLOW = JOIN_ALL + [
         (lambda d: d.update(script=[
             {"at": 5, "event": "attack", "category": 1, "secrets": ["warp"]}
         ]), "secrets"),
+        (lambda d: d["script"][4].update(count=-3), "count"),
+        (lambda d: d["script"][5].update(window=[5]), "window"),
+        (lambda d: d["script"][5].update(window="ab"), "window"),
+        (lambda d: d["script"][5].update(window=[60, 45]), "window"),
     ],
 )
 def test_config_errors_name_the_offending_key(mutate, needle):
-    data = scenario(script=list(JOIN_ALL))
+    data = scenario(script=[dict(ev) for ev in BLOCK_FLOW])
     mutate(data)
     with pytest.raises(ConfigError) as excinfo:
         ScenarioConfig.from_dict(data)

@@ -1,0 +1,94 @@
+"""Behaviour pins: the simulator is deterministic, so its bytes are fixed.
+
+A refactor that keeps behaviour keeps these digests. A change that moves
+one of them changes behaviour, and must say so and re-record the pin.
+"""
+
+import hashlib
+from importlib import resources
+
+from flexichain.cli import main
+from flexichain.netsim import ScenarioConfig, run_scenario
+
+DEMO = str(resources.files("flexichain") / "scenarios" / "demo.json")
+
+# SHA-256 of the four deterministic artifacts of `flexichain run` on the
+# bundled demo. summary.json is left out: `verify` does not compare it.
+DEMO_ARTIFACTS = {
+    "trace.txt": "477217c004237251fd611da9d13b8e490609b0accc8a18640bc716bb21ed664f",
+    "nodechain.bin": "ded7bf37b36ab185a026c565f9678c836ab3b19c6f14e459cefbaaa6ccd83b90",
+    "layer0.txt": "b5839c6b12553ba9cd3b87398e04879f674a73ee3fffd8d8a6682720d2cd6559",
+    "vault.bin": "6c6c0ff680d52297e34613114e25d605f3dd11be64fcbd5c25a274447a145512",
+}
+
+SCALE_64_TRACE = "d687e0989a48a5405b2bff78d9e7182edd8b9139c202f045b16c31234e0b2562"
+# SHA-256 of every edge node's vault copy after the n=64 scenario.
+SCALE_64_EDGE_VAULT = "3b5602d35c9e4d4b9da77628a71361904f4b899b25ae048ac121d5893053a7a6"
+
+
+def scale_64() -> dict:
+    """n=64: 8 edges, the backup down after join 32, a narrated round
+    every 16 joins, and one Sybil attack holding a stolen module key.
+
+    Covers new-edge vault copies, failover responders and the
+    fabricated-identity enrollment path.
+    """
+    edges = [f"e{i}" for i in range(1, 9)]
+    cps = [f"c{i}" for i in range(1, 56)]
+    nodes = [{"name": "bn", "role": "backup", "module": "tm-1"}]
+    nodes += [{"name": e, "role": "edge", "module": "tm-2"} for e in edges]
+    nodes += [{"name": c, "role": "cps", "module": "tm-2"} for c in cps]
+    script = []
+
+    def emit(event):
+        script.append({"at": 10 * (len(script) + 1), **event})
+
+    emit({"event": "register_branch", "branch": "telemetry"})
+    for i, name in enumerate(edges + cps, start=1):
+        emit({"event": "join", "node": name})
+        if i == 32:
+            emit({"event": "disable", "node": "bn"})
+        if i == 40:
+            emit({"event": "attack", "category": 1, "secrets": ["module_key"]})
+        if i % 16 == 0:
+            t = 10 * (len(script) + 1)
+            emit({"event": "transactions", "node": name, "branch": "telemetry",
+                  "count": 4})
+            emit({"event": "build_block", "node": name, "branch": "telemetry",
+                  "window": [t, t + 1]})
+            emit({"event": "authenticate", "block": "latest", "nodes": "all"})
+    return {
+        "seed": 64,
+        "finality_mode": "narrated",
+        "kdf": {"cost": 2, "block_size": 1, "parallelism": 1},
+        "modules": ["tm-1", "tm-2"],
+        "nodes": nodes,
+        "script": script,
+    }
+
+
+def test_demo_artifacts_are_pinned(tmp_path):
+    assert main(["run", "--scenario", DEMO, "--out", str(tmp_path)]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in DEMO_ARTIFACTS
+    }
+    assert digests == DEMO_ARTIFACTS
+
+
+def test_scale_64_is_pinned():
+    result = run_scenario(ScenarioConfig.from_dict(scale_64()))
+    net = result.network
+    summary = net.summary()
+    assert summary["enrollments"] == 65  # backup, 63 joins, one Sybil
+    assert summary["blocks_finalized"] == 3
+    assert summary["attacks"][0]["blocked_at"] == "match layer"
+    assert result.trace_digest.hex() == SCALE_64_TRACE
+    edge_vaults = {
+        hashlib.sha256(n.vault.serialize()).hexdigest()
+        for n in net.full_nodes() if n.online
+    }
+    assert edge_vaults == {SCALE_64_EDGE_VAULT}
+    # The backup went offline after join 32 and missed every later delta.
+    assert len(net.backup.vault) == net.backup.local_ves_index == 33
+    assert {n.local_ves_index for n in net.nodes.values() if n.online} == {65}

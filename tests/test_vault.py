@@ -79,6 +79,16 @@ def test_duplicate_identity_rejected():
         vault.append(dup, NodeRole.EDGE)
 
 
+def test_holds_extrinsic_tracks_appended_digests():
+    vault = Vault(TOKEN_SALT)
+    a, b = entry_for(1, "a"), entry_for(2, "b")
+    vault.append(a, NodeRole.BACKUP)
+    assert vault.holds_extrinsic(a.extrinsic_digest)
+    assert not vault.holds_extrinsic(b.extrinsic_digest)
+    vault.append(b, NodeRole.BACKUP)
+    assert vault.holds_extrinsic(b.extrinsic_digest)
+
+
 def test_lookup_miss_returns_none():
     vault = Vault(TOKEN_SALT)
     vault.append(entry_for(1, "a"), NodeRole.BACKUP)
