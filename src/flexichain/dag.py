@@ -21,7 +21,7 @@ from .errors import (
     UnknownBranch,
 )
 from .identity import TokenizedUid
-from .keys import verify_signature
+from .keys import sign_message, verify_signature
 from .wire import Reader, ZERO32, encode_fields, lp, sha256
 
 VIRTUAL_BRANCH_TAG = "A"
@@ -44,6 +44,14 @@ class Transaction:
     @staticmethod
     def signing_bytes(sender: bytes, tag: str, payload: bytes, timestamp: int) -> bytes:
         return encode_fields(sender, tag.encode(), payload, timestamp)
+
+    @classmethod
+    def signed(
+        cls, key, sender: bytes, tag: str, payload: bytes, timestamp: int
+    ) -> "Transaction":
+        """A transaction signed by `key`, the private half of `sender`."""
+        message = cls.signing_bytes(sender, tag, payload, timestamp)
+        return cls(sender, tag, payload, timestamp, sign_message(key, message))
 
     def encode(self) -> bytes:
         return encode_fields(
@@ -113,12 +121,15 @@ class DataBlock:
     timestamp: int
     header_digest: bytes
 
-    @staticmethod
-    def header_bytes(
-        tag: str, tx_root: bytes, prev_same_type: bytes, random_arc: bytes,
-        timestamp: int,
-    ) -> bytes:
-        return encode_fields(tag.encode(), tx_root, prev_same_type, random_arc, timestamp)
+    def header_bytes(self) -> bytes:
+        """Every field the header digest commits, in wire order."""
+        return encode_fields(
+            self.block_type_tag.encode(), self.tx_root, self.prev_same_type,
+            self.random_arc, self.timestamp,
+        )
+
+    def recomputed_header(self) -> bytes:
+        return sha256(self.header_bytes())
 
     @property
     def sealed(self) -> bool:
@@ -126,18 +137,8 @@ class DataBlock:
 
     def with_parents(self, prev_same_type: bytes, random_arc: bytes) -> "DataBlock":
         """Attach arcs and seal the header."""
-        digest = sha256(
-            self.header_bytes(
-                self.block_type_tag, self.tx_root, prev_same_type, random_arc,
-                self.timestamp,
-            )
-        )
-        return replace(
-            self,
-            prev_same_type=prev_same_type,
-            random_arc=random_arc,
-            header_digest=digest,
-        )
+        block = replace(self, prev_same_type=prev_same_type, random_arc=random_arc)
+        return replace(block, header_digest=block.recomputed_header())
 
     def narration_tuids(self) -> tuple[TokenizedUid, ...]:
         return tuple(tuid for tuid, _ in self.narration)
@@ -148,17 +149,13 @@ class DataBlock:
         return replace(self, narration=self.narration + (entry,))
 
     def encode(self) -> bytes:
-        head = self.header_bytes(
-            self.block_type_tag, self.tx_root, self.prev_same_type,
-            self.random_arc, self.timestamp,
-        )
         txs = encode_fields(len(self.transactions)) + b"".join(
             lp(t.encode()) for t in self.transactions
         )
         narration = encode_fields(len(self.narration)) + b"".join(
             lp(tuid.value) + lp(digest) for tuid, digest in self.narration
         )
-        return head + lp(self.header_digest) + txs + narration
+        return self.header_bytes() + lp(self.header_digest) + txs + narration
 
     @classmethod
     def decode(cls, data: bytes) -> "DataBlock":
@@ -309,6 +306,7 @@ class Layer0Ledger:
         self.registry = registry
         self._records: dict[bytes, LedgerRecord] = {}
         self._by_tag: dict[str, list[bytes]] = {}
+        self._tx_digests: set[bytes] = set()  # of every finalized transaction
         for tag in (VIRTUAL_BRANCH_TAG,):
             self._add_genesis(registry.branch(tag), timestamp=0)
 
@@ -355,23 +353,23 @@ class Layer0Ledger:
         return prev_same_type, ancestors[pick]
 
     def append_block(self, block: DataBlock) -> None:
-        """Store a sealed block after arc and commitment checks."""
+        """Store a sealed block after arc and commitment checks.
+
+        A transaction that an earlier block already finalized is refused.
+        """
         if not block.sealed:
             raise IntegrityViolation("block is unsealed")
         if block.block_type_tag not in self.registry:
             raise UnknownBranch(
                 f"no branch registered for tag {block.block_type_tag!r}"
             )
-        recomputed = sha256(
-            DataBlock.header_bytes(
-                block.block_type_tag, block.tx_root, block.prev_same_type,
-                block.random_arc, block.timestamp,
-            )
-        )
-        if recomputed != block.header_digest:
+        if block.recomputed_header() != block.header_digest:
             raise IntegrityViolation("header digest does not verify")
-        if merkle_root([tx.digest() for tx in block.transactions]) != block.tx_root:
+        tx_digests = [tx.digest() for tx in block.transactions]
+        if merkle_root(tx_digests) != block.tx_root:
             raise IntegrityViolation("tx_root does not match transactions")
+        if not self._tx_digests.isdisjoint(tx_digests):
+            raise IntegrityViolation("transaction already finalized")
         for arc in (block.prev_same_type, block.random_arc):
             target = self._records.get(arc)
             if target is None or target.tag != block.block_type_tag:
@@ -384,6 +382,7 @@ class Layer0Ledger:
                               block.timestamp, block)
         self._records[record.digest] = record
         self._by_tag[block.block_type_tag].append(record.digest)
+        self._tx_digests.update(tx_digests)
 
     def topological_order(self) -> list[bytes]:
         """All record digests ascending by (timestamp, digest)."""

@@ -455,32 +455,24 @@ class Network:
             {mid: public_bytes(key) for mid, key in self._module_keys.items()}
         )
 
-        self.nodes: dict[str, NodeState] = {}
-        backup_name = None
-        for spec in config.nodes:
-            signing_seed = _material(config.seed, "constructed-key", spec.name)
-            state = NodeState(
-                name=spec.name,
-                role=spec.role,
-                module_id=spec.module_id,
-                params=make_extrinsic(
-                    config.seed, spec.name, signing_seed, spec.extrinsic_overrides
-                ),
-                signing_key=signing_key_from_seed(signing_seed),
-                via=spec.via,
-                module_registry=self.module_registry,
+        self.nodes: dict[str, NodeState] = {
+            spec.name: self._new_node(
+                spec, _material(config.seed, "constructed-key", spec.name)
             )
-            self.nodes[spec.name] = state
-            if spec.role is NodeRole.BACKUP:
-                backup_name = spec.name
-        self.backup = self.nodes[backup_name]
+            for spec in config.nodes
+        }
+        self.backup = next(n for n in self.nodes.values() if n.role is NodeRole.BACKUP)
+
+        # Members in enrollment (= chain) order: tuid -> (node, on-chain block).
+        self._members: dict[
+            TokenizedUid, tuple[NodeState, nodechain.VirtualExistenceBlock]
+        ] = {}
 
         # Genesis: the backup node's virtual existence is block 1.
         self.nodechain, genesis_uid = nodechain.genesis_chain(
             self.backup.params, config.kdf, config.token_salt, timestamp=0
         )
-        genesis_block = self.nodechain.blocks[0]
-        self.backup.ledger = self.nodechain
+        genesis_block = self.nodechain.block_at(1)
         self.backup.vault = Vault(config.token_salt)
         self.backup.vault.append(
             VaultEntry(
@@ -493,9 +485,7 @@ class Network:
             NodeRole.BACKUP,
         )
         self.backup.hardware_uid = genesis_uid
-        self.backup.tuid = genesis_block.tuid
-        self.backup.enrolled = True
-        self.backup.local_ves_index = 1
+        self._admit(self.backup, genesis_block, ves_index=1)
         self.metrics["enrollments"] += 1
 
         self.registry = dag.BranchRegistry(genesis_block.header_digest)
@@ -522,15 +512,47 @@ class Network:
     def trace_digest(self) -> bytes:
         return sha256(("\n".join(self.trace) + "\n").encode())
 
+    def _new_node(self, spec: NodeSpec, signing_seed: bytes) -> NodeState:
+        """An actor whose constructed key and extrinsic fixture derive from
+        `signing_seed`."""
+        return NodeState(
+            name=spec.name,
+            role=spec.role,
+            module_id=spec.module_id,
+            params=make_extrinsic(
+                self.config.seed, spec.name, signing_seed, spec.extrinsic_overrides
+            ),
+            signing_key=signing_key_from_seed(signing_seed),
+            via=spec.via,
+            module_registry=self.module_registry,
+        )
+
+    def _credential(self, module_id: str) -> TrustedModuleCredential:
+        """The trusted module's credential; empty for an unregistered module."""
+        module_key = self._module_keys.get(module_id)
+        return TrustedModuleCredential(
+            module_id=module_id,
+            public_key=public_bytes(module_key) if module_key else b"",
+            private_key=module_key,
+        )
+
+    def _admit(
+        self, node: NodeState, block: nodechain.VirtualExistenceBlock, ves_index: int
+    ) -> None:
+        """Make `node` the member behind the on-chain `block`."""
+        node.enrolled = True
+        node.tuid = block.tuid
+        node.local_ves_index = ves_index
+        node.ledger = self.nodechain
+        self._members[block.tuid] = (node, block)
+
     def roster(self) -> list[TokenizedUid]:
         """On-chain identity roster in enrollment order."""
-        return [b.tuid for b in self.nodechain.blocks]
+        return list(self._members)
 
     def node_for_tuid(self, tuid: TokenizedUid) -> NodeState | None:
-        for node in self.nodes.values():
-            if node.tuid == tuid:
-                return node
-        return None
+        member = self._members.get(tuid)
+        return member[0] if member else None
 
     def full_nodes(self) -> list[NodeState]:
         return [n for n in self.nodes.values() if n.vault is not None]
@@ -539,14 +561,8 @@ class Network:
         """The backup node, or the first enrolled online edge node."""
         if self.backup.online:
             return self.backup
-        for block in self.nodechain.blocks:
-            node = self.node_for_tuid(block.tuid)
-            if (
-                node is not None
-                and node.online
-                and node.enrolled
-                and node.role is NodeRole.EDGE
-            ):
+        for node, _ in self._members.values():
+            if node.online and node.role is NodeRole.EDGE:
                 return node
         raise Unauthorized("no eligible enrollment responder is online")
 
@@ -580,20 +596,13 @@ class Network:
             self.metrics["rejected_enrollments"] += 1
             self.reject(self.clock, node.name, "join", exc)
 
-    def enroll(self, node: NodeState, at: int, credential=None) -> None:
+    def enroll(self, node: NodeState, at: int) -> None:
         """Full request/response/broadcast flow for one joining node."""
         if not node.online:
             raise Unauthorized("offline node cannot join")
-        if credential is None:
-            module_key = self._module_keys.get(node.module_id)
-            credential = TrustedModuleCredential(
-                module_id=node.module_id,
-                public_key=public_bytes(module_key) if module_key else b"",
-                private_key=module_key,
-            )
         nonce = _material(self.config.seed, "nonce", node.name)[:8]
         request = consensus.enroll_request(
-            node.params, credential, self.module_registry, nonce
+            node.params, self._credential(node.module_id), self.module_registry, nonce
         )
         self.record(at, node.name, "request", request.encode())
 
@@ -604,14 +613,9 @@ class Network:
         self.record(at, responder.name, "response", response.encode())
         self.metrics["enrollments"] += 1
         block = response.virtual_block
-        ves_index = self._broadcast_enrollment(responder)
-
         # The joining node receives its ledger view, its hardware identity,
         # and (for full roles) a vault copy.
-        node.ledger = self.nodechain
-        node.enrolled = True
-        node.tuid = block.tuid
-        node.local_ves_index = ves_index
+        self._admit(node, block, self._broadcast_enrollment(responder))
         provisioned = responder.vault.lookup(block.tuid, CallOrigin.LOCAL)
         node.hardware_uid = provisioned.real_uid
         if node.role in FULL_NODE_ROLES and node.vault is None:
@@ -670,15 +674,8 @@ class Network:
         for _ in range(ev.get("count", 1)):
             payload = _material(self.config.seed, "tx", node.name, self._tx_counter)
             self._tx_counter += 1
-            message = dag.Transaction.signing_bytes(
-                node.public_id, tag, payload, self.clock
-            )
-            tx = dag.Transaction(
-                sender=node.public_id,
-                block_type_tag=tag,
-                payload=payload,
-                timestamp=self.clock,
-                signature=sign_message(node.signing_key, message),
+            tx = dag.Transaction.signed(
+                node.signing_key, node.public_id, tag, payload, self.clock
             )
             self.tx_pool.append(tx)
             self.metrics["transactions"] += 1
@@ -719,12 +716,7 @@ class Network:
             return
         who = ev.get("nodes", "all")
         if who == "all":
-            ordered = [
-                self.node_for_tuid(t) for t in self.roster()
-            ]
-            authenticators = [
-                n for n in ordered if n is not None and n.enrolled and n.online
-            ]
+            authenticators = [n for n, _ in self._members.values() if n.online]
         else:
             authenticators = [self.nodes[name] for name in who]
         for node in authenticators:
@@ -744,6 +736,8 @@ class Network:
                         BlockNotPending("block is no longer pending"))
             return
         try:
+            if not node.online:
+                raise Unauthorized("offline node cannot attest")
             result = consensus.authenticate_block(
                 node, block, self.network_ves_index(), self.config.token_salt
             )
@@ -773,17 +767,14 @@ class Network:
 
     def _verify_auth_message(self, message: AuthenticationMessage) -> None:
         """Receivers check the attestation signature against the on-chain key."""
-        for block in self.nodechain.blocks:
-            if block.tuid == message.tuid:
-                payload = AuthenticationMessage.signing_bytes(
-                    message.block_digest, message.tuid, message.local_ves_index
-                )
-                if not verify_signature(
-                    block.constructed_public_key, message.signature, payload
-                ):
-                    raise Unauthorized("attestation signature does not verify")
-                return
-        raise Unauthorized("attestation from an identity not on chain")
+        member = self._members.get(message.tuid)
+        if member is None:
+            raise Unauthorized("attestation from an identity not on chain")
+        payload = AuthenticationMessage.signing_bytes(
+            message.block_digest, message.tuid, message.local_ves_index
+        )
+        if not verify_signature(member[1].constructed_public_key, message.signature, payload):
+            raise Unauthorized("attestation signature does not verify")
 
     def _check_block_finality(self, block_digest: bytes, at: int) -> None:
         block = self.pending_blocks[block_digest]
@@ -798,6 +789,8 @@ class Network:
             self.reject(at, "network", "finalize", exc)
             return
         del self.pending_blocks[block_digest]
+        finalized = set(block.transactions)
+        self.tx_pool = [tx for tx in self.tx_pool if tx not in finalized]
         if self.latest_pending == block_digest:
             self.latest_pending = None
         self.metrics["blocks_finalized"] += 1
@@ -952,25 +945,14 @@ def _enroll_fabricated_identity(net: Network, at: int) -> NodeState | None:
     net._fraud_counter += 1
     name = f"sybil-{net._fraud_counter}"
     module_id = net.config.modules[0]
-    module_key = net._module_keys[module_id]
-    signing_seed = _material(net.config.seed, "sybil-key", net._fraud_counter)
-    fake = NodeState(
-        name=name,
-        role=NodeRole.CPS_IOT,
-        module_id=module_id,
-        params=make_extrinsic(net.config.seed, name, signing_seed),
-        signing_key=signing_key_from_seed(signing_seed),
-        module_registry=net.module_registry,
-    )
-    credential = TrustedModuleCredential(
-        module_id=module_id,
-        public_key=public_bytes(module_key),
-        private_key=module_key,
+    fake = net._new_node(
+        NodeSpec(name, NodeRole.CPS_IOT, module_id),
+        _material(net.config.seed, "sybil-key", net._fraud_counter),
     )
     try:
         nonce = _material(net.config.seed, "sybil-nonce", net._fraud_counter)[:8]
         request = consensus.enroll_request(
-            fake.params, credential, net.module_registry, nonce
+            fake.params, net._credential(module_id), net.module_registry, nonce
         )
         responder = net.responder()
         response = consensus.enroll_respond(
@@ -980,14 +962,9 @@ def _enroll_fabricated_identity(net: Network, at: int) -> NodeState | None:
         return None
     net.record(at, name, "attack_enroll", response.encode())
     net.metrics["enrollments"] += 1
-    ves_index = net._broadcast_enrollment(responder)
-    # The fabricated device has no genuine hardware: its real UID exists
-    # only inside the vault copies.
-    fake.enrolled = True
-    fake.tuid = response.virtual_block.tuid
-    fake.hardware_uid = None
-    fake.local_ves_index = ves_index
-    fake.ledger = net.nodechain
+    # The fabricated device has no genuine hardware (hardware_uid stays
+    # None): its real UID exists only inside the vault copies.
+    net._admit(fake, response.virtual_block, net._broadcast_enrollment(responder))
     net.nodes[name] = fake
     return fake
 
@@ -998,13 +975,8 @@ def _craft_fraud_block(net: Network, author: NodeState, event: AttackEvent) -> d
     if tag is None:
         tag = next(iter(net._branch_tags.values()), "B")
     payload = _material(net.config.seed, "fraud", net._fraud_counter, author.name)
-    message = dag.Transaction.signing_bytes(author.public_id, tag, payload, net.clock)
-    tx = dag.Transaction(
-        sender=author.public_id,
-        block_type_tag=tag,
-        payload=payload,
-        timestamp=net.clock,
-        signature=sign_message(author.signing_key, message),
+    tx = dag.Transaction.signed(
+        author.signing_key, author.public_id, tag, payload, net.clock
     )
     candidate = dag.build_candidate_block(
         [tx], author.public_id, tag, (net.clock, net.clock + 1)

@@ -12,7 +12,7 @@ header mismatch that every ledger holder can observe.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (
     AlreadyInitialized,
@@ -46,24 +46,6 @@ class VirtualExistenceBlock:
     extrinsic_digest: bytes
     header_digest: bytes
 
-    @staticmethod
-    def header_bytes(
-        tuid: TokenizedUid,
-        constructed_public_key: bytes,
-        prev_link: bytes,
-        nns_index: int,
-        timestamp: int,
-        extrinsic_digest: bytes,
-    ) -> bytes:
-        return encode_fields(
-            tuid.value,
-            constructed_public_key,
-            prev_link,
-            nns_index,
-            timestamp,
-            extrinsic_digest,
-        )
-
     @classmethod
     def create(
         cls,
@@ -74,35 +56,12 @@ class VirtualExistenceBlock:
         timestamp: int,
         extrinsic_digest: bytes,
     ) -> "VirtualExistenceBlock":
-        digest = sha256(
-            cls.header_bytes(
-                tuid, constructed_public_key, prev_link, nns_index, timestamp,
-                extrinsic_digest,
-            )
-        )
-        return cls(
-            tuid=tuid,
-            constructed_public_key=constructed_public_key,
-            prev_link=prev_link,
-            nns_index=nns_index,
-            timestamp=timestamp,
-            extrinsic_digest=extrinsic_digest,
-            header_digest=digest,
-        )
+        block = cls(tuid, constructed_public_key, prev_link, nns_index, timestamp,
+                    extrinsic_digest, header_digest=ZERO32)
+        return replace(block, header_digest=block.recomputed_header())
 
-    def recomputed_header(self) -> bytes:
-        return sha256(
-            self.header_bytes(
-                self.tuid,
-                self.constructed_public_key,
-                self.prev_link,
-                self.nns_index,
-                self.timestamp,
-                self.extrinsic_digest,
-            )
-        )
-
-    def encode(self) -> bytes:
+    def header_bytes(self) -> bytes:
+        """Every field the header digest commits, in wire order."""
         return encode_fields(
             self.tuid.value,
             self.constructed_public_key,
@@ -110,8 +69,13 @@ class VirtualExistenceBlock:
             self.nns_index,
             self.timestamp,
             self.extrinsic_digest,
-            self.header_digest,
         )
+
+    def recomputed_header(self) -> bytes:
+        return sha256(self.header_bytes())
+
+    def encode(self) -> bytes:
+        return self.header_bytes() + lp(self.header_digest)
 
     @classmethod
     def decode(cls, data: bytes) -> "VirtualExistenceBlock":

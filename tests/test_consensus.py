@@ -73,9 +73,7 @@ def responder(registry):
 def data_block(label: str = "payload") -> DataBlock:
     key = make_signing_key(label)
     sender = public_bytes(key)
-    payload = material(f"consensus/{label}", 16)
-    message = Transaction.signing_bytes(sender, "B", payload, 100)
-    tx = Transaction(sender, "B", payload, 100, sign_message(key, message))
+    tx = Transaction.signed(key, sender, "B", material(f"consensus/{label}", 16), 100)
     return build_candidate_block([tx], sender, "B", (99, 101)).with_parents(
         b"\x01" * 32, b"\x02" * 32
     )

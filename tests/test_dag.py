@@ -23,7 +23,7 @@ from flexichain.errors import (
     UnknownBranch,
 )
 from flexichain.identity import TokenizedUid
-from flexichain.keys import public_bytes, sign_message
+from flexichain.keys import public_bytes
 
 from conftest import make_signing_key, material
 
@@ -34,14 +34,7 @@ def signed_tx(label: str, tag: str = "B", timestamp: int = 100) -> Transaction:
     key = make_signing_key(label)
     sender = public_bytes(key)
     payload = material(f"dag/payload/{label}", 24)
-    message = Transaction.signing_bytes(sender, tag, payload, timestamp)
-    return Transaction(
-        sender=sender,
-        block_type_tag=tag,
-        payload=payload,
-        timestamp=timestamp,
-        signature=sign_message(key, message),
-    )
+    return Transaction.signed(key, sender, tag, payload, timestamp)
 
 
 def ledger_with_branch() -> tuple[Layer0Ledger, str]:
@@ -149,11 +142,10 @@ def test_transaction_ordering_is_canonical():
     # All share a timestamp but not a sender; use one sender's clones instead.
     key = make_signing_key("alice")
     sender = public_bytes(key)
-    txs = []
-    for i in range(4):
-        payload = material(f"dag/tie/{i}", 8)
-        message = Transaction.signing_bytes(sender, "B", payload, 100)
-        txs.append(Transaction(sender, "B", payload, 100, sign_message(key, message)))
+    txs = [
+        Transaction.signed(key, sender, "B", material(f"dag/tie/{i}", 8), 100)
+        for i in range(4)
+    ]
     block = build_candidate_block(list(reversed(txs)), sender, "B", (100, 101))
     digests = [tx.digest() for tx in block.transactions]
     assert digests == sorted(digests)
@@ -253,6 +245,20 @@ def test_append_block_validations():
     ledger.append_block(block)
     with pytest.raises(IntegrityViolation):
         ledger.append_block(block)  # duplicate digest
+
+
+def test_append_block_rejects_an_already_finalized_transaction():
+    ledger, tag = ledger_with_branch()
+    tx = signed_tx("alice", tag, timestamp=9)
+    for window, appends in (((8, 10), True), ((8, 11), False)):
+        candidate = build_candidate_block([tx], tx.sender, tag, window)
+        block = candidate.with_parents(*ledger.select_parents(candidate))
+        if appends:
+            ledger.append_block(block)
+        else:
+            with pytest.raises(IntegrityViolation, match="already finalized"):
+                ledger.append_block(block)
+    assert len(ledger.blocks(tag)) == 1
 
 
 def test_append_block_rejects_equal_timestamp_arc():

@@ -1,10 +1,15 @@
 """Simulator tests: scenario parsing, protocol flows, adversary model."""
 
+import json
 import math
+from importlib import resources
 
 import pytest
 
-from flexichain.errors import AlreadyInitialized, ConfigError, DomainError
+from flexichain.consensus import AuthenticationMessage
+from flexichain.errors import AlreadyInitialized, ConfigError, DomainError, Unauthorized
+from flexichain.identity import TokenizedUid
+from flexichain.keys import sign_message
 from flexichain.netsim import (
     ScenarioConfig,
     make_extrinsic,
@@ -260,6 +265,62 @@ def test_offline_node_fails_nns_gate():
     rejects = [line for line in result.trace if "event=reject" in line]
     assert any("actor=e1" in line for line in rejects)
     assert result.network.nodes["e1"].local_ves_index == 2  # missed index 3
+
+
+def demo_through(last_at: int, extra: list[dict]):
+    """The bundled demo cut after its event at `last_at`, then `extra`."""
+    data = json.loads(
+        (resources.files("flexichain") / "scenarios" / "demo.json").read_text()
+    )
+    data["script"] = [ev for ev in data["script"] if ev["at"] <= last_at] + extra
+    return run_scenario(ScenarioConfig.from_dict(data))
+
+
+def test_offline_node_cannot_attest():
+    result = demo_through(60, [
+        {"at": 65, "event": "disable", "node": "bn"},
+        {"at": 70, "event": "authenticate", "block": "latest",
+         "nodes": ["bn", "e1", "s1", "c1"]},
+    ])
+    assert result.metrics["blocks_finalized"] == 0
+    assert result.metrics["authentications"] == 3
+    assert result.metrics["rejections"] == 1
+    rejects = [line for line in result.trace if "event=reject" in line]
+    assert len(rejects) == 1 and "actor=bn" in rejects[0]
+
+
+def test_transaction_is_finalized_at_most_once():
+    result = demo_through(70, [
+        {"at": 75, "event": "build_block", "node": "c1", "branch": "telemetry",
+         "window": [45, 61]},
+        {"at": 80, "event": "authenticate", "block": "latest", "nodes": "all"},
+    ])
+    net = result.network
+    assert result.metrics["blocks_finalized"] == 1
+    assert [len(b.transactions) for b in net.layer0.blocks("B")] == [3]
+    assert net.tx_pool == []
+
+
+def signed_attestation(net, tuid: TokenizedUid, signer: str) -> AuthenticationMessage:
+    digest = b"\x42" * 32
+    key = net.nodes[signer].signing_key
+    signature = sign_message(key, AuthenticationMessage.signing_bytes(digest, tuid, 4))
+    return AuthenticationMessage(digest, tuid, 4, signature)
+
+
+def test_attestation_is_checked_against_the_on_chain_key():
+    net = run_scenario(ScenarioConfig.from_dict(scenario(script=JOIN_ALL))).network
+    c1 = net.nodes["c1"].tuid
+    net._verify_auth_message(signed_attestation(net, c1, "c1"))
+    with pytest.raises(Unauthorized):
+        net._verify_auth_message(signed_attestation(net, c1, "e1"))
+
+
+def test_attestation_from_an_identity_not_on_chain_is_rejected():
+    net = run_scenario(ScenarioConfig.from_dict(scenario(script=JOIN_ALL))).network
+    stranger = TokenizedUid(b"\x07" * 32)
+    with pytest.raises(Unauthorized):
+        net._verify_auth_message(signed_attestation(net, stranger, "c1"))
 
 
 def test_genesis_event_raises_already_initialized():

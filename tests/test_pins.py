@@ -25,6 +25,8 @@ SCALE_64_TRACE = "d687e0989a48a5405b2bff78d9e7182edd8b9139c202f045b16c31234e0b25
 # SHA-256 of every edge node's vault copy after the n=64 scenario.
 SCALE_64_EDGE_VAULT = "3b5602d35c9e4d4b9da77628a71361904f4b899b25ae048ac121d5893053a7a6"
 
+EXHAUSTIVE_64_TRACE = "fc90cce54bcbc5244f60879b5e6a9320696ccf56faac74bf82a0b8e5a1289397"
+
 
 def scale_64() -> dict:
     """n=64: 8 edges, the backup down after join 32, a narrated round
@@ -67,6 +69,51 @@ def scale_64() -> dict:
     }
 
 
+def exhaustive_64() -> dict:
+    """n=64: 8 edges, 8 subscribers routed through them, exhaustive
+    finality with a round every 16 joins and one after the last.
+
+    Every node stays online, so every block must finalize, and each
+    `authenticate "all"` attests in enrollment order.
+    """
+    edges = [f"e{i}" for i in range(1, 9)]
+    subscribers = [f"s{i}" for i in range(1, 9)]
+    cps = [f"c{i}" for i in range(1, 48)]
+    nodes = [{"name": "bn", "role": "backup", "module": "tm-1"}]
+    nodes += [{"name": e, "role": "edge", "module": "tm-2"} for e in edges]
+    nodes += [{"name": s, "role": "subscriber", "module": "tm-2", "via": e}
+              for s, e in zip(subscribers, edges)]
+    nodes += [{"name": c, "role": "cps", "module": "tm-2"} for c in cps]
+    script = []
+
+    def emit(event):
+        script.append({"at": 10 * (len(script) + 1), **event})
+
+    def round_by(name):
+        t = 10 * (len(script) + 1)
+        emit({"event": "transactions", "node": name, "branch": "telemetry",
+              "count": 4})
+        emit({"event": "build_block", "node": name, "branch": "telemetry",
+              "window": [t, t + 1]})
+        emit({"event": "authenticate", "block": "latest", "nodes": "all"})
+
+    emit({"event": "register_branch", "branch": "telemetry"})
+    joiners = edges + subscribers + cps
+    for i, name in enumerate(joiners, start=1):
+        emit({"event": "join", "node": name})
+        if i % 16 == 0:
+            round_by(name)
+    round_by(joiners[-1])
+    return {
+        "seed": 65,
+        "finality_mode": "exhaustive",
+        "kdf": {"cost": 2, "block_size": 1, "parallelism": 1},
+        "modules": ["tm-1", "tm-2"],
+        "nodes": nodes,
+        "script": script,
+    }
+
+
 def test_demo_artifacts_are_pinned(tmp_path):
     assert main(["run", "--scenario", DEMO, "--out", str(tmp_path)]) == 0
     digests = {
@@ -92,3 +139,25 @@ def test_scale_64_is_pinned():
     # The backup went offline after join 32 and missed every later delta.
     assert len(net.backup.vault) == net.backup.local_ves_index == 33
     assert {n.local_ves_index for n in net.nodes.values() if n.online} == {65}
+
+
+def test_scale_64_membership_lookups():
+    net = run_scenario(ScenarioConfig.from_dict(scale_64())).network
+    roster = net.roster()
+    assert roster == [b.tuid for b in net.nodechain.blocks]
+    members = [net.node_for_tuid(t) for t in roster]
+    assert [n.tuid for n in members] == roster
+    assert members[0] is net.backup and members[-1].name == "c55"
+    assert "sybil-1" in {n.name for n in members}
+    assert len({n.name for n in members}) == len(roster) == 65
+
+
+def test_exhaustive_64_is_pinned():
+    result = run_scenario(ScenarioConfig.from_dict(exhaustive_64()))
+    summary = result.network.summary()
+    assert summary["enrollments"] == 64
+    assert summary["blocks_built"] == summary["blocks_finalized"] == 4
+    # Each round is attested by the whole roster: 17 + 33 + 49 + 64.
+    assert summary["authentications"] == 163
+    assert summary["rejections"] == 0
+    assert result.trace_digest.hex() == EXHAUSTIVE_64_TRACE
