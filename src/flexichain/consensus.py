@@ -247,7 +247,7 @@ def authenticate_block(
         entry = node.vault.lookup(node.tuid, CallOrigin.LOCAL)
         if entry is None or entry.real_uid != node.hardware_uid:
             raise IdentityMismatch("vault entry does not match hardware identity")
-    if node.tuid in block.narration_tuids():
+    if node.tuid in block.narrated:
         return AuthResult(block, duplicate=True)
     return AuthResult(block.with_narration_entry(node.tuid), duplicate=False)
 
@@ -263,11 +263,14 @@ def check_finality(
     Exhaustive: the narration token set equals the roster set. Narrated:
     the narration contains the `latest_count` most recently enrolled
     tokens (default: just the latest).
+
+    The roster lists distinct tokens, so in exhaustive mode equal sizes
+    plus containment is set equality; the containment walk runs only on
+    the attestation that brings the narration up to the roster's size.
     """
     if not roster:
         raise EmptyRoster("finality requires a non-empty roster")
-    narrated = {t.value for t in block.narration_tuids()}
+    narrated = block.narrated
     if mode is FinalityMode.EXHAUSTIVE:
-        return narrated == {t.value for t in roster}
-    required = roster[-latest_count:]
-    return all(t.value in narrated for t in required)
+        return len(narrated) == len(roster) and narrated.issuperset(roster)
+    return narrated.issuperset(roster[-latest_count:])

@@ -11,7 +11,7 @@ time consensus: ascending timestamp with header-digest tie-break.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 from .errors import (
     BadSignature,
@@ -110,6 +110,12 @@ class DataBlock:
     The header digest commits the tag, transaction root, both arcs, and
     the timestamp. Narration accumulates after creation as authenticators
     attest, so it is deliberately outside the header.
+
+    `narrated` is the set of the narration's tokens, for constant-time
+    membership and finality tests. It is derived, so it is never encoded
+    or compared: it is built once when a block is constructed or decoded,
+    and `with_narration_entry` hands the next block this set extended by
+    one token instead of rebuilding it.
     """
 
     block_type_tag: str
@@ -120,6 +126,13 @@ class DataBlock:
     narration: tuple[tuple[TokenizedUid, bytes], ...]
     timestamp: int
     header_digest: bytes
+    narrated: frozenset[TokenizedUid] = field(init=False, compare=False, repr=False)
+    narrated_with: InitVar[frozenset[TokenizedUid] | None] = None
+
+    def __post_init__(self, narrated_with: frozenset[TokenizedUid] | None) -> None:
+        if narrated_with is None:
+            narrated_with = frozenset(tuid for tuid, _ in self.narration)
+        object.__setattr__(self, "narrated", narrated_with)
 
     def header_bytes(self) -> bytes:
         """Every field the header digest commits, in wire order."""
@@ -146,7 +159,9 @@ class DataBlock:
     def with_narration_entry(self, tuid: TokenizedUid) -> "DataBlock":
         prev = self.narration[-1][1] if self.narration else NARRATION_SEED
         entry = (tuid, sha256(prev + tuid.value))
-        return replace(self, narration=self.narration + (entry,))
+        return replace(
+            self, narration=self.narration + (entry,), narrated_with=self.narrated | {tuid}
+        )
 
     def encode(self) -> bytes:
         txs = encode_fields(len(self.transactions)) + b"".join(
@@ -355,7 +370,12 @@ class Layer0Ledger:
     def append_block(self, block: DataBlock) -> None:
         """Store a sealed block after arc and commitment checks.
 
-        A transaction that an earlier block already finalized is refused.
+        The transactions must be strictly increasing by (timestamp,
+        digest): the canonical order, with no transaction repeated. The
+        Merkle rule pairs an odd last leaf with itself, so a repeated last
+        transaction would otherwise keep the block's tx_root
+        (CVE-2012-2459). A transaction that an earlier block already
+        finalized is refused.
         """
         if not block.sealed:
             raise IntegrityViolation("block is unsealed")
@@ -368,6 +388,9 @@ class Layer0Ledger:
         tx_digests = [tx.digest() for tx in block.transactions]
         if merkle_root(tx_digests) != block.tx_root:
             raise IntegrityViolation("tx_root does not match transactions")
+        order = [(tx.timestamp, d) for tx, d in zip(block.transactions, tx_digests)]
+        if any(a >= b for a, b in zip(order, order[1:])):
+            raise IntegrityViolation("transactions repeated or out of canonical order")
         if not self._tx_digests.isdisjoint(tx_digests):
             raise IntegrityViolation("transaction already finalized")
         for arc in (block.prev_same_type, block.random_arc):

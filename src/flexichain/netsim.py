@@ -68,6 +68,10 @@ from .keys import public_bytes, sign_message, signing_key_from_seed, verify_sign
 from .vault import CallOrigin, FULL_NODE_ROLES, NodeRole, Vault, VaultEntry
 from .wire import ZERO32, encode_fields, encode_u64, lp, sha256
 
+# Name prefix of the identities an attack fabricates. Scenario nodes may not
+# use it: a fabricated node would take over such a node's name and share its
+# extrinsic fixture.
+SYBIL_PREFIX = "sybil-"
 SECRET_KINDS = frozenset({"constructed_keys", "module_key", "vault_access", "tuids"})
 EVENT_KINDS = frozenset(
     {"join", "register_branch", "transactions", "build_block", "authenticate",
@@ -229,6 +233,11 @@ class ScenarioConfig:
             name = entry.get("name")
             if not isinstance(name, str) or not name:
                 raise ConfigError(f"nodes[{i}].name: required string")
+            if name.startswith(SYBIL_PREFIX):
+                raise ConfigError(
+                    f"nodes[{i}].name: prefix {SYBIL_PREFIX!r} is reserved for "
+                    "fabricated identities"
+                )
             if name in names:
                 raise ConfigError(f"nodes[{i}].name: duplicate {name!r}")
             names.add(name)
@@ -463,10 +472,12 @@ class Network:
         }
         self.backup = next(n for n in self.nodes.values() if n.role is NodeRole.BACKUP)
 
-        # Members in enrollment (= chain) order: tuid -> (node, on-chain block).
+        # Members in enrollment (= chain) order: tuid -> (node, on-chain block),
+        # and their tokens as the roster finality is decided against.
         self._members: dict[
             TokenizedUid, tuple[NodeState, nodechain.VirtualExistenceBlock]
         ] = {}
+        self._roster: list[TokenizedUid] = []
 
         # Genesis: the backup node's virtual existence is block 1.
         self.nodechain, genesis_uid = nodechain.genesis_chain(
@@ -539,16 +550,21 @@ class Network:
     def _admit(
         self, node: NodeState, block: nodechain.VirtualExistenceBlock, ves_index: int
     ) -> None:
-        """Make `node` the member behind the on-chain `block`."""
+        """Make `node` the member behind the on-chain `block`.
+
+        The vault refuses a repeated token, so every `block.tuid` is new
+        and the roster stays a list of distinct tokens.
+        """
         node.enrolled = True
         node.tuid = block.tuid
         node.local_ves_index = ves_index
         node.ledger = self.nodechain
         self._members[block.tuid] = (node, block)
+        self._roster.append(block.tuid)
 
     def roster(self) -> list[TokenizedUid]:
-        """On-chain identity roster in enrollment order."""
-        return list(self._members)
+        """A copy of the on-chain identity roster in enrollment order."""
+        return list(self._roster)
 
     def node_for_tuid(self, tuid: TokenizedUid) -> NodeState | None:
         member = self._members.get(tuid)
@@ -779,7 +795,7 @@ class Network:
     def _check_block_finality(self, block_digest: bytes, at: int) -> None:
         block = self.pending_blocks[block_digest]
         final = check_finality(
-            block, self.roster(), self.config.finality_mode, self.config.latest_count
+            block, self._roster, self.config.finality_mode, self.config.latest_count
         )
         if not final:
             return
@@ -932,7 +948,7 @@ def inject_attack(net: Network, event: AttackEvent) -> AttackOutcome:
         block = block.with_narration_entry(actor.tuid)
 
     final = check_finality(
-        block, net.roster(), net.config.finality_mode, net.config.latest_count
+        block, net._roster, net.config.finality_mode, net.config.latest_count
     )
     if final:
         net.record(at, "adversary", "fraud_finalized", block.encode())
@@ -943,7 +959,7 @@ def inject_attack(net: Network, event: AttackEvent) -> AttackOutcome:
 def _enroll_fabricated_identity(net: Network, at: int) -> NodeState | None:
     """Enroll a Sybil identity with a stolen (real) module key."""
     net._fraud_counter += 1
-    name = f"sybil-{net._fraud_counter}"
+    name = f"{SYBIL_PREFIX}{net._fraud_counter}"
     module_id = net.config.modules[0]
     fake = net._new_node(
         NodeSpec(name, NodeRole.CPS_IOT, module_id),

@@ -68,6 +68,30 @@ def test_run_protocol_error_exits_one(tmp_path, capsys):
     assert "AlreadyInitialized" in capsys.readouterr().err
 
 
+def test_run_node_named_with_the_sybil_prefix_is_a_config_error(tmp_path, capsys):
+    # A scenario node named like a fabricated identity would collide with
+    # the Sybil's name and extrinsic fixture.
+    bad = tmp_path / "sybil-name.json"
+    bad.write_text(json.dumps({
+        "seed": 1,
+        "finality_mode": "narrated",
+        "kdf": {"cost": 16, "block_size": 1, "parallelism": 1},
+        "modules": ["tm-1", "tm-2"],
+        "nodes": [
+            {"name": "bn", "role": "backup", "module": "tm-1"},
+            {"name": "e1", "role": "edge", "module": "tm-2"},
+            {"name": "sybil-1", "role": "cps", "module": "tm-2"},
+        ],
+        "script": [
+            {"at": 10, "event": "join", "node": "e1"},
+            {"at": 20, "event": "join", "node": "sybil-1"},
+            {"at": 30, "event": "attack", "category": 1, "secrets": ["module_key"]},
+        ],
+    }))
+    assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "sybil-" in capsys.readouterr().err
+
+
 def test_run_late_attestation_is_a_rejection(tmp_path):
     # Narrated finality: c1 is the newest identity, so its attestation
     # finalizes the block and bn's comes after the block left the pool.

@@ -4,6 +4,8 @@ import itertools
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flexichain.consensus import (
     AuthenticationMessage,
@@ -377,3 +379,21 @@ def test_exhaustive_implies_narrated_by_enumeration():
             narrated = check_finality(block, roster, FinalityMode.NARRATED)
             if exhaustive:
                 assert narrated
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_check_finality_matches_the_set_rule(data):
+    token = st.binary(min_size=32, max_size=32).map(TokenizedUid)
+    roster = data.draw(st.lists(token, min_size=1, max_size=10, unique=True))
+    outsiders = data.draw(st.lists(token, max_size=2))
+    narration = data.draw(st.lists(st.sampled_from(roster + outsiders), max_size=14))
+    latest_count = data.draw(st.integers(1, len(roster) + 2))
+    block = narrated_block(narration)
+    narrated = {t.value for t in narration}
+    assert check_finality(block, roster, FinalityMode.EXHAUSTIVE) == (
+        narrated == {t.value for t in roster}
+    )
+    assert check_finality(block, roster, FinalityMode.NARRATED, latest_count) == all(
+        t.value in narrated for t in roster[-latest_count:]
+    )

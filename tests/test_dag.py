@@ -5,6 +5,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flexichain.dag import (
     BranchRegistry,
@@ -261,6 +263,31 @@ def test_append_block_rejects_an_already_finalized_transaction():
     assert len(ledger.blocks(tag)) == 1
 
 
+def test_append_block_rejects_a_repeated_or_out_of_order_transaction():
+    ledger, tag = ledger_with_branch()
+    key = make_signing_key("alice")
+    sender = public_bytes(key)
+    txs = [Transaction.signed(key, sender, tag, material(f"dag/rep/{i}", 24), 5 + i)
+           for i in range(3)]
+    candidate = build_candidate_block(txs, sender, tag, (0, 10))
+    # The duplicate-last-leaf Merkle rule gives the repeated block the same root.
+    repeated = dataclasses.replace(
+        candidate, transactions=candidate.transactions + candidate.transactions[-1:]
+    )
+    assert merkle_root([tx.digest() for tx in repeated.transactions]) == candidate.tx_root
+    reversed_txs = candidate.transactions[::-1]
+    reordered = dataclasses.replace(
+        candidate, transactions=reversed_txs,
+        tx_root=merkle_root([tx.digest() for tx in reversed_txs]),
+    )
+    parents = ledger.select_parents(candidate)
+    for bad in (repeated, reordered):
+        with pytest.raises(IntegrityViolation, match="repeated or out of canonical order"):
+            ledger.append_block(bad.with_parents(*parents))
+    ledger.append_block(candidate.with_parents(*parents))
+    assert [len(b.transactions) for b in ledger.blocks(tag)] == [3]
+
+
 def test_append_block_rejects_equal_timestamp_arc():
     ledger, tag = ledger_with_branch()
     tx = signed_tx("alice", tag, 0)
@@ -344,3 +371,20 @@ def test_export_text_lists_all_records():
     assert len(lines) == 3  # virtual genesis, branch genesis, one data block
     assert any(line.endswith("genesis - - 0 0") for line in lines)
     assert block.header_digest.hex() in text
+
+
+NARRATORS = [TokenizedUid(material(f"dag/narrator/{i}", 32)) for i in range(6)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(NARRATORS), max_size=20))
+def test_narrated_set_tracks_the_narration(narrators):
+    ledger, tag = ledger_with_branch()
+    block = sealed_block(ledger, "alice", tag, 10)
+    assert block.narrated == frozenset()
+    for tuid in narrators:
+        block = block.with_narration_entry(tuid)
+        assert block.narrated == set(block.narration_tuids())
+    decoded = DataBlock.decode(block.encode())
+    assert decoded == block and decoded.encode() == block.encode()
+    assert decoded.narrated == set(block.narration_tuids()) == set(narrators)

@@ -11,12 +11,14 @@ from flexichain.errors import AlreadyInitialized, ConfigError, DomainError, Unau
 from flexichain.identity import TokenizedUid
 from flexichain.keys import sign_message
 from flexichain.netsim import (
+    Network,
     ScenarioConfig,
     make_extrinsic,
     monte_carlo_attack,
     run_scenario,
 )
 from flexichain.nodechain import verify_chain
+from flexichain.wire import sha256
 
 from conftest import material
 
@@ -96,6 +98,8 @@ BLOCK_FLOW = JOIN_ALL + [
         (lambda d: d["script"][5].update(window=[5]), "window"),
         (lambda d: d["script"][5].update(window="ab"), "window"),
         (lambda d: d["script"][5].update(window=[60, 45]), "window"),
+        (lambda d: d["nodes"].append({"name": "sybil-1", "role": "cps", "module": "tm-2"}),
+         "sybil-"),
     ],
 )
 def test_config_errors_name_the_offending_key(mutate, needle):
@@ -299,6 +303,46 @@ def test_transaction_is_finalized_at_most_once():
     assert result.metrics["blocks_finalized"] == 1
     assert [len(b.transactions) for b in net.layer0.blocks("B")] == [3]
     assert net.tx_pool == []
+
+
+def test_reattestation_by_a_member_is_a_duplicate():
+    result = demo_through(60, [
+        {"at": 70, "event": "authenticate", "block": "latest", "nodes": ["c1", "e1"]},
+        {"at": 75, "event": "authenticate", "block": "latest", "nodes": ["c1"]},
+    ])
+    assert result.metrics["authentications"] == 2
+    assert result.metrics["duplicate_authentications"] == 1
+    assert result.metrics["rejections"] == 0
+    assert "t=75 actor=c1 event=duplicate_auth" in result.trace[-1]
+
+
+def test_member_that_attested_then_went_offline_is_unauthorized():
+    result = demo_through(60, [
+        {"at": 70, "event": "authenticate", "block": "latest", "nodes": ["c1"]},
+        {"at": 72, "event": "disable", "node": "c1"},
+        {"at": 75, "event": "authenticate", "block": "latest", "nodes": ["c1"]},
+    ])
+    assert result.metrics["authentications"] == 1
+    assert result.metrics["duplicate_authentications"] == 0
+    assert result.metrics["rejections"] == 1
+    reason = sha256(b"authenticate:Unauthorized").hex()
+    assert result.trace[-1] == f"t=75 actor=c1 event=reject payload={reason}"
+
+
+def test_roster_is_a_copy_of_the_chain_after_every_join():
+    config = ScenarioConfig.from_dict(scenario(script=list(BLOCK_FLOW)))
+    net = Network(config)
+    for ev in config.script:
+        net.clock = ev["at"]
+        getattr(net, f"_handle_{ev['event']}")(ev)
+        chain = [b.tuid for b in net.nodechain.blocks]
+        roster = net.roster()
+        assert roster == chain
+        roster.reverse()
+        roster.append(TokenizedUid(b"\x07" * 32))
+        assert net.roster() == chain
+    assert len(chain) == 4
+    assert net.metrics["blocks_finalized"] == 1
 
 
 def signed_attestation(net, tuid: TokenizedUid, signer: str) -> AuthenticationMessage:
