@@ -35,16 +35,22 @@ def _default_out() -> str:
     return os.environ.get(OUT_ENV, "out")
 
 
-def _write_artifacts(network, trace: tuple[str, ...], out_dir: str) -> dict:
-    os.makedirs(out_dir, exist_ok=True)
-    summary = network.summary()
-    files = {
-        "trace.txt": ("\n".join(trace) + "\n").encode(),
+def _replayed_artifacts(result) -> dict[str, bytes]:
+    """The artifacts `verify` compares byte for byte, by file name."""
+    network = result.network
+    return {
+        "trace.txt": ("\n".join(result.trace) + "\n").encode(),
         "nodechain.bin": network.nodechain.serialize(),
         "layer0.txt": network.layer0.export_text().encode(),
         "vault.bin": network.backup.vault.serialize(),
-        "summary.json": (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode(),
     }
+
+
+def _write_artifacts(result, out_dir: str) -> dict:
+    os.makedirs(out_dir, exist_ok=True)
+    summary = result.network.summary()
+    files = _replayed_artifacts(result)
+    files["summary.json"] = (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode()
     for name, data in files.items():
         with open(os.path.join(out_dir, name), "wb") as fh:
             fh.write(data)
@@ -77,7 +83,7 @@ def cmd_run(args) -> int:
     if result is None:
         return code
     try:
-        summary = _write_artifacts(result.network, result.trace, args.out)
+        summary = _write_artifacts(result, args.out)
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 2
@@ -177,14 +183,8 @@ def cmd_verify(args) -> int:
     if result is None:
         return code
     network = result.network
-    expected = {
-        "trace.txt": ("\n".join(result.trace) + "\n").encode(),
-        "nodechain.bin": network.nodechain.serialize(),
-        "layer0.txt": network.layer0.export_text().encode(),
-        "vault.bin": network.backup.vault.serialize(),
-    }
     mismatches = []
-    for name, data in expected.items():
+    for name, data in _replayed_artifacts(result).items():
         path = os.path.join(args.out, name)
         try:
             with open(path, "rb") as fh:

@@ -14,8 +14,8 @@ earlier ones, since each UID is derived from its predecessor.
 
 Responder and authenticator states are duck-typed. A responder needs
 `role`, `module_registry`, `ledger`, and `vault` attributes; an
-authenticator needs `enrolled`, `tuid`, `hardware_uid`, `local_ves_index`,
-and (for full nodes) `vault`.
+authenticator needs `tuid` (None until enrolled), `hardware_uid`,
+`local_ves_index`, and (for full nodes) `vault`.
 """
 
 from __future__ import annotations
@@ -235,7 +235,7 @@ def authenticate_block(
     hardware-held UID. Re-authentication is an idempotent no-op flagged as
     a duplicate.
     """
-    if not getattr(node, "enrolled", False) or node.tuid is None:
+    if node.tuid is None:
         raise IdentityMismatch("node is not enrolled")
     if node.local_ves_index != network_ves_index:
         raise StaleState(

@@ -1,9 +1,10 @@
 """Layer-0 DAG ledger: typed data blocks over registered layer-1 branches.
 
 The layer-0 ledger aggregates independent branches, one per block type
-tag. Tag "A" is reserved for the virtual-existence branch mirrored from
-the NodeChain; data branches are allocated sequential tags starting at
-"B". Every data block carries two arcs into its own branch: a chain arc to
+tag, and is the only table of them: it maps each branch id to its tag.
+Tag "A" is reserved for the virtual-existence branch mirrored from the
+NodeChain; data branches are allocated sequential tags starting at "B".
+Every data block carries two arcs into its own branch: a chain arc to
 the most recent same-type block, and a pseudorandom arc to an earlier
 same-type block chosen by the block's own transaction root. Ordering is
 time consensus: ascending timestamp with header-digest tie-break.
@@ -12,6 +13,8 @@ time consensus: ascending timestamp with header-digest tie-break.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field, replace
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import (
     BadSignature,
@@ -193,9 +196,13 @@ class DataBlock:
                     signature=tr.read_field(),
                 )
             )
+            if not tr.exhausted():
+                raise ValueError("trailing bytes after transaction")
         narration = []
         for _ in range(r.read_u64()):
             narration.append((TokenizedUid(r.read_field()), r.read_field()))
+        if not r.exhausted():
+            raise ValueError("trailing bytes after block")
         return cls(
             block_type_tag=tag,
             transactions=tuple(txs),
@@ -251,15 +258,8 @@ def build_candidate_block(
 
 
 # ---------------------------------------------------------------------------
-# Branch registry and the layer-0 ledger state
+# The layer-0 ledger state
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BranchInfo:
-    tag: str
-    branch_id: str
-    genesis_digest: bytes
-
 
 def _tag_for(index: int) -> str:
     """Sequential tag names: A, B, ..., Z, AA, AB, ..."""
@@ -269,35 +269,6 @@ def _tag_for(index: int) -> str:
         index, rem = divmod(index - 1, 26)
         name = chr(ord("A") + rem) + name
     return name
-
-
-class BranchRegistry:
-    """Tag allocation for layer-1 branches; tag A is reserved at creation."""
-
-    def __init__(self, virtual_genesis_digest: bytes):
-        self._branches: dict[str, BranchInfo] = {
-            VIRTUAL_BRANCH_TAG: BranchInfo(
-                VIRTUAL_BRANCH_TAG, "virtual-existence", virtual_genesis_digest
-            )
-        }
-
-    def __len__(self) -> int:
-        return len(self._branches)
-
-    def __contains__(self, tag: str) -> bool:
-        return tag in self._branches
-
-    def branch(self, tag: str) -> BranchInfo:
-        if tag not in self._branches:
-            raise UnknownBranch(f"no branch registered for tag {tag!r}")
-        return self._branches[tag]
-
-    def register(self, branch_id: str, genesis_digest: bytes) -> BranchInfo:
-        if any(b.branch_id == branch_id for b in self._branches.values()):
-            raise DuplicateBranch(f"branch id {branch_id!r} already registered")
-        info = BranchInfo(_tag_for(len(self._branches)), branch_id, genesis_digest)
-        self._branches[info.tag] = info
-        return info
 
 
 @dataclass(frozen=True)
@@ -315,30 +286,37 @@ class LedgerRecord:
 
 
 class Layer0Ledger:
-    """Immutable-snapshot DAG of finalized blocks across all branches."""
+    """Immutable-snapshot DAG of finalized blocks across all branches.
 
-    def __init__(self, registry: BranchRegistry):
-        self.registry = registry
+    The ledger owns the branch table. `branches` maps each branch id to its
+    tag, in registration order: the virtual-existence branch holds tag A
+    from creation, and every registered branch takes the next tag.
+    """
+
+    def __init__(self, virtual_genesis_digest: bytes):
         self._records: dict[bytes, LedgerRecord] = {}
-        self._by_tag: dict[str, list[bytes]] = {}
+        self._by_tag: dict[str, list[bytes]] = {}  # genesis marker first
+        self._tags: dict[str, str] = {}
+        self.branches: Mapping[str, str] = MappingProxyType(self._tags)
         self._tx_digests: set[bytes] = set()  # of every finalized transaction
-        for tag in (VIRTUAL_BRANCH_TAG,):
-            self._add_genesis(registry.branch(tag), timestamp=0)
-
-    def _add_genesis(self, info: BranchInfo, timestamp: int) -> None:
-        record = LedgerRecord(info.genesis_digest, info.tag, timestamp, None)
-        self._records[record.digest] = record
-        self._by_tag[info.tag] = [record.digest]
+        self.register_branch("virtual-existence", virtual_genesis_digest, timestamp=0)
 
     def register_branch(
         self, branch_id: str, genesis_digest: bytes, timestamp: int
-    ) -> BranchInfo:
-        info = self.registry.register(branch_id, genesis_digest)
-        self._add_genesis(info, timestamp)
-        return info
+    ) -> str:
+        """Add a branch and its genesis marker; return the branch's tag."""
+        if branch_id in self._tags:
+            raise DuplicateBranch(f"branch id {branch_id!r} already registered")
+        tag = _tag_for(len(self._tags))
+        self._tags[branch_id] = tag
+        record = LedgerRecord(genesis_digest, tag, timestamp, None)
+        self._records[record.digest] = record
+        self._by_tag[tag] = [record.digest]
+        return tag
 
     def same_type_ancestors(self, tag: str) -> list[bytes]:
-        if tag not in self.registry:
+        """The branch's record digests, its genesis marker first."""
+        if tag not in self._by_tag:
             raise UnknownBranch(f"no branch registered for tag {tag!r}")
         return list(self._by_tag[tag])
 
@@ -374,14 +352,23 @@ class Layer0Ledger:
         digest): the canonical order, with no transaction repeated. The
         Merkle rule pairs an odd last leaf with itself, so a repeated last
         transaction would otherwise keep the block's tx_root
-        (CVE-2012-2459). A transaction that an earlier block already
-        finalized is refused.
+        (CVE-2012-2459). Every transaction must carry the block's tag and
+        come from one sender, as `build_candidate_block` collects them. A
+        transaction that an earlier block already finalized is refused.
         """
         if not block.sealed:
             raise IntegrityViolation("block is unsealed")
-        if block.block_type_tag not in self.registry:
+        if block.block_type_tag not in self._by_tag:
             raise UnknownBranch(
                 f"no branch registered for tag {block.block_type_tag!r}"
+            )
+        txs = block.transactions
+        if not txs or any(
+            tx.block_type_tag != block.block_type_tag or tx.sender != txs[0].sender
+            for tx in txs
+        ):
+            raise IntegrityViolation(
+                "transactions must share the block's tag and one sender"
             )
         if block.recomputed_header() != block.header_digest:
             raise IntegrityViolation("header digest does not verify")

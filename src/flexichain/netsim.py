@@ -20,11 +20,12 @@ derived from the scenario seed by counter-mode SHA-256, and all timestamps
 come from the script, so a scenario replays to a byte-identical trace.
 
 The authoritative NodeChain is shared state (honest full copies are
-byte-identical by construction); per-node lag is modeled by each node's
-local VES cursor, which is what the NNS gate checks. Vault copies are
-materialized per full node because their byte equality is a protocol
-property, and every vault read carries its provenance for the offline
-audit.
+byte-identical by construction), and so is the layer-0 ledger, which owns
+the branch table. A node's VES cursor, which the NNS gate checks, is read
+from the chain: an online member is at the head, and a node that goes
+offline keeps the version it held. Vault copies are materialized per full
+node because their byte equality is a protocol property, and every vault
+read carries its provenance for the offline audit.
 
 Adversaries are modeled by an explicit capability lattice. An attack event
 holds a subset of {constructed_keys, module_key, vault_access, tuids} and
@@ -49,12 +50,14 @@ from .consensus import (
     check_finality,
 )
 from .errors import (
+    AlreadyInitialized,
     BlockNotPending,
     ConfigError,
     DomainError,
     OfflineViolation,
     ProtocolError,
     Unauthorized,
+    UnknownBranch,
 )
 from .identity import (
     ExtrinsicParameters,
@@ -127,6 +130,16 @@ def make_extrinsic(
 # Scenario configuration
 # ---------------------------------------------------------------------------
 
+def _is_u64(value) -> bool:
+    """An integer the canonical encoding can carry."""
+    return isinstance(value, int) and 0 <= value < 2**64
+
+
+def _is_names(value) -> bool:
+    """A list of strings, as every name list in a scenario is."""
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 _ROLES = {
     "backup": NodeRole.BACKUP,
     "edge": NodeRole.EDGE,
@@ -160,9 +173,11 @@ class ScenarioConfig:
         if not isinstance(data, dict):
             raise ConfigError("scenario: top level must be an object")
         seed = data.get("seed", 0)
-        if not isinstance(seed, int):
-            raise ConfigError("seed: must be an integer")
+        if not _is_u64(seed):
+            raise ConfigError("seed: must be an integer in [0, 2^64)")
         if seed_override is not None:
+            if not _is_u64(seed_override):
+                raise ConfigError("--seed: must be an integer in [0, 2^64)")
             seed = seed_override
 
         kdf_data = data.get("kdf", {})
@@ -205,8 +220,8 @@ class ScenarioConfig:
             raise ConfigError("latest_count: must be a positive integer")
 
         modules = data.get("modules")
-        if not isinstance(modules, list) or not modules:
-            raise ConfigError("modules: must be a non-empty list")
+        if not _is_names(modules) or not modules:
+            raise ConfigError("modules: must be a non-empty list of strings")
 
         nodes = cls._parse_nodes(data.get("nodes"), modules)
         script = cls._parse_script(data.get("script", []), nodes)
@@ -249,13 +264,19 @@ class ScenarioConfig:
             module_id = entry.get("module")
             if not isinstance(module_id, str) or not module_id:
                 raise ConfigError(f"nodes[{i}].module: required string")
+            via = entry.get("via")
+            if via is not None and not isinstance(via, str):
+                raise ConfigError(f"nodes[{i}].via: must be a node name")
+            extrinsic = entry.get("extrinsic", {})
+            if not isinstance(extrinsic, dict):
+                raise ConfigError(f"nodes[{i}].extrinsic: must be an object")
             specs.append(
                 NodeSpec(
                     name=name,
                     role=_ROLES[role_name],
                     module_id=module_id,
-                    via=entry.get("via"),
-                    extrinsic_overrides=entry.get("extrinsic", {}),
+                    via=via,
+                    extrinsic_overrides=extrinsic,
                 )
             )
         backups = [s for s in specs if s.role is NodeRole.BACKUP]
@@ -278,8 +299,8 @@ class ScenarioConfig:
             if not isinstance(ev, dict):
                 raise ConfigError(f"{where}: must be an object")
             at = ev.get("at")
-            if not isinstance(at, int) or at < 0:
-                raise ConfigError(f"{where}.at: must be a non-negative integer")
+            if not _is_u64(at):
+                raise ConfigError(f"{where}.at: must be an integer in [0, 2^64)")
             if at < last_at:
                 raise ConfigError(f"{where}.at: events must be time-ordered")
             last_at = at
@@ -309,29 +330,33 @@ class ScenarioConfig:
                 if (
                     not isinstance(window, (list, tuple))
                     or len(window) != 2
-                    or not all(isinstance(t, int) for t in window)
+                    or not all(_is_u64(t) for t in window)
                     or window[0] > window[1]
                 ):
                     raise ConfigError(
-                        f"{where}.window: must be two integers with start <= end"
+                        f"{where}.window: must be two integers in [0, 2^64) "
+                        "with start <= end"
                     )
             if kind == "authenticate":
                 who = ev.get("nodes", "all")
                 if who != "all":
-                    if not isinstance(who, list) or not set(who) <= names:
+                    if not _is_names(who) or not set(who) <= names:
                         raise ConfigError(f"{where}.nodes: must be 'all' or known names")
             if kind == "attack":
                 category = ev.get("category")
                 if category not in (1, 2, 3, 4):
                     raise ConfigError(f"{where}.category: must be 1..4")
                 secrets = ev.get("secrets", [])
-                if not isinstance(secrets, list) or not set(secrets) <= SECRET_KINDS:
+                if not _is_names(secrets) or not set(secrets) <= SECRET_KINDS:
                     raise ConfigError(
                         f"{where}.secrets: must be a subset of {sorted(SECRET_KINDS)}"
                     )
                 targets = ev.get("targets", [])
-                if not isinstance(targets, list) or not set(targets) <= names:
+                if not _is_names(targets) or not set(targets) <= names:
                     raise ConfigError(f"{where}.targets: must be known node names")
+                branch = ev.get("branch")
+                if branch is not None and not isinstance(branch, str):
+                    raise ConfigError(f"{where}.branch: must be a string")
         return tuple(dict(ev) for ev in raw)
 
     @classmethod
@@ -358,18 +383,44 @@ class NodeState:
     params: ExtrinsicParameters
     signing_key: object  # Ed25519PrivateKey
     via: str | None = None
-    online: bool = True
-    enrolled: bool = False
     tuid: TokenizedUid | None = None
     hardware_uid: Uid | None = None  # real UID held in the node's secure hardware
-    local_ves_index: int = 0
     vault: Vault | None = None
     ledger: nodechain.NodeChainLedger | None = None
     module_registry: ModuleRegistry | None = None
+    ves_at_disable: int | None = None  # None while the node is online
 
     @property
     def public_id(self) -> bytes:
         return self.params.constructed_public_id
+
+    @property
+    def online(self) -> bool:
+        return self.ves_at_disable is None
+
+    @property
+    def enrolled(self) -> bool:
+        return self.tuid is not None
+
+    @property
+    def local_ves_index(self) -> int:
+        """The NodeChain version this node holds.
+
+        An online member reads the shared chain, so it is at the head; an
+        offline node holds the version it had when it went down; a node
+        not yet admitted holds none.
+        """
+        if self.ves_at_disable is not None:
+            return self.ves_at_disable
+        return len(self.ledger) if self.ledger is not None else 0
+
+    def disable(self) -> None:
+        """Take the node offline; its ledger view stops at this version.
+
+        Once offline the cursor reads the frozen value, so disabling twice
+        keeps the first one.
+        """
+        self.ves_at_disable = self.local_ves_index
 
 
 @dataclass(frozen=True)
@@ -496,12 +547,9 @@ class Network:
             NodeRole.BACKUP,
         )
         self.backup.hardware_uid = genesis_uid
-        self._admit(self.backup, genesis_block, ves_index=1)
-        self.metrics["enrollments"] += 1
+        self._admit(self.backup, genesis_block, responder=self.backup)
 
-        self.registry = dag.BranchRegistry(genesis_block.header_digest)
-        self.layer0 = dag.Layer0Ledger(self.registry)
-        self._branch_tags: dict[str, str] = {}
+        self.layer0 = dag.Layer0Ledger(genesis_block.header_digest)
         self.tx_pool: list[dag.Transaction] = []
         self.pending_blocks: dict[bytes, dag.DataBlock] = {}
         self.latest_pending: bytes | None = None
@@ -548,19 +596,28 @@ class Network:
         )
 
     def _admit(
-        self, node: NodeState, block: nodechain.VirtualExistenceBlock, ves_index: int
+        self,
+        node: NodeState,
+        block: nodechain.VirtualExistenceBlock,
+        responder: NodeState,
     ) -> None:
-        """Make `node` the member behind the on-chain `block`.
+        """Make `node` the member behind the on-chain `block`, which
+        `responder` just accepted.
 
-        The vault refuses a repeated token, so every `block.tuid` is new
-        and the roster stays a list of distinct tokens.
+        Every other online full node receives the responder's newest vault
+        entry (secure channel, never part of the broadcast message
+        encoding). The vault refuses a repeated token, so every
+        `block.tuid` is new and the roster stays a list of distinct tokens.
         """
-        node.enrolled = True
+        entry = responder.vault.entry_at(len(responder.vault))
+        for peer in self.nodes.values():
+            if peer.vault is not None and peer is not responder and peer.online:
+                peer.vault.append(entry, peer.role)
         node.tuid = block.tuid
-        node.local_ves_index = ves_index
         node.ledger = self.nodechain
         self._members[block.tuid] = (node, block)
         self._roster.append(block.tuid)
+        self.metrics["enrollments"] += 1
 
     def roster(self) -> list[TokenizedUid]:
         """A copy of the on-chain identity roster in enrollment order."""
@@ -595,14 +652,7 @@ class Network:
             handler(ev)
 
     def _handle_genesis(self, ev: dict) -> None:
-        # Forced double initialization; surfaces AlreadyInitialized.
-        nodechain.genesis_chain(
-            self.backup.params,
-            self.config.kdf,
-            self.config.token_salt,
-            timestamp=self.clock,
-            existing=self.nodechain,
-        )
+        raise AlreadyInitialized("network already has a genesis chain")
 
     def _handle_join(self, ev: dict) -> None:
         node = self.nodes[ev["node"]]
@@ -627,11 +677,10 @@ class Network:
             responder, request, self.config.kdf, self.config.token_salt, timestamp=at
         )
         self.record(at, responder.name, "response", response.encode())
-        self.metrics["enrollments"] += 1
         block = response.virtual_block
         # The joining node receives its ledger view, its hardware identity,
         # and (for full roles) a vault copy.
-        self._admit(node, block, self._broadcast_enrollment(responder))
+        self._admit(node, block, responder)
         provisioned = responder.vault.lookup(block.tuid, CallOrigin.LOCAL)
         node.hardware_uid = provisioned.real_uid
         if node.role in FULL_NODE_ROLES and node.vault is None:
@@ -640,25 +689,6 @@ class Network:
                 copy.append(past, node.role)
             node.vault = copy
         self.record(at, node.name, "sync", encode_fields(node.local_ves_index))
-
-    def _broadcast_enrollment(self, responder: NodeState) -> int:
-        """Deliver the enrollment the responder just accepted; return the VES.
-
-        One pass over the nodes: every other online full node receives the
-        responder's newest vault entry (secure channel, never part of the
-        broadcast message encoding), and every online enrolled node
-        advances its VES cursor to the new ledger version.
-        """
-        entry = responder.vault.entry_at(len(responder.vault))
-        ves_index = self.nodechain.ves.index
-        for peer in self.nodes.values():
-            if not peer.online:
-                continue
-            if peer.vault is not None and peer is not responder:
-                peer.vault.append(entry, peer.role)
-            if peer.enrolled:
-                peer.local_ves_index = ves_index
-        return ves_index
 
     def _route_responder(self, node: NodeState) -> NodeState:
         if node.role is NodeRole.SUBSCRIBER and node.via:
@@ -674,15 +704,14 @@ class Network:
             + lp(branch_id.encode())
             + lp(self.nodechain.ves.head_digest)
         )
-        info = self.layer0.register_branch(branch_id, genesis_digest, self.clock)
-        self._branch_tags[branch_id] = info.tag
+        tag = self.layer0.register_branch(branch_id, genesis_digest, self.clock)
         self.record(self.clock, "network", "branch", encode_fields(
-            info.tag.encode(), branch_id.encode(), genesis_digest
+            tag.encode(), branch_id.encode(), genesis_digest
         ))
 
     def _handle_transactions(self, ev: dict) -> None:
         node = self.nodes[ev["node"]]
-        tag = self._branch_tags[ev["branch"]]
+        tag = self.layer0.branches[ev["branch"]]
         if not (node.enrolled and node.online):
             self.reject(self.clock, node.name, "transactions",
                         Unauthorized("node not enrolled or offline"))
@@ -699,7 +728,7 @@ class Network:
 
     def _handle_build_block(self, ev: dict) -> None:
         node = self.nodes[ev["node"]]
-        tag = self._branch_tags[ev["branch"]]
+        tag = self.layer0.branches[ev["branch"]]
         window = tuple(ev.get("window", (0, self.clock)))
         try:
             candidate = dag.build_candidate_block(
@@ -814,7 +843,7 @@ class Network:
 
     def _handle_disable(self, ev: dict) -> None:
         node = self.nodes[ev["node"]]
-        node.online = False
+        node.disable()
         self.record(self.clock, node.name, "disable", b"")
 
     def _handle_attack(self, ev: dict) -> None:
@@ -838,18 +867,10 @@ class Network:
         for node in self.nodes.values():
             roles[node.role.value] = roles.get(node.role.value, 0) + 1
         return {
+            **self.metrics,
             "nodes_by_role": roles,
             "nodechain_length": len(self.nodechain),
             "vault_size": len(self.backup.vault),
-            "enrollments": self.metrics["enrollments"],
-            "rejected_enrollments": self.metrics["rejected_enrollments"],
-            "transactions": self.metrics["transactions"],
-            "blocks_built": self.metrics["blocks_built"],
-            "blocks_finalized": self.metrics["blocks_finalized"],
-            "authentications": self.metrics["authentications"],
-            "duplicate_authentications": self.metrics["duplicate_authentications"],
-            "rejections": self.metrics["rejections"],
-            "attacks": self.metrics["attacks"],
             "finality_mode": self.config.finality_mode.value,
             "vault_audit": self.vault_audit(),
             "trace_digest": self.trace_digest().hex(),
@@ -927,7 +948,7 @@ def inject_attack(net: Network, event: AttackEvent) -> AttackOutcome:
 
     responder_vault = net.responder().vault
     for actor in attempt_order:
-        if not actor.enrolled or actor.tuid is None:
+        if not actor.enrolled:
             continue
         if "vault_access" in event.secrets:
             # Compromised full-node endpoint: reads carry local provenance.
@@ -977,19 +998,18 @@ def _enroll_fabricated_identity(net: Network, at: int) -> NodeState | None:
     except ProtocolError:
         return None
     net.record(at, name, "attack_enroll", response.encode())
-    net.metrics["enrollments"] += 1
     # The fabricated device has no genuine hardware (hardware_uid stays
     # None): its real UID exists only inside the vault copies.
-    net._admit(fake, response.virtual_block, net._broadcast_enrollment(responder))
+    net._admit(fake, response.virtual_block, responder)
     net.nodes[name] = fake
     return fake
 
 
 def _craft_fraud_block(net: Network, author: NodeState, event: AttackEvent) -> dag.DataBlock:
     """A block of forged payload signed with whatever key the adversary holds."""
-    tag = net._branch_tags.get(event.branch) if event.branch else None
-    if tag is None:
-        tag = next(iter(net._branch_tags.values()), "B")
+    tag = net.layer0.branches.get(event.branch)
+    if tag in (None, dag.VIRTUAL_BRANCH_TAG):
+        tag = "B"  # the first data branch, registered or not
     payload = _material(net.config.seed, "fraud", net._fraud_counter, author.name)
     tx = dag.Transaction.signed(
         author.signing_key, author.public_id, tag, payload, net.clock
@@ -997,9 +1017,9 @@ def _craft_fraud_block(net: Network, author: NodeState, event: AttackEvent) -> d
     candidate = dag.build_candidate_block(
         [tx], author.public_id, tag, (net.clock, net.clock + 1)
     )
-    if tag in net.registry:
+    try:
         prev, rand = net.layer0.select_parents(candidate)
-    else:
+    except UnknownBranch:
         prev, rand = ZERO32, ZERO32
     return candidate.with_parents(prev, rand)
 

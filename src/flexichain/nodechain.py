@@ -15,7 +15,6 @@ import enum
 from dataclasses import dataclass, replace
 
 from .errors import (
-    AlreadyInitialized,
     EmptyChain,
     IntegrityViolation,
     StaleState,
@@ -170,16 +169,11 @@ def genesis_chain(
     kdf: KdfParameters,
     token_salt: bytes,
     timestamp: int = 0,
-    existing: NodeChainLedger | None = None,
 ) -> tuple[NodeChainLedger, Uid]:
     """Create the chain with the backup node's virtual block as block 1.
 
-    The genesis UID is derived against the all-zero previous UID. Passing
-    the network's current ledger as `existing` guards against double
-    initialization.
+    The genesis UID is derived against the all-zero previous UID.
     """
-    if existing is not None:
-        raise AlreadyInitialized("network already has a genesis chain")
     container1, container2 = hash_extrinsic(bn_params)
     uid = derive_uid(container1, zero_uid(kdf.output_length), kdf)
     block = VirtualExistenceBlock.create(

@@ -199,7 +199,6 @@ def emit_tables(
     out_dir: str,
     blockchain: Mapping[int, tuple[float, ...]] | None = None,
     flexichain: Mapping[int, tuple[float, ...]] | None = None,
-    central: Mapping[int, float] | None = None,
 ) -> dict[str, str]:
     """Write the three CSV files and return their paths by name.
 
@@ -212,7 +211,6 @@ def emit_tables(
     """
     blockchain = blockchain if blockchain is not None else BLOCKCHAIN_REFERENCE
     flexichain = flexichain if flexichain is not None else FLEXICHAIN_REFERENCE
-    central = central if central is not None else CENTRAL_REFERENCE
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
 
@@ -239,7 +237,7 @@ def emit_tables(
                 ",".join(
                     [
                         str(n),
-                        _format(central[n]),
+                        _format(CENTRAL_REFERENCE[n]),
                         _format(totals["blockchain"][n]),
                         _format(totals["flexichain"][n]),
                     ]

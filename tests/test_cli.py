@@ -116,6 +116,13 @@ def test_seed_flag_overrides_scenario(tmp_path):
     assert read(a / "trace.txt") != read(b / "trace.txt")
 
 
+def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", DEMO, "--seed", "-1", "--out", str(out)]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_out_dir_env_default(tmp_path, monkeypatch):
     monkeypatch.setenv("FLEXICHAIN_OUT", str(tmp_path / "envout"))
     assert main(["run", "--scenario", DEMO]) == 0

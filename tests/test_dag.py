@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flexichain.dag import (
-    BranchRegistry,
     DataBlock,
     Layer0Ledger,
     Transaction,
@@ -26,6 +25,7 @@ from flexichain.errors import (
 )
 from flexichain.identity import TokenizedUid
 from flexichain.keys import public_bytes
+from flexichain.wire import encode_fields, lp
 
 from conftest import make_signing_key, material
 
@@ -40,10 +40,9 @@ def signed_tx(label: str, tag: str = "B", timestamp: int = 100) -> Transaction:
 
 
 def ledger_with_branch() -> tuple[Layer0Ledger, str]:
-    registry = BranchRegistry(VIRTUAL_GENESIS)
-    ledger = Layer0Ledger(registry)
-    info = ledger.register_branch("telemetry", material("dag/branch-b", 32), timestamp=1)
-    return ledger, info.tag
+    ledger = Layer0Ledger(VIRTUAL_GENESIS)
+    tag = ledger.register_branch("telemetry", material("dag/branch-b", 32), timestamp=1)
+    return ledger, tag
 
 
 def sealed_block(ledger: Layer0Ledger, label: str, tag: str, at: int) -> DataBlock:
@@ -154,36 +153,42 @@ def test_transaction_ordering_is_canonical():
 
 
 # ---------------------------------------------------------------------------
-# Branch registry
+# Branch table
 # ---------------------------------------------------------------------------
 
 def test_reserved_virtual_branch_and_sequential_tags():
-    registry = BranchRegistry(VIRTUAL_GENESIS)
-    assert "A" in registry
-    first = registry.register("telemetry", material("dag/b", 32))
-    assert first.tag == "B"
-    second = registry.register("firmware", material("dag/c", 32))
-    assert second.tag == "C"
+    ledger = Layer0Ledger(VIRTUAL_GENESIS)
+    assert ledger.branches == {"virtual-existence": "A"}
+    assert ledger.same_type_ancestors("A") == [VIRTUAL_GENESIS]
+    first = ledger.register_branch("telemetry", material("dag/b", 32), timestamp=1)
+    assert first == "B"
+    second = ledger.register_branch("firmware", material("dag/c", 32), timestamp=1)
+    assert second == "C"
+    assert ledger.branches["firmware"] == "C"
 
 
 def test_duplicate_branch_rejected():
-    registry = BranchRegistry(VIRTUAL_GENESIS)
-    registry.register("telemetry", material("dag/b", 32))
+    ledger = Layer0Ledger(VIRTUAL_GENESIS)
+    ledger.register_branch("telemetry", material("dag/b", 32), timestamp=1)
     with pytest.raises(DuplicateBranch):
-        registry.register("telemetry", material("dag/c", 32))
+        ledger.register_branch("telemetry", material("dag/c", 32), timestamp=2)
+    with pytest.raises(DuplicateBranch):
+        ledger.register_branch("virtual-existence", material("dag/d", 32), timestamp=2)
+    assert ledger.same_type_ancestors("B") == [material("dag/b", 32)]
+    assert len(ledger.branches) == 2
 
 
 def test_registry_size_counts_reserved_tag():
-    registry = BranchRegistry(VIRTUAL_GENESIS)
+    ledger = Layer0Ledger(VIRTUAL_GENESIS)
     for i in range(5):
-        registry.register(f"branch-{i}", material(f"dag/g{i}", 32))
-    assert len(registry) == 6
+        ledger.register_branch(f"branch-{i}", material(f"dag/g{i}", 32), timestamp=1)
+    assert len(ledger.branches) == 6
 
 
 def test_unknown_branch_lookup():
-    registry = BranchRegistry(VIRTUAL_GENESIS)
+    ledger = Layer0Ledger(VIRTUAL_GENESIS)
     with pytest.raises(UnknownBranch):
-        registry.branch("Z")
+        ledger.same_type_ancestors("Z")
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +201,7 @@ def test_first_block_arcs_point_at_branch_genesis():
         [signed_tx("alice", tag, 10)], signed_tx("alice", tag, 10).sender, tag, (9, 11)
     )
     prev, rand = ledger.select_parents(candidate)
-    genesis = ledger.registry.branch(tag).genesis_digest
-    assert prev == rand == genesis
+    assert prev == rand == material("dag/branch-b", 32)
 
 
 def test_select_parents_deterministic():
@@ -288,6 +292,34 @@ def test_append_block_rejects_a_repeated_or_out_of_order_transaction():
     assert [len(b.transactions) for b in ledger.blocks(tag)] == [3]
 
 
+def test_append_block_rejects_a_mixed_branch_or_sender_block():
+    ledger, tag = ledger_with_branch()
+    other = ledger.register_branch("firmware", material("dag/firm", 32), timestamp=1)
+    alice = signed_tx("alice", tag, timestamp=5)
+    candidate = build_candidate_block([alice], alice.sender, tag, (0, 10))
+    parents = ledger.select_parents(candidate)
+    alice_key = make_signing_key("alice")
+    alice_other = Transaction.signed(alice_key, alice.sender, other, b"other", 6)
+    mixed = {
+        "another branch's tag, second sender": (alice, signed_tx("bob", other, 6)),
+        "another branch's tag": (alice, alice_other),
+        "second sender": (alice, signed_tx("bob", tag, 6)),
+        "no transactions": (),
+    }
+    for label, txs in mixed.items():
+        # Canonical order, a recomputed root and a sealed header: only the
+        # block's composition is wrong.
+        assert [tx.timestamp for tx in txs] == sorted(tx.timestamp for tx in txs)
+        bad = dataclasses.replace(
+            candidate, transactions=txs,
+            tx_root=merkle_root([tx.digest() for tx in txs]) if txs else b"\x00" * 32,
+        ).with_parents(*parents)
+        with pytest.raises(IntegrityViolation, match="one sender"):
+            ledger.append_block(bad)
+    ledger.append_block(candidate.with_parents(*parents))
+    assert [b.transactions for b in ledger.blocks()] == [(alice,)]
+
+
 def test_append_block_rejects_equal_timestamp_arc():
     ledger, tag = ledger_with_branch()
     tx = signed_tx("alice", tag, 0)
@@ -299,8 +331,7 @@ def test_append_block_rejects_equal_timestamp_arc():
 
 
 def test_topological_order_single_genesis():
-    registry = BranchRegistry(VIRTUAL_GENESIS)
-    ledger = Layer0Ledger(registry)
+    ledger = Layer0Ledger(VIRTUAL_GENESIS)
     assert ledger.topological_order() == [VIRTUAL_GENESIS]
 
 
@@ -315,7 +346,7 @@ def test_topological_order_sorts_by_time_then_digest():
 
     # Equal timestamps in independent branches break ties by digest.
     other = ledger.register_branch("firmware", material("dag/firm", 32), timestamp=1)
-    c1 = sealed_block(ledger, "carol", other.tag, 20)
+    c1 = sealed_block(ledger, "carol", other, 20)
     ledger.append_block(c1)
     order = ledger.topological_order()
     first, second = sorted([b2.header_digest, c1.header_digest])
@@ -360,6 +391,25 @@ def test_datablock_encode_decode_round_trip():
     block = block.with_narration_entry(TokenizedUid(material("dag/auth", 32)))
     decoded = DataBlock.decode(block.encode())
     assert decoded == block
+
+
+def test_datablock_decode_refuses_trailing_bytes():
+    ledger, tag = ledger_with_branch()
+    block = sealed_block(ledger, "alice", tag, 10)
+    with pytest.raises(ValueError, match="trailing bytes after block"):
+        DataBlock.decode(block.encode() + lp(b"Z"))
+    (tx,) = block.transactions
+    padded_tx = (
+        block.header_bytes() + lp(block.header_digest)
+        + encode_fields(1) + lp(tx.encode() + lp(b"Z")) + encode_fields(0)
+    )
+    with pytest.raises(ValueError, match="trailing bytes after transaction"):
+        DataBlock.decode(padded_tx)
+    # The same bytes without the padding are the block itself.
+    assert DataBlock.decode(
+        block.header_bytes() + lp(block.header_digest)
+        + encode_fields(1) + lp(tx.encode()) + encode_fields(0)
+    ) == block
 
 
 def test_export_text_lists_all_records():

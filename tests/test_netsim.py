@@ -10,7 +10,9 @@ from flexichain.consensus import AuthenticationMessage
 from flexichain.errors import AlreadyInitialized, ConfigError, DomainError, Unauthorized
 from flexichain.identity import TokenizedUid
 from flexichain.keys import sign_message
+from flexichain import netsim
 from flexichain.netsim import (
+    AttackEvent,
     Network,
     ScenarioConfig,
     make_extrinsic,
@@ -100,6 +102,30 @@ BLOCK_FLOW = JOIN_ALL + [
         (lambda d: d["script"][5].update(window=[60, 45]), "window"),
         (lambda d: d["nodes"].append({"name": "sybil-1", "role": "cps", "module": "tm-2"}),
          "sybil-"),
+        # Values the canonical encoding or the parser's sets cannot take.
+        pytest.param(lambda d: d.update(seed=-1), "seed", id="seed-negative"),
+        pytest.param(lambda d: d["script"][6].update(at=2**64), "at", id="at-2^64"),
+        pytest.param(lambda d: d["script"][5].update(window=[45, 2**64]), "window",
+                     id="window-2^64"),
+        pytest.param(lambda d: d["nodes"][3].update(extrinsic=5), "extrinsic",
+                     id="extrinsic-int"),
+        pytest.param(lambda d: d["nodes"][3].update(extrinsic=["mac_address"]),
+                     "extrinsic", id="extrinsic-list"),
+        pytest.param(lambda d: d["nodes"][2].update(via=["e1"]), "via", id="via-list"),
+        pytest.param(lambda d: d["nodes"][2].update(via={"e1": 1}), "via", id="via-dict"),
+        pytest.param(lambda d: d["script"][6].update(nodes=[["bn"]]), "nodes",
+                     id="authenticate-nodes-list"),
+        pytest.param(lambda d: d["script"].append(
+            {"at": 80, "event": "attack", "category": 2, "targets": [{"e1": 1}]}
+        ), "targets", id="attack-targets-dict"),
+        pytest.param(lambda d: d["script"].append(
+            {"at": 80, "event": "attack", "category": 2, "secrets": [["tuids"]]}
+        ), "secrets", id="attack-secrets-list"),
+        pytest.param(lambda d: d.update(modules=[["tm-1"], "tm-2"]), "modules",
+                     id="modules-list"),
+        pytest.param(lambda d: d["script"].append(
+            {"at": 80, "event": "attack", "category": 1, "branch": 5}
+        ), "branch", id="attack-branch-int"),
     ],
 )
 def test_config_errors_name_the_offending_key(mutate, needle):
@@ -113,6 +139,8 @@ def test_config_errors_name_the_offending_key(mutate, needle):
 def test_seed_override_wins():
     config = ScenarioConfig.from_dict(scenario(seed=5), seed_override=99)
     assert config.seed == 99
+    with pytest.raises(ConfigError, match="--seed"):
+        ScenarioConfig.from_dict(scenario(seed=5), seed_override=-1)
 
 
 def test_fixture_derivation_is_seed_deterministic():
@@ -278,6 +306,40 @@ def demo_through(last_at: int, extra: list[dict]):
     )
     data["script"] = [ev for ev in data["script"] if ev["at"] <= last_at] + extra
     return run_scenario(ScenarioConfig.from_dict(data))
+
+
+def test_ves_cursor_is_read_from_the_chain_and_frozen_by_disable():
+    nodes = [
+        {"name": "bn", "role": "backup", "module": "tm-1"},
+        {"name": "e1", "role": "edge", "module": "tm-2"},
+        {"name": "c1", "role": "cps", "module": "tm-2"},
+        {"name": "c2", "role": "cps", "module": "tm-2"},
+    ]
+    script = [
+        {"at": 10, "event": "join", "node": "e1"},
+        {"at": 15, "event": "disable", "node": "c2"},  # before it joins
+        {"at": 20, "event": "disable", "node": "e1"},
+        {"at": 30, "event": "join", "node": "c1"},
+        {"at": 40, "event": "disable", "node": "e1"},  # a second disable
+        {"at": 50, "event": "join", "node": "c2"},
+    ]
+    net = run_scenario(
+        ScenarioConfig.from_dict(scenario(nodes=nodes, script=script))
+    ).network
+    assert len(net.nodechain) == 3
+    cursors = {name: node.local_ves_index for name, node in net.nodes.items()}
+    assert cursors == {"bn": 3, "e1": 2, "c1": 3, "c2": 0}
+    assert not net.nodes["c2"].enrolled and net.metrics["rejected_enrollments"] == 1
+
+
+def test_fraud_block_never_takes_the_virtual_existence_tag():
+    _, net = run_attack({"category": 1, "secrets": ["module_key"]})
+    author = net.nodes["sybil-1"]
+    net.layer0.register_branch("firmware", material("netsim/firmware", 32), net.clock)
+    for branch, tag in ((None, "B"), ("telemetry", "B"), ("firmware", "C"),
+                        ("virtual-existence", "B"), ("unregistered", "B")):
+        event = AttackEvent(category=1, branch=branch)
+        assert netsim._craft_fraud_block(net, author, event).block_type_tag == tag
 
 
 def test_offline_node_cannot_attest():

@@ -8,7 +8,6 @@ import struct
 import pytest
 
 from flexichain.errors import (
-    AlreadyInitialized,
     EmptyChain,
     IntegrityViolation,
     StaleState,
@@ -83,12 +82,6 @@ def test_genesis_uid_matches_generator_recomputation():
     c1, _ = hash_extrinsic(params)
     assert uid == derive_uid(c1, zero_uid(), CHEAP_KDF)
     assert ledger.blocks[0].tuid == tokenize_uid(uid, TOKEN_SALT)
-
-
-def test_second_genesis_rejected():
-    ledger, _ = genesis_chain(make_params("bn"), CHEAP_KDF, TOKEN_SALT)
-    with pytest.raises(AlreadyInitialized):
-        genesis_chain(make_params("bn"), CHEAP_KDF, TOKEN_SALT, existing=ledger)
 
 
 # ---------------------------------------------------------------------------
