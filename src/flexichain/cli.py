@@ -7,8 +7,9 @@ Subcommands:
     montecarlo  validate the analytic attack model by direct sampling
     verify      re-run a scenario and check the persisted artifacts match
 
-Exit codes: 0 success, 1 assertion/tolerance/protocol failure, 2 usage or
-IO error. The default output directory is $FLEXICHAIN_OUT, else ./out.
+Exit codes: 0 success, 1 assertion/tolerance/protocol failure, 2 usage,
+configuration or IO error; a malformed flag is a usage error. The default
+output directory is $FLEXICHAIN_OUT, else ./out.
 All outputs derive from the scenario's virtual clock and seed; repeated
 invocations with the same inputs produce identical bytes.
 """
@@ -19,11 +20,12 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from . import secmodel
 from .errors import ConfigError, ProtocolError
-from .netsim import ScenarioConfig, monte_carlo_attack, run_scenario
+from .netsim import U64_MAX, ScenarioConfig, monte_carlo_attack, run_scenario
 from .nodechain import verify_chain
 
 OUT_ENV = "FLEXICHAIN_OUT"
@@ -57,12 +59,16 @@ def _write_artifacts(result, out_dir: str) -> dict:
     return summary
 
 
-def _simulate(config):
-    """Run the scenario: (result, 0), or (None, exit code) after a message."""
+def _simulate(args):
+    """Load and run `--scenario`: (result, 0), or (None, exit code) after a
+    message."""
     try:
-        return run_scenario(config), 0
+        return run_scenario(ScenarioConfig.from_file(args.scenario, args.seed)), 0
+    except OSError as exc:
+        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
+        return None, 2
     except ConfigError as exc:
-        # Fixture-level configuration defects surface at network build time.
+        # Extrinsic overrides are applied, and checked, at network build time.
         print(f"error: {exc}", file=sys.stderr)
         return None, 2
     except ProtocolError as exc:
@@ -71,15 +77,7 @@ def _simulate(config):
 
 
 def cmd_run(args) -> int:
-    try:
-        config = ScenarioConfig.from_file(args.scenario, seed_override=args.seed)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
-        return 2
-    result, code = _simulate(config)
+    result, code = _simulate(args)
     if result is None:
         return code
     try:
@@ -96,49 +94,57 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _parse_corruption(spec: str):
-    # test hook syntax: table:n:column=value, e.g. blockchain:24:category2=0.5
-    head, value = spec.split("=", 1)
-    table, n, column = head.split(":")
-    return table, int(n), column, float(value)
+def _integer_flag(lo: int, hi: float, what: str):
+    """An argparse type: an integer in [lo, hi], else a usage error."""
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as a usage error
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must be {what}, not {text!r}")
+        return value
+    return integer
 
 
-def _corrupted(table: dict, n: int, column: str, value: float) -> dict:
-    columns = [f"category{i}" for i in range(1, 5)] + ["summation"]
-    idx = columns.index(column)
-    out = {k: tuple(v) for k, v in table.items()}
-    row = list(out[n])
-    row[idx] = value
-    out[n] = tuple(row)
-    return out
+_seed_flag = _integer_flag(0, U64_MAX, "an integer in [0, 2^64)")
+COLUMNS = tuple(f"category{i}" for i in range(1, 5)) + ("summation",)
+
+
+def _corruption(spec: str) -> tuple[str, int, int, float]:
+    """Test hook `table:n:column=value`, e.g. blockchain:24:category2=0.5."""
+    match = re.fullmatch(r"(blockchain|flexichain):(\d+):(\w+)=(.+)", spec)
+    if not match or int(match[2]) not in secmodel.TABULATED_N or match[3] not in COLUMNS:
+        raise argparse.ArgumentTypeError(
+            f"must be table:n:column=value with table blockchain or flexichain, "
+            f"n in {secmodel.TABULATED_N} and column in {COLUMNS}, not {spec!r}"
+        )
+    # A value float() refuses is a ValueError, which argparse reports.
+    return match[1], int(match[2]), COLUMNS.index(match[3]), float(match[4])
 
 
 def cmd_tables(args) -> int:
-    blockchain = secmodel.BLOCKCHAIN_REFERENCE
-    flexichain = secmodel.FLEXICHAIN_REFERENCE
+    tables = {
+        "blockchain": secmodel.BLOCKCHAIN_REFERENCE,
+        "flexichain": secmodel.FLEXICHAIN_REFERENCE,
+    }
     if args.corrupt_cell:
-        table, n, column, value = _parse_corruption(args.corrupt_cell)
-        if table == "blockchain":
-            blockchain = _corrupted(blockchain, n, column, value)
-        else:
-            flexichain = _corrupted(flexichain, n, column, value)
+        name, n, column, value = args.corrupt_cell
+        tables[name] = {**tables[name], n: tuple(
+            value if i == column else v for i, v in enumerate(tables[name][n])
+        )}
     try:
-        paths = secmodel.emit_tables(
-            args.out, blockchain=blockchain, flexichain=flexichain
-        )
+        paths = secmodel.emit_tables(args.out, **tables)
     except OSError as exc:
         print(f"error: cannot write tables: {exc}", file=sys.stderr)
         return 2
     failures = []
-    for name, table in (("blockchain", blockchain), ("flexichain", flexichain)):
+    for name, table in tables.items():
         table_failures = secmodel.compare_to_reference(name, table)
         failures.extend(table_failures)
         status = "PASS" if not table_failures else "FAIL"
         print(f"{status} {name} table reproduction -> {paths[name]}")
     ordering_ok = all(
         secmodel.central_reference(n)
-        > secmodel.computed_rows(blockchain)[n][4]
-        > secmodel.computed_rows(flexichain)[n][4]
+        > secmodel.computed_rows(tables["blockchain"])[n][4]
+        > secmodel.computed_rows(tables["flexichain"])[n][4]
         for n in secmodel.TABULATED_N
     )
     print(f"{'PASS' if ordering_ok else 'FAIL'} comparison ordering -> {paths['comparison']}")
@@ -174,12 +180,7 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        config = ScenarioConfig.from_file(args.scenario, seed_override=args.seed)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    result, code = _simulate(config)
+    result, code = _simulate(args)
     if result is None:
         return code
     network = result.network
@@ -196,9 +197,9 @@ def cmd_verify(args) -> int:
             mismatches.append(name)
     violation = verify_chain(
         network.nodechain,
-        kdf=config.kdf,
+        kdf=network.config.kdf,
         vault=network.backup.vault,
-        token_salt=config.token_salt,
+        token_salt=network.config.token_salt,
     )
     audit = network.vault_audit()
     for name in mismatches:
@@ -221,30 +222,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a scenario file")
     run.add_argument("--scenario", required=True, help="scenario JSON path")
-    run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    run.add_argument("--seed", type=_seed_flag, default=None, help="override the scenario seed")
     run.add_argument("--out", default=_default_out(), help="output directory")
     run.set_defaults(func=cmd_run)
 
     tables = sub.add_parser("tables", help="emit and check the reference tables")
     tables.add_argument("--out", default=_default_out(), help="output directory")
-    tables.add_argument("--corrupt-cell", default=None, help=argparse.SUPPRESS)
+    tables.add_argument("--corrupt-cell", type=_corruption, default=None, help=argparse.SUPPRESS)
     tables.set_defaults(func=cmd_tables)
 
     mc = sub.add_parser("montecarlo", help="sample the attack model and compare")
-    mc.add_argument("--trials", type=int, default=100_000)
-    mc.add_argument("--seed", type=int, default=0)
+    mc.add_argument("--trials", type=_integer_flag(1, math.inf, "a positive integer"),
+                    default=100_000)
+    mc.add_argument("--seed", type=_seed_flag, default=0)
     mc.set_defaults(func=cmd_montecarlo)
 
     verify = sub.add_parser("verify", help="re-run a scenario and check artifacts")
     verify.add_argument("--scenario", required=True, help="scenario JSON path")
-    verify.add_argument("--seed", type=int, default=None)
+    verify.add_argument("--seed", type=_seed_flag, default=None)
     verify.add_argument("--out", default=_default_out(), help="artifact directory")
     verify.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one subcommand and return its exit code."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed usage (2) or help (0)
+        return exc.code
     return args.func(args)
 
 

@@ -141,19 +141,15 @@ def scrypt_kdf(
     parallelism: int,
     length: int,
 ) -> bytes:
-    """The raw scrypt submodule (RFC 7914 semantics)."""
+    """The raw scrypt submodule (RFC 7914); InvalidKdf where hashlib refuses."""
     # 128 * N * r bytes of V plus working buffers; leave generous headroom
     # so the 2^20 reference vector fits.
     maxmem = 128 * cost * block_size * parallelism + (32 << 20)
-    return hashlib.scrypt(
-        password,
-        salt=salt,
-        n=cost,
-        r=block_size,
-        p=parallelism,
-        dklen=length,
-        maxmem=maxmem,
-    )
+    try:
+        return hashlib.scrypt(password, salt=salt, n=cost, r=block_size, p=parallelism,
+                              dklen=length, maxmem=maxmem)
+    except (ValueError, OverflowError) as exc:
+        raise InvalidKdf(f"scrypt refuses these parameters: {exc}") from exc
 
 
 def hash_extrinsic(params: ExtrinsicParameters) -> tuple[bytes, bytes]:

@@ -1,20 +1,10 @@
 """Deterministic discrete-event harness for the protocol.
 
-A scenario is a JSON document executed on a virtual clock:
-
-    {
-      "seed": 42,
-      "finality_mode": "exhaustive" | "narrated",
-      "kdf": {"cost": 1024, "block_size": 8, "parallelism": 1,
-              "salt": "<hex>", "output_length": 128},
-      "token_salt": "<hex>",
-      "modules": ["tm-1", ...],
-      "nodes": [{"name": "bn", "role": "backup", "module": "tm-1"}, ...],
-      "script": [{"at": 10, "event": "join", "node": "e1"}, ...]
-    }
-
-Script events: `join`, `register_branch`, `transactions`, `build_block`,
-`authenticate`, `attack`, `disable`, `genesis`. Every value the simulation
+A scenario is a JSON document executed on a virtual clock. One table per
+object (`SCENARIO`, `KDF`, `NODE`, `EXTRINSIC`, and `EVENTS` for the script
+events `join`, `register_branch`, `transactions`, `build_block`,
+`authenticate`, `attack`, `disable`, `genesis`) gives every field's rule and
+default; see "Scenario schema" below and README.md. Every value the simulation
 consumes -- extrinsic fixtures, signing keys, nonces, payloads -- is
 derived from the scenario seed by counter-mode SHA-256, and all timestamps
 come from the script, so a scenario replays to a byte-identical trace.
@@ -38,7 +28,8 @@ Knowing TUIDs grants nothing extra: they are already public on chain.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import reprlib
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -76,10 +67,6 @@ from .wire import ZERO32, encode_fields, encode_u64, lp, sha256
 # extrinsic fixture.
 SYBIL_PREFIX = "sybil-"
 SECRET_KINDS = frozenset({"constructed_keys", "module_key", "vault_access", "tuids"})
-EVENT_KINDS = frozenset(
-    {"join", "register_branch", "transactions", "build_block", "authenticate",
-     "attack", "disable", "genesis"}
-)
 
 
 # ---------------------------------------------------------------------------
@@ -99,52 +86,164 @@ def _material(seed: int, *labels: object) -> bytes:
     return sha256(blob)
 
 
-def make_extrinsic(
-    seed: int, name: str, signing_seed: bytes, overrides: dict | None = None
-) -> ExtrinsicParameters:
-    """Synthetic extrinsic fixture for one node (PUF readout stand-in)."""
-    overrides = overrides or {}
-    fields = {
-        "mac_address": _material(seed, "mac", name)[:6],
-        "firmware_digest": _material(seed, "firmware", name),
-        "puf_signature": _material(seed, "puf", name),
-        "process_power_class": _material(seed, "power", name)[0] % 8,
-        "location_tag": _material(seed, "location", name)[:8],
-        "ip_address": _material(seed, "ip", name)[:4],
-    }
-    for key, value in overrides.items():
-        if key not in fields:
-            raise ConfigError(f"nodes.extrinsic.{key}: unknown field")
+# ---------------------------------------------------------------------------
+# Scenario schema
+# ---------------------------------------------------------------------------
+#
+# Every JSON object of a scenario has one table: key -> (rule, default).
+# `_walk` applies a table: it refuses unknown keys and fills in every absent
+# one, so the simulator reads parsed fields and applies no default again.
+# - A rule takes (value, key path, context) and returns the parsed value or
+#   raises ConfigError naming the path. No rule takes `bool` for an integer.
+# - A default is what the file would hold and goes through the rule, except
+#   a callable one, which computes the parsed value from the fields parsed
+#   so far in this object and at the top level.
+# - REQUIRED marks a key without a default; null is accepted exactly where
+#   the default is None.
+
+REQUIRED = object()
+U64_MAX = 2**64 - 1
+# A transactions event signs one transaction per unit, ~0.35 ms each: 4096
+# stays near 1.4 s, and the generated workloads use at most 16.
+MAX_TX_COUNT = 4096
+# Genesis allocates a zero UID of this size and every vault copy keeps UIDs
+# of it: 1024 bytes is eight times the default.
+MAX_UID_LENGTH = 1024
+# Scope keys of the names declared so far; no scenario key has a space.
+_NODE_NAMES, _BRANCH_NAMES = "node names", "branch names"
+
+
+def _fail(path: str, what: str, value) -> None:
+    raise ConfigError(f"{path or 'scenario'}: must be {what}, not {reprlib.repr(value)}")
+
+
+def _walk(table: dict, raw, path: str, scope: dict, out: dict | None = None) -> dict:
+    """Apply one table to the object `raw` found at `path`, into `out`.
+
+    `scope` holds the top-level fields and the names declared so far; the
+    top level is walked into `scope` itself.
+    """
+    if type(raw) is not dict:
+        _fail(path, "an object", raw)
+    prefix = f"{path}." if path else ""
+    for key in raw:
+        if key not in table:
+            raise ConfigError(f"{prefix}{key}: unknown key")
+    out = {} if out is None else out
+    for key, (rule, default) in table.items():
+        if key in raw:
+            value = raw[key]
+        elif default is REQUIRED:
+            raise ConfigError(f"{prefix}{key}: required")
+        elif callable(default):
+            out[key] = default({**scope, **out})
+            continue
+        else:
+            value = default
+        out[key] = None if value is None and default is None else rule(value, prefix + key, scope)
+    return out
+
+
+def _rule(what: str, ok, parse=None):
+    """Values for which `ok(value, scope)` holds, converted by `parse`."""
+    def rule(value, path, scope):
+        if not ok(value, scope):
+            _fail(path, what, value)
+        return parse(value) if parse else value
+    return rule
+
+
+def _integer(lo: int, hi: int = U64_MAX):
+    bound = "2^64)" if hi == U64_MAX else f"{hi}]"
+    return _rule(f"an integer in [{lo}, {bound}", lambda v, s: type(v) is int and lo <= v <= hi)
+
+
+def _hex_length(value) -> int:
+    try:
+        return len(bytes.fromhex(value))
+    except (TypeError, ValueError):
+        return -1
+
+
+def _hex(what: str, length_ok=lambda n: n >= 0):
+    return _rule(what, lambda v, s: length_ok(_hex_length(v)), bytes.fromhex)
+
+
+def _choice(options: dict):
+    """One of the names in `options`, parsed to the value it maps to."""
+    what = "one of " + ", ".join(map(repr, options))
+    return _rule(what, lambda v, s: type(v) is str and v in options, options.get)
+
+
+def _list(item, what: str = "a list", min_length: int = 0, into=tuple):
+    def rule(value, path, scope):
+        if type(value) is not list or len(value) < min_length:
+            _fail(path, what, value)
+        return into(item(v, f"{path}[{i}]", scope) for i, v in enumerate(value))
+    return rule
+
+
+def _fields(table: dict, make):
+    """An object walked by `table` and built by `make`."""
+    def rule(value, path, scope):
+        parsed = _walk(table, value, path, scope)
         try:
-            if key == "process_power_class":
-                fields[key] = int(value)
-            else:
-                fields[key] = bytes.fromhex(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"nodes.extrinsic.{key}: {exc}") from exc
-    public = public_bytes(signing_key_from_seed(signing_seed))
-    return ExtrinsicParameters(constructed_public_id=public, **fields)
+            return make(**parsed)
+        except ProtocolError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    return rule
 
 
-# ---------------------------------------------------------------------------
-# Scenario configuration
-# ---------------------------------------------------------------------------
-
-def _is_u64(value) -> bool:
-    """An integer the canonical encoding can carry."""
-    return isinstance(value, int) and 0 <= value < 2**64
-
-
-def _is_names(value) -> bool:
-    """A list of strings, as every name list in a scenario is."""
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+def _declare_node(value, path, scope):
+    name = _text(value, path, scope)
+    if name.startswith(SYBIL_PREFIX):
+        raise ConfigError(f"{path}: prefix {SYBIL_PREFIX!r} is reserved for fabricated identities")
+    if name in scope[_NODE_NAMES]:
+        raise ConfigError(f"{path}: duplicate {name!r}")
+    scope[_NODE_NAMES].add(name)
+    return name
 
 
-_ROLES = {
-    "backup": NodeRole.BACKUP,
-    "edge": NodeRole.EDGE,
-    "subscriber": NodeRole.SUBSCRIBER,
-    "cps": NodeRole.CPS_IOT,
+def _declare_branch(value, path, scope):
+    scope[_BRANCH_NAMES].add(_text(value, path, scope))
+    return value
+
+
+def _either(word: str, rule):
+    """The literal `word`, or a value `rule` takes."""
+    return lambda v, path, scope: v if v == word else rule(v, path, scope)
+
+
+_bool = _rule("true or false", lambda v, s: type(v) is bool)
+_text = _rule("a non-empty string", lambda v, s: type(v) is str and v != "")
+_object = _rule("an object", lambda v, s: type(v) is dict, dict)  # its reader walks it
+_node_ref = _rule("a declared node name", lambda v, s: type(v) is str and v in s[_NODE_NAMES])
+_branch_ref = _rule("a branch registered earlier in the script",
+                    lambda v, s: type(v) is str and v in s[_BRANCH_NAMES])
+_window = _rule(
+    "two integers [start, end] in [0, 2^64) with start <= end",
+    lambda v, s: type(v) is list and len(v) == 2
+    and all(type(t) is int and 0 <= t <= U64_MAX for t in v) and v[0] <= v[1],
+    tuple,
+)
+
+
+def _fixture(label: str, size: int | None = None):
+    """The default of an extrinsic field: seeded bytes bound to the node."""
+    return lambda s: _material(s["seed"], label, s["name"])[:size]
+
+
+EXTRINSIC = {
+    "mac_address": (_hex("6 hex-encoded bytes", lambda n: n == identity.MAC_LENGTH),
+                    _fixture("mac", identity.MAC_LENGTH)),
+    "firmware_digest": (_hex("32 hex-encoded bytes",
+                             lambda n: n == identity.FIRMWARE_DIGEST_LENGTH),
+                        _fixture("firmware")),
+    "puf_signature": (_hex("a non-empty hex string", lambda n: n > 0), _fixture("puf")),
+    "process_power_class": (_integer(0, 2**32 - 1),
+                            lambda s: _material(s["seed"], "power", s["name"])[0] % 8),
+    "location_tag": (_hex("a non-empty hex string", lambda n: n > 0), _fixture("location", 8)),
+    "ip_address": (_hex("4 or 16 hex-encoded bytes", lambda n: n in (4, 16)), _fixture("ip", 4)),
 }
 
 
@@ -152,9 +251,93 @@ _ROLES = {
 class NodeSpec:
     name: str
     role: NodeRole
-    module_id: str
+    module: str
     via: str | None = None
-    extrinsic_overrides: dict = field(default_factory=dict)
+    extrinsic: dict = field(default_factory=dict)  # overrides, see EXTRINSIC
+
+
+NODE = {
+    "name": (_declare_node, REQUIRED),
+    "role": (_choice({r.value: r for r in NodeRole}), REQUIRED),
+    # A module outside `modules` is allowed here: such a node's enrollment
+    # must be rejected at runtime, not at parse time.
+    "module": (_text, REQUIRED),
+    "via": (_text, None),  # a node declared anywhere; checked after the walk
+    "extrinsic": (_object, {}),
+}
+
+KDF = {
+    "cost": (_integer(2), 2**14),
+    "block_size": (_integer(1), 8),
+    "parallelism": (_integer(1), 1),
+    "salt": (_hex("a hex string"), lambda s: _material(s["seed"], "kdf-salt")[:16]),
+    "output_length": (_integer(1, MAX_UID_LENGTH), identity.UID_LENGTH),
+}
+
+
+def _event_rows(**rows) -> dict:
+    return {"at": (_integer(0), REQUIRED), "event": (_text, REQUIRED), **rows}
+
+
+EVENTS = {
+    "join": _event_rows(node=(_node_ref, REQUIRED)),
+    "register_branch": _event_rows(branch=(_declare_branch, REQUIRED)),
+    "transactions": _event_rows(
+        node=(_node_ref, REQUIRED),
+        branch=(_branch_ref, REQUIRED),
+        count=(_integer(0, MAX_TX_COUNT), 1),
+    ),
+    "build_block": _event_rows(
+        node=(_node_ref, REQUIRED),
+        branch=(_branch_ref, REQUIRED),
+        window=(_window, lambda s: (0, s["at"])),
+    ),
+    "authenticate": _event_rows(
+        block=(_either("latest", _hex("'latest' or 32 hex-encoded bytes", lambda n: n == 32)),
+               "latest"),
+        nodes=(_either("all", _list(_node_ref, "'all' or a list")), "all"),
+    ),
+    "attack": _event_rows(
+        category=(_integer(1, 4), REQUIRED),
+        targets=(_list(_node_ref), []),
+        secrets=(_list(_choice({k: k for k in sorted(SECRET_KINDS)}), into=frozenset), []),
+        stale_ledger=(_bool, False),
+        attempt_remote_vault=(_bool, None),  # None: only brute force tries remotely
+        branch=(_text, None),
+    ),
+    "disable": _event_rows(node=(_node_ref, REQUIRED)),
+    "genesis": _event_rows(),
+}
+EVENT_KINDS = frozenset(EVENTS)
+
+
+def _event(value, path, scope):
+    kind = _object(value, path, scope).get("event")
+    if type(kind) is not str or kind not in EVENTS:
+        _fail(f"{path}.event", "one of " + ", ".join(EVENTS), kind)
+    return _walk(EVENTS[kind], value, path, scope)
+
+
+SCENARIO = {
+    "seed": (_integer(0), 0),
+    "finality_mode": (_choice({m.value: m for m in FinalityMode}), "exhaustive"),
+    "kdf": (_fields(KDF, KdfParameters), {}),
+    "token_salt": (_hex("a hex string"), lambda s: _material(s["seed"], "token-salt")[:16]),
+    "latest_count": (_integer(1), 1),
+    "modules": (_list(_text, "a non-empty list", 1), REQUIRED),
+    "nodes": (_list(_fields(NODE, NodeSpec), "a non-empty list", 1), REQUIRED),
+    "script": (_list(_event), []),
+}
+
+
+def make_extrinsic(
+    seed: int, name: str, signing_seed: bytes, overrides: dict | None = None
+) -> ExtrinsicParameters:
+    """Synthetic extrinsic fixture for one node (PUF readout stand-in), with
+    the scenario's `extrinsic` overrides applied."""
+    parsed = _walk(EXTRINSIC, overrides or {}, "nodes.extrinsic", {"seed": seed, "name": name})
+    public = public_bytes(signing_key_from_seed(signing_seed))
+    return ExtrinsicParameters(constructed_public_id=public, **parsed)
 
 
 @dataclass(frozen=True)
@@ -170,202 +353,32 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict, seed_override: int | None = None) -> "ScenarioConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("scenario: top level must be an object")
-        seed = data.get("seed", 0)
-        if not _is_u64(seed):
-            raise ConfigError("seed: must be an integer in [0, 2^64)")
         if seed_override is not None:
-            if not _is_u64(seed_override):
-                raise ConfigError("--seed: must be an integer in [0, 2^64)")
-            seed = seed_override
-
-        kdf_data = data.get("kdf", {})
-        if not isinstance(kdf_data, dict):
-            raise ConfigError("kdf: must be an object")
-
-        def hex_field(raw, where):
-            try:
-                return bytes.fromhex(raw)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{where}: invalid hex string") from exc
-
-        salt = (
-            hex_field(kdf_data["salt"], "kdf.salt")
-            if "salt" in kdf_data
-            else _material(seed, "kdf-salt")[:16]
-        )
-        try:
-            kdf = KdfParameters(
-                cost=kdf_data.get("cost", 2**14),
-                block_size=kdf_data.get("block_size", 8),
-                parallelism=kdf_data.get("parallelism", 1),
-                salt=salt,
-                output_length=kdf_data.get("output_length", identity.UID_LENGTH),
-            )
-        except (ProtocolError, TypeError) as exc:
-            raise ConfigError(f"kdf: {exc}") from exc
-
-        token_salt = (
-            hex_field(data["token_salt"], "token_salt")
-            if "token_salt" in data
-            else _material(seed, "token-salt")[:16]
-        )
-
-        mode_name = data.get("finality_mode", "exhaustive")
-        if mode_name not in ("exhaustive", "narrated"):
-            raise ConfigError(f"finality_mode: unknown mode {mode_name!r}")
-        latest_count = data.get("latest_count", 1)
-        if not isinstance(latest_count, int) or latest_count < 1:
-            raise ConfigError("latest_count: must be a positive integer")
-
-        modules = data.get("modules")
-        if not _is_names(modules) or not modules:
-            raise ConfigError("modules: must be a non-empty list of strings")
-
-        nodes = cls._parse_nodes(data.get("nodes"), modules)
-        script = cls._parse_script(data.get("script", []), nodes)
-        return cls(
-            seed=seed,
-            kdf=kdf,
-            token_salt=token_salt,
-            finality_mode=FinalityMode(mode_name),
-            latest_count=latest_count,
-            modules=tuple(modules),
-            nodes=nodes,
-            script=script,
-        )
-
-    @staticmethod
-    def _parse_nodes(raw, modules: list[str]) -> tuple[NodeSpec, ...]:
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError("nodes: must be a non-empty list")
-        specs = []
-        names = set()
-        for i, entry in enumerate(raw):
-            if not isinstance(entry, dict):
-                raise ConfigError(f"nodes[{i}]: must be an object")
-            name = entry.get("name")
-            if not isinstance(name, str) or not name:
-                raise ConfigError(f"nodes[{i}].name: required string")
-            if name.startswith(SYBIL_PREFIX):
-                raise ConfigError(
-                    f"nodes[{i}].name: prefix {SYBIL_PREFIX!r} is reserved for "
-                    "fabricated identities"
-                )
-            if name in names:
-                raise ConfigError(f"nodes[{i}].name: duplicate {name!r}")
-            names.add(name)
-            role_name = entry.get("role")
-            if role_name not in _ROLES:
-                raise ConfigError(f"nodes[{i}].role: unknown role {role_name!r}")
-            # A module outside the registry is allowed here: such a node's
-            # enrollment must be rejected at runtime, not at parse time.
-            module_id = entry.get("module")
-            if not isinstance(module_id, str) or not module_id:
-                raise ConfigError(f"nodes[{i}].module: required string")
-            via = entry.get("via")
-            if via is not None and not isinstance(via, str):
-                raise ConfigError(f"nodes[{i}].via: must be a node name")
-            extrinsic = entry.get("extrinsic", {})
-            if not isinstance(extrinsic, dict):
-                raise ConfigError(f"nodes[{i}].extrinsic: must be an object")
-            specs.append(
-                NodeSpec(
-                    name=name,
-                    role=_ROLES[role_name],
-                    module_id=module_id,
-                    via=via,
-                    extrinsic_overrides=extrinsic,
-                )
-            )
-        backups = [s for s in specs if s.role is NodeRole.BACKUP]
-        if len(backups) != 1:
+            _integer(0)(seed_override, "--seed", None)
+            if type(data) is dict:
+                data = {**data, "seed": seed_override}
+        scope = {_NODE_NAMES: set(), _BRANCH_NAMES: set()}
+        _walk(SCENARIO, data, "", scope, out=scope)
+        config = cls(**{key: scope[key] for key in SCENARIO})
+        # The checks no single field can make.
+        if [s.role for s in config.nodes].count(NodeRole.BACKUP) != 1:
             raise ConfigError("nodes: exactly one backup node is required")
-        for i, spec in enumerate(specs):
-            if spec.via is not None and spec.via not in names:
+        for i, spec in enumerate(config.nodes):
+            if spec.via is not None and spec.via not in scope[_NODE_NAMES]:
                 raise ConfigError(f"nodes[{i}].via: unknown node {spec.via!r}")
-        return tuple(specs)
-
-    @staticmethod
-    def _parse_script(raw, nodes: tuple[NodeSpec, ...]) -> tuple[dict, ...]:
-        if not isinstance(raw, list):
-            raise ConfigError("script: must be a list")
-        names = {s.name for s in nodes}
-        branches: set[str] = set()
-        last_at = 0
-        for i, ev in enumerate(raw):
-            where = f"script[{i}]"
-            if not isinstance(ev, dict):
-                raise ConfigError(f"{where}: must be an object")
-            at = ev.get("at")
-            if not _is_u64(at):
-                raise ConfigError(f"{where}.at: must be an integer in [0, 2^64)")
-            if at < last_at:
-                raise ConfigError(f"{where}.at: events must be time-ordered")
-            last_at = at
-            kind = ev.get("event")
-            if kind not in EVENT_KINDS:
-                raise ConfigError(f"{where}.event: unknown event {kind!r}")
-            if kind in ("join", "disable") and ev.get("node") not in names:
-                raise ConfigError(f"{where}.node: unknown node {ev.get('node')!r}")
-            if kind == "register_branch":
-                branch = ev.get("branch")
-                if not isinstance(branch, str) or not branch:
-                    raise ConfigError(f"{where}.branch: required string")
-                branches.add(branch)
-            if kind in ("transactions", "build_block"):
-                if ev.get("node") not in names:
-                    raise ConfigError(f"{where}.node: unknown node {ev.get('node')!r}")
-                if ev.get("branch") not in branches:
-                    raise ConfigError(
-                        f"{where}.branch: {ev.get('branch')!r} not registered earlier"
-                    )
-            if kind == "transactions":
-                count = ev.get("count", 1)
-                if not isinstance(count, int) or count < 0:
-                    raise ConfigError(f"{where}.count: must be an integer >= 0")
-            if kind == "build_block" and "window" in ev:
-                window = ev["window"]
-                if (
-                    not isinstance(window, (list, tuple))
-                    or len(window) != 2
-                    or not all(_is_u64(t) for t in window)
-                    or window[0] > window[1]
-                ):
-                    raise ConfigError(
-                        f"{where}.window: must be two integers in [0, 2^64) "
-                        "with start <= end"
-                    )
-            if kind == "authenticate":
-                who = ev.get("nodes", "all")
-                if who != "all":
-                    if not _is_names(who) or not set(who) <= names:
-                        raise ConfigError(f"{where}.nodes: must be 'all' or known names")
-            if kind == "attack":
-                category = ev.get("category")
-                if category not in (1, 2, 3, 4):
-                    raise ConfigError(f"{where}.category: must be 1..4")
-                secrets = ev.get("secrets", [])
-                if not _is_names(secrets) or not set(secrets) <= SECRET_KINDS:
-                    raise ConfigError(
-                        f"{where}.secrets: must be a subset of {sorted(SECRET_KINDS)}"
-                    )
-                targets = ev.get("targets", [])
-                if not _is_names(targets) or not set(targets) <= names:
-                    raise ConfigError(f"{where}.targets: must be known node names")
-                branch = ev.get("branch")
-                if branch is not None and not isinstance(branch, str):
-                    raise ConfigError(f"{where}.branch: must be a string")
-        return tuple(dict(ev) for ev in raw)
+        for i in range(1, len(config.script)):
+            if config.script[i]["at"] < config.script[i - 1]["at"]:
+                raise ConfigError(f"script[{i}].at: events must be time-ordered")
+        return config
 
     @classmethod
     def from_file(cls, path: str, seed_override: int | None = None) -> "ScenarioConfig":
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"scenario: invalid JSON ({exc})") from exc
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            data = json.loads(raw)
+        except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, too deep
+            raise ConfigError(f"scenario: invalid JSON ({exc})") from exc
         return cls.from_dict(data, seed_override=seed_override)
 
 
@@ -434,14 +447,8 @@ class AttackEvent:
 
     @classmethod
     def from_dict(cls, ev: dict) -> "AttackEvent":
-        return cls(
-            category=ev["category"],
-            targets=tuple(ev.get("targets", [])),
-            secrets=frozenset(ev.get("secrets", [])),
-            stale_ledger=bool(ev.get("stale_ledger", False)),
-            attempt_remote_vault=ev.get("attempt_remote_vault"),
-            branch=ev.get("branch"),
-        )
+        """The attack of a parsed script event; its keys are these fields."""
+        return cls(**{f.name: ev[f.name] for f in fields(cls)})
 
     @property
     def tries_remote_vault(self) -> bool:
@@ -577,10 +584,8 @@ class Network:
         return NodeState(
             name=spec.name,
             role=spec.role,
-            module_id=spec.module_id,
-            params=make_extrinsic(
-                self.config.seed, spec.name, signing_seed, spec.extrinsic_overrides
-            ),
+            module_id=spec.module,
+            params=make_extrinsic(self.config.seed, spec.name, signing_seed, spec.extrinsic),
             signing_key=signing_key_from_seed(signing_seed),
             via=spec.via,
             module_registry=self.module_registry,
@@ -716,7 +721,7 @@ class Network:
             self.reject(self.clock, node.name, "transactions",
                         Unauthorized("node not enrolled or offline"))
             return
-        for _ in range(ev.get("count", 1)):
+        for _ in range(ev["count"]):
             payload = _material(self.config.seed, "tx", node.name, self._tx_counter)
             self._tx_counter += 1
             tx = dag.Transaction.signed(
@@ -729,10 +734,9 @@ class Network:
     def _handle_build_block(self, ev: dict) -> None:
         node = self.nodes[ev["node"]]
         tag = self.layer0.branches[ev["branch"]]
-        window = tuple(ev.get("window", (0, self.clock)))
         try:
             candidate = dag.build_candidate_block(
-                self.tx_pool, node.public_id, tag, window
+                self.tx_pool, node.public_id, tag, ev["window"]
             )
             prev, rand = self.layer0.select_parents(candidate)
             block = candidate.with_parents(prev, rand)
@@ -744,22 +748,13 @@ class Network:
         self.metrics["blocks_built"] += 1
         self.record(self.clock, node.name, "block_candidate", block.encode())
 
-    def _resolve_block(self, ref) -> bytes | None:
-        if ref in (None, "latest"):
-            return self.latest_pending
-        try:
-            digest = bytes.fromhex(ref)
-        except (ValueError, TypeError):
-            return None
-        return digest if digest in self.pending_blocks else None
-
     def _handle_authenticate(self, ev: dict) -> None:
-        digest = self._resolve_block(ev.get("block"))
-        if digest is None:
+        digest = self.latest_pending if ev["block"] == "latest" else ev["block"]
+        if digest not in self.pending_blocks:
             self.reject(self.clock, "network", "authenticate",
                         ProtocolError("no pending block"))
             return
-        who = ev.get("nodes", "all")
+        who = ev["nodes"]
         if who == "all":
             authenticators = [n for n, _ in self._members.values() if n.online]
         else:

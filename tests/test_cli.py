@@ -2,8 +2,15 @@
 
 import hashlib
 import json
+import os
+import tempfile
 from importlib import resources
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from flexichain import netsim
 from flexichain.cli import main
 
 DEMO = str(resources.files("flexichain") / "scenarios" / "demo.json")
@@ -201,3 +208,139 @@ def test_verify_protocol_error_exits_one(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["verify", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
     assert "AlreadyInitialized" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# malformed input: exit 1 or 2 with a one-line message, never a traceback
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["montecarlo", "--trials", "10", "--seed", "-1"],
+        ["montecarlo", "--trials", "0"],
+        ["montecarlo", "--trials", "many"],
+        ["tables", "--corrupt-cell", "garbage"],
+        ["tables", "--corrupt-cell", "blockchain:99:category2=0.5"],
+        ["tables", "--corrupt-cell", "blockchain:4:nope=0.5"],
+        ["tables", "--corrupt-cell", "garbage:4:category2=0.5"],
+        ["tables", "--corrupt-cell", "blockchain:4:category2=half"],
+        ["run", "--scenario", DEMO, "--seed", "18446744073709551616"],
+        ["verify", "--scenario", DEMO, "--seed", "x"],
+    ],
+    ids=lambda argv: " ".join(argv[0:1] + argv[-2:]),
+)
+def test_malformed_flag_is_a_usage_error(argv, tmp_path, capsys):
+    if argv[0] != "montecarlo":
+        argv = argv + ["--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def _demo_mutated(tmp_path, mutate):
+    data = json.loads(read(DEMO))
+    mutate(data)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "mutate,code,needle",
+    [
+        # scrypt parameters hashlib refuses: a protocol error (InvalidKdf).
+        (lambda d: d["kdf"].update(cost=2**40), 1, "InvalidKdf"),
+        (lambda d: d["kdf"].update(cost=2**16, block_size=1), 1, "InvalidKdf"),
+        (lambda d: d["kdf"].update(block_size=2**20), 1, "InvalidKdf"),
+        # Extrinsic overrides are checked when the network is built.
+        (lambda d: d["nodes"][3].update(extrinsic={"process_power_class": 1.7}), 2,
+         "nodes.extrinsic.process_power_class"),
+        (lambda d: d["nodes"][3].update(extrinsic={"process_power_class": "3"}), 2,
+         "nodes.extrinsic.process_power_class"),
+        (lambda d: d["nodes"][3].update(extrinsic={"mac_address": "00"}), 2,
+         "nodes.extrinsic.mac_address"),
+    ],
+    ids=["cost-2^40", "cost-2^16-r1", "block_size-2^20", "power-class-float",
+         "power-class-string", "mac-one-byte"],
+)
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_scenario_refused_at_build_exits_with_one_line(
+    tmp_path, capsys, command, mutate, code, needle
+):
+    path = _demo_mutated(tmp_path, mutate)
+    assert main([command, "--scenario", path, "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert needle in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"seed": "\xff"}', b"[" * 200_000],
+    ids=["not-utf-8", "nested-too-deep"],
+)
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_unreadable_scenario_is_a_config_error(tmp_path, capsys, command, content):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(content)
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario: invalid JSON")
+    assert err.count("\n") == 1
+
+
+def test_unreadable_scenario_file_is_worded_alike_by_run_and_verify(tmp_path, capsys):
+    missing = str(tmp_path / "nope.json")
+    assert main(["run", "--scenario", missing, "--out", str(tmp_path)]) == 2
+    run_err = capsys.readouterr().err
+    assert main(["verify", "--scenario", missing, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == run_err
+    assert run_err.startswith("error: cannot read scenario:")
+
+
+def _field_slots(demo):
+    """Every (container path, key) of the demo that a schema table governs."""
+    slots = [((), key) for key in netsim.SCENARIO]
+    slots += [(("kdf",), key) for key in netsim.KDF]
+    for i in range(len(demo["nodes"])):
+        slots += [(("nodes", i), key) for key in netsim.NODE]
+    for i, ev in enumerate(demo["script"]):
+        slots += [(("script", i), key) for key in netsim.EVENTS[ev["event"]]]
+    return slots
+
+
+_DEMO = json.loads(read(DEMO))
+# Values of every JSON shape. Integers stay small or far beyond a C long,
+# so that no valid-looking KDF parameter asks scrypt for much memory.
+_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 64),
+    st.sampled_from([2**63, 2**64 - 1, 2**64, 1.5, "", "latest", "all", "e1", "c1",
+                     "telemetry", "narrated", "cps", "00" * 32, [], [None], ["e1"],
+                     [45, 60], {}, {"?": 0}]),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(slot=st.sampled_from(_field_slots(_DEMO)), value=_VALUES)
+def test_any_single_field_mutation_exits_cleanly(capsys, slot, value):
+    (parents, key) = slot
+    data = json.loads(json.dumps(_DEMO))
+    target = data
+    for step in parents:
+        target = target[step]
+    target[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        out = os.path.join(tmp, "out")
+        code = main(["run", "--scenario", path, "--out", out])
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert main(["verify", "--scenario", path, "--out", out]) == 0
+    assert "Traceback" not in capsys.readouterr().err

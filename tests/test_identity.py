@@ -194,6 +194,23 @@ def test_kdf_parameter_validation(kwargs):
         KdfParameters(**base)
 
 
+@pytest.mark.parametrize(
+    "cost,block_size,parallelism,length",
+    [
+        (2**40, 8, 1, 128),  # maxmem beyond 2^31 - 1
+        (2**16, 1, 1, 128),  # OpenSSL's N < 2^(16 r)
+        (1024, 2**20, 1, 128),
+        (16, 1, 2**64 - 1, 128),  # beyond a C long
+        (16, 1, 1, 2**31),  # dklen
+    ],
+)
+def test_scrypt_parameters_hashlib_refuses_raise_invalid_kdf(
+    cost, block_size, parallelism, length
+):
+    with pytest.raises(InvalidKdf, match="scrypt refuses"):
+        scrypt_kdf(b"pw", b"salt", cost, block_size, parallelism, length)
+
+
 def test_avalanche_over_single_bit_flips():
     # Flipping any single container bit should flip about half of the UID
     # bits; require the >= 25% average over 1000 random flips.

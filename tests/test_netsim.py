@@ -126,6 +126,40 @@ BLOCK_FLOW = JOIN_ALL + [
         pytest.param(lambda d: d["script"].append(
             {"at": 80, "event": "attack", "category": 1, "branch": 5}
         ), "branch", id="attack-branch-int"),
+        # A list where a name is meant once ended in `TypeError: unhashable`.
+        pytest.param(lambda d: d["nodes"][1].update(role=["edge"]), "nodes[1].role",
+                     id="role-list"),
+        pytest.param(lambda d: d["script"][0].update(event=["join"]), "script[0].event",
+                     id="event-list"),
+        pytest.param(lambda d: d["script"][0].update(node=["e1"]), "script[0].node",
+                     id="join-node-list"),
+        pytest.param(lambda d: d["script"][4].update(branch=["telemetry"]),
+                     "script[4].branch", id="transactions-branch-list"),
+        # `bool` is not an integer, and a flag is a JSON bool.
+        pytest.param(lambda d: d["script"][0].update(at=True), "script[0].at", id="at-true"),
+        pytest.param(lambda d: d.update(latest_count=True), "latest_count",
+                     id="latest_count-true"),
+        pytest.param(lambda d: d["script"][4].update(count=True), "script[4].count",
+                     id="count-true"),
+        pytest.param(lambda d: d["script"].append(
+            {"at": 80, "event": "attack", "category": True}
+        ), "script[7].category", id="category-true"),
+        pytest.param(lambda d: d.update(seed=True), "seed", id="seed-true"),
+        pytest.param(lambda d: d["script"].append(
+            {"at": 80, "event": "attack", "category": 4, "stale_ledger": "no"}
+        ), "script[7].stale_ledger", id="stale_ledger-string"),
+        # A misspelt key once left its field at the default.
+        pytest.param(lambda d: d["script"][4].update(cuont=3), "script[4].cuont",
+                     id="unknown-event-key"),
+        pytest.param(lambda d: d["kdf"].update(slat="00"), "kdf.slat", id="unknown-kdf-key"),
+        pytest.param(lambda d: d.update(sede=1), "sede", id="unknown-top-level-key"),
+        pytest.param(lambda d: d["script"][4].update(count=netsim.MAX_TX_COUNT + 1),
+                     "script[4].count", id="count-over-bound"),
+        pytest.param(lambda d: d["script"][6].update(block="zz"), "script[6].block",
+                     id="block-not-hex"),
+        # Genesis allocates a zero UID of this size before scrypt runs.
+        pytest.param(lambda d: d["kdf"].update(output_length=2**63), "kdf.output_length",
+                     id="output_length-2^63"),
     ],
 )
 def test_config_errors_name_the_offending_key(mutate, needle):
@@ -134,6 +168,94 @@ def test_config_errors_name_the_offending_key(mutate, needle):
     with pytest.raises(ConfigError) as excinfo:
         ScenarioConfig.from_dict(data)
     assert needle in str(excinfo.value)
+
+
+def test_count_bound_is_accepted():
+    data = scenario(script=[dict(ev) for ev in BLOCK_FLOW])
+    data["script"][4]["count"] = netsim.MAX_TX_COUNT
+    assert ScenarioConfig.from_dict(data).script[4]["count"] == netsim.MAX_TX_COUNT
+
+
+def test_parsed_events_carry_every_default():
+    script = ScenarioConfig.from_dict(scenario(script=[
+        {"at": 10, "event": "register_branch", "branch": "b"},
+        {"at": 20, "event": "transactions", "node": "c1", "branch": "b"},
+        {"at": 30, "event": "build_block", "node": "c1", "branch": "b"},
+        {"at": 40, "event": "authenticate"},
+        {"at": 50, "event": "attack", "category": 4},
+    ])).script
+    assert script[1]["count"] == 1
+    assert script[2]["window"] == (0, 30)
+    assert (script[3]["block"], script[3]["nodes"]) == ("latest", "all")
+    assert AttackEvent.from_dict(script[4]) == AttackEvent(category=4)
+
+
+# Wrong shapes substituted into every field of every table. A field is
+# exempt from a shape only where its rule takes it.
+WRONG_SHAPES = {
+    "true": True, "list": [None], "object": {"?": 0}, "null": None,
+    "negative": -1, "2^64": 2**64, "empty-string": "",
+}
+HEX_ANY_LENGTH = {"kdf.salt", "token_salt"}
+
+
+def _demo_with_every_event():
+    data = json.loads(resources.files("flexichain").joinpath("scenarios/demo.json").read_text())
+    data["script"] += [
+        {"at": 90, "event": "disable", "node": "c1"},
+        {"at": 100, "event": "genesis"},
+    ]
+    return data
+
+
+def _schema_fields():
+    """(path, setter) for every schema field, placed into the demo."""
+    demo = _demo_with_every_event()
+    first = {}
+    for i, ev in enumerate(demo["script"]):
+        first.setdefault(ev["event"], i)
+    assert set(first) == netsim.EVENT_KINDS
+
+    def at(*keys):
+        def put(data, value):
+            target = data
+            for key in keys[:-1]:
+                target = target.setdefault(key, {}) if isinstance(target, dict) else target[key]
+            target[keys[-1]] = value
+        return put
+
+    for key, row in netsim.SCENARIO.items():
+        yield key, row, at(key)
+    for key, row in netsim.KDF.items():
+        yield f"kdf.{key}", row, at("kdf", key)
+    for key, row in netsim.NODE.items():
+        yield f"nodes[3].{key}", row, at("nodes", 3, key)
+    for key, row in netsim.EXTRINSIC.items():
+        # Overrides are applied, and checked, when the network is built.
+        yield f"nodes.extrinsic.{key}", row, at("nodes", 3, "extrinsic", key)
+    for kind, table in netsim.EVENTS.items():
+        for key, row in table.items():
+            yield f"script[{first[kind]}].{key}", row, at("script", first[kind], key)
+
+
+@pytest.mark.parametrize("shape", list(WRONG_SHAPES), ids=list(WRONG_SHAPES))
+@pytest.mark.parametrize(
+    "path,row,put", list(_schema_fields()), ids=[p for p, _, _ in _schema_fields()]
+)
+def test_every_schema_field_refuses_wrong_shapes(path, row, put, shape):
+    rule, default = row
+    value = WRONG_SHAPES[shape]
+    if (value is None and default is None) or (value is True and rule is netsim._bool) \
+            or (value == "" and path in HEX_ANY_LENGTH):
+        pytest.skip("the field takes this value")
+    data = _demo_with_every_event()
+    put(data, value)
+    with pytest.raises(ConfigError) as excinfo:
+        Network(ScenarioConfig.from_dict(data))
+    expected = path
+    if path == "nodes[3].extrinsic" and shape == "object":
+        expected = "nodes.extrinsic.?"  # an unknown override, refused at build
+    assert str(excinfo.value).startswith(expected), str(excinfo.value)
 
 
 def test_seed_override_wins():
@@ -162,6 +284,21 @@ def test_extrinsic_overrides_apply():
         make_extrinsic(1, "n", material("k1", 32), overrides={"mac_address": "zz"})
     with pytest.raises(ConfigError):
         make_extrinsic(1, "n", material("k1", 32), overrides={"serial": "00"})
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("process_power_class", 1.7),  # once truncated to 1
+        ("process_power_class", "3"),  # once accepted
+        ("mac_address", "00"),  # once an InvalidParameters at network build
+        ("ip_address", "0102"),
+        ("puf_signature", ""),
+    ],
+)
+def test_extrinsic_override_of_the_wrong_shape_names_its_field(field, value):
+    with pytest.raises(ConfigError, match=f"^nodes.extrinsic.{field}: "):
+        make_extrinsic(1, "n", material("k1", 32), overrides={field: value})
 
 
 # ---------------------------------------------------------------------------
