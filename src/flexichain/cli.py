@@ -44,7 +44,7 @@ def _replayed_artifacts(result) -> dict[str, bytes]:
         "trace.txt": ("\n".join(result.trace) + "\n").encode(),
         "nodechain.bin": network.nodechain.serialize(),
         "layer0.txt": network.layer0.export_text().encode(),
-        "vault.bin": network.backup.vault.serialize(),
+        "vault.bin": network.vault.serialize(),
     }
 
 
@@ -198,7 +198,7 @@ def cmd_verify(args) -> int:
     violation = verify_chain(
         network.nodechain,
         kdf=network.config.kdf,
-        vault=network.backup.vault,
+        vault=network.vault,
         token_salt=network.config.token_salt,
     )
     audit = network.vault_audit()

@@ -231,7 +231,7 @@ def authenticate_block(
 
     The node must be enrolled, hold a ledger copy at the network's current
     version (the NNS handshake), and pass the match layer for its own
-    identity. Full nodes additionally check their vault copy against the
+    identity. Full nodes additionally check the vault they hold against the
     hardware-held UID. Re-authentication is an idempotent no-op flagged as
     a duplicate.
     """

@@ -98,9 +98,9 @@ def merkle_root(leaves: list[bytes]) -> bytes:
 NARRATION_SEED = ZERO32
 
 
-def narration_fold(tuids: tuple[TokenizedUid, ...]) -> bytes:
-    """Hash-chain the authenticator tokens: d_i = SHA-256(d_{i-1} || tuid_i)."""
-    digest = NARRATION_SEED
+def narration_fold(tuids: tuple[TokenizedUid, ...], digest: bytes = NARRATION_SEED) -> bytes:
+    """Hash-chain the authenticator tokens onto `digest`:
+    d_i = SHA-256(d_{i-1} || tuid_i)."""
     for tuid in tuids:
         digest = sha256(digest + tuid.value)
     return digest
@@ -161,7 +161,7 @@ class DataBlock:
 
     def with_narration_entry(self, tuid: TokenizedUid) -> "DataBlock":
         prev = self.narration[-1][1] if self.narration else NARRATION_SEED
-        entry = (tuid, sha256(prev + tuid.value))
+        entry = (tuid, narration_fold((tuid,), prev))
         return replace(
             self, narration=self.narration + (entry,), narrated_with=self.narrated | {tuid}
         )
@@ -355,6 +355,8 @@ class Layer0Ledger:
         (CVE-2012-2459). Every transaction must carry the block's tag and
         come from one sender, as `build_candidate_block` collects them. A
         transaction that an earlier block already finalized is refused.
+        The narration must list distinct tokens, each stored digest chained
+        from the one before it by `narration_fold`.
         """
         if not block.sealed:
             raise IntegrityViolation("block is unsealed")
@@ -372,6 +374,13 @@ class Layer0Ledger:
             )
         if block.recomputed_header() != block.header_digest:
             raise IntegrityViolation("header digest does not verify")
+        if len(block.narrated) != len(block.narration):
+            raise IntegrityViolation("narration repeats a token")
+        prev = NARRATION_SEED
+        for tuid, digest in block.narration:
+            if narration_fold((tuid,), prev) != digest:
+                raise IntegrityViolation("narration digest does not chain")
+            prev = digest
         tx_digests = [tx.digest() for tx in block.transactions]
         if merkle_root(tx_digests) != block.tx_root:
             raise IntegrityViolation("tx_root does not match transactions")

@@ -13,9 +13,9 @@ The authoritative NodeChain is shared state (honest full copies are
 byte-identical by construction), and so is the layer-0 ledger, which owns
 the branch table. A node's VES cursor, which the NNS gate checks, is read
 from the chain: an online member is at the head, and a node that goes
-offline keeps the version it held. Vault copies are materialized per full
-node because their byte equality is a protocol property, and every vault
-read carries its provenance for the offline audit.
+offline keeps the version it held. The vault follows the same pattern: one
+log, which every online full node holds and an offline one keeps a snapshot
+of, and every vault read carries its provenance for the offline audit.
 
 Adversaries are modeled by an explicit capability lattice. An attack event
 holds a subset of {constructed_keys, module_key, vault_access, tuids} and
@@ -106,7 +106,7 @@ U64_MAX = 2**64 - 1
 # A transactions event signs one transaction per unit, ~0.35 ms each: 4096
 # stays near 1.4 s, and the generated workloads use at most 16.
 MAX_TX_COUNT = 4096
-# Genesis allocates a zero UID of this size and every vault copy keeps UIDs
+# Genesis allocates a zero UID of this size and the vault keeps UIDs
 # of it: 1024 bytes is eight times the default.
 MAX_UID_LENGTH = 1024
 # Scope keys of the names declared so far; no scenario key has a space.
@@ -331,11 +331,12 @@ SCENARIO = {
 
 
 def make_extrinsic(
-    seed: int, name: str, signing_seed: bytes, overrides: dict | None = None
+    seed: int, name: str, signing_seed: bytes, overrides: dict | None = None,
+    path: str = "extrinsic",
 ) -> ExtrinsicParameters:
     """Synthetic extrinsic fixture for one node (PUF readout stand-in), with
-    the scenario's `extrinsic` overrides applied."""
-    parsed = _walk(EXTRINSIC, overrides or {}, "nodes.extrinsic", {"seed": seed, "name": name})
+    the scenario's `extrinsic` overrides, found at `path`, applied."""
+    parsed = _walk(EXTRINSIC, overrides or {}, path, {"seed": seed, "name": name})
     public = public_bytes(signing_key_from_seed(signing_seed))
     return ExtrinsicParameters(constructed_public_id=public, **parsed)
 
@@ -428,11 +429,13 @@ class NodeState:
         return len(self.ledger) if self.ledger is not None else 0
 
     def disable(self) -> None:
-        """Take the node offline; its ledger view stops at this version.
+        """Take the node offline; its ledger view and its vault stop here.
 
-        Once offline the cursor reads the frozen value, so disabling twice
-        keeps the first one.
+        Once offline the cursor reads the frozen value and the vault is
+        left as it is, so disabling twice keeps the first version.
         """
+        if self.online and self.vault is not None:
+            self.vault = self.vault.snapshot()
         self.ves_at_disable = self.local_ves_index
 
 
@@ -524,9 +527,10 @@ class Network:
 
         self.nodes: dict[str, NodeState] = {
             spec.name: self._new_node(
-                spec, _material(config.seed, "constructed-key", spec.name)
+                spec, _material(config.seed, "constructed-key", spec.name),
+                f"nodes[{i}].extrinsic",
             )
-            for spec in config.nodes
+            for i, spec in enumerate(config.nodes)
         }
         self.backup = next(n for n in self.nodes.values() if n.role is NodeRole.BACKUP)
 
@@ -542,8 +546,8 @@ class Network:
             self.backup.params, config.kdf, config.token_salt, timestamp=0
         )
         genesis_block = self.nodechain.block_at(1)
-        self.backup.vault = Vault(config.token_salt)
-        self.backup.vault.append(
+        self.vault = Vault(config.token_salt)
+        self.vault.append(
             VaultEntry(
                 enrollment_index=1,
                 real_uid=genesis_uid,
@@ -554,7 +558,7 @@ class Network:
             NodeRole.BACKUP,
         )
         self.backup.hardware_uid = genesis_uid
-        self._admit(self.backup, genesis_block, responder=self.backup)
+        self._admit(self.backup, genesis_block)
 
         self.layer0 = dag.Layer0Ledger(genesis_block.header_digest)
         self.tx_pool: list[dag.Transaction] = []
@@ -578,14 +582,18 @@ class Network:
     def trace_digest(self) -> bytes:
         return sha256(("\n".join(self.trace) + "\n").encode())
 
-    def _new_node(self, spec: NodeSpec, signing_seed: bytes) -> NodeState:
+    def _new_node(
+        self, spec: NodeSpec, signing_seed: bytes, path: str = "extrinsic"
+    ) -> NodeState:
         """An actor whose constructed key and extrinsic fixture derive from
-        `signing_seed`."""
+        `signing_seed`; `path` names its overrides in errors."""
         return NodeState(
             name=spec.name,
             role=spec.role,
             module_id=spec.module,
-            params=make_extrinsic(self.config.seed, spec.name, signing_seed, spec.extrinsic),
+            params=make_extrinsic(
+                self.config.seed, spec.name, signing_seed, spec.extrinsic, path
+            ),
             signing_key=signing_key_from_seed(signing_seed),
             via=spec.via,
             module_registry=self.module_registry,
@@ -600,26 +608,18 @@ class Network:
             private_key=module_key,
         )
 
-    def _admit(
-        self,
-        node: NodeState,
-        block: nodechain.VirtualExistenceBlock,
-        responder: NodeState,
-    ) -> None:
-        """Make `node` the member behind the on-chain `block`, which
-        `responder` just accepted.
+    def _admit(self, node: NodeState, block: nodechain.VirtualExistenceBlock) -> None:
+        """Make `node` the member behind the on-chain `block`, which a
+        responder just accepted.
 
-        Every other online full node receives the responder's newest vault
-        entry (secure channel, never part of the broadcast message
-        encoding). The vault refuses a repeated token, so every
-        `block.tuid` is new and the roster stays a list of distinct tokens.
+        A full node holds the network's vault log. The vault refuses a
+        repeated token, so every `block.tuid` is new and the roster stays a
+        list of distinct tokens.
         """
-        entry = responder.vault.entry_at(len(responder.vault))
-        for peer in self.nodes.values():
-            if peer.vault is not None and peer is not responder and peer.online:
-                peer.vault.append(entry, peer.role)
         node.tuid = block.tuid
         node.ledger = self.nodechain
+        if node.role in FULL_NODE_ROLES:
+            node.vault = self.vault
         self._members[block.tuid] = (node, block)
         self._roster.append(block.tuid)
         self.metrics["enrollments"] += 1
@@ -684,15 +684,10 @@ class Network:
         self.record(at, responder.name, "response", response.encode())
         block = response.virtual_block
         # The joining node receives its ledger view, its hardware identity,
-        # and (for full roles) a vault copy.
-        self._admit(node, block, responder)
+        # and (for full roles) the vault.
+        self._admit(node, block)
         provisioned = responder.vault.lookup(block.tuid, CallOrigin.LOCAL)
         node.hardware_uid = provisioned.real_uid
-        if node.role in FULL_NODE_ROLES and node.vault is None:
-            copy = Vault(self.config.token_salt)
-            for past in responder.vault.entries:
-                copy.append(past, node.role)
-            node.vault = copy
         self.record(at, node.name, "sync", encode_fields(node.local_ves_index))
 
     def _route_responder(self, node: NodeState) -> NodeState:
@@ -851,9 +846,10 @@ class Network:
     # -- summary ------------------------------------------------------------
 
     def vault_audit(self) -> dict[str, int]:
+        """Read counters summed over the log and each offline node's snapshot."""
         totals = {"local_reads": 0, "remote_reads": 0, "remote_rejections": 0}
-        for node in self.full_nodes():
-            for key, value in node.vault.audit().items():
+        for vault in (self.vault, *(n.vault for n in self.full_nodes() if not n.online)):
+            for key, value in vault.audit().items():
                 totals[key] += value
         return totals
 
@@ -865,7 +861,7 @@ class Network:
             **self.metrics,
             "nodes_by_role": roles,
             "nodechain_length": len(self.nodechain),
-            "vault_size": len(self.backup.vault),
+            "vault_size": len(self.vault),
             "finality_mode": self.config.finality_mode.value,
             "vault_audit": self.vault_audit(),
             "trace_digest": self.trace_digest().hex(),
@@ -994,8 +990,8 @@ def _enroll_fabricated_identity(net: Network, at: int) -> NodeState | None:
         return None
     net.record(at, name, "attack_enroll", response.encode())
     # The fabricated device has no genuine hardware (hardware_uid stays
-    # None): its real UID exists only inside the vault copies.
-    net._admit(fake, response.virtual_block, responder)
+    # None): its real UID exists only inside the vault.
+    net._admit(fake, response.virtual_block)
     net.nodes[name] = fake
     return fake
 

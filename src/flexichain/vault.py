@@ -1,7 +1,8 @@
 """Offline distributed vault binding real UIDs to on-chain tokens.
 
-Every backup and edge node holds a full copy of the vault; subscriber and
-CPS nodes never do. The vault is "offline" in the sense that it only
+Every online backup and edge node holds the network's one vault log, and a
+full node that goes offline keeps a snapshot of it; subscriber and CPS
+nodes never hold one. The vault is "offline" in the sense that it only
 answers calls originating in the owning node's local context -- a lookup
 whose provenance is a network message is rejected before any entry is
 read. Lookups are counted by origin so a trace audit can prove that no
@@ -61,7 +62,7 @@ class VaultEntry:
 
 
 class Vault:
-    """A single node's vault copy. Single writer, provenance-gated reads."""
+    """A vault log. Single writer, provenance-gated reads."""
 
     def __init__(self, token_salt: bytes):
         self._token_salt = token_salt
@@ -114,6 +115,14 @@ class Vault:
         if 1 <= enrollment_index <= len(self._entries):
             return self._entries[enrollment_index - 1]
         return None
+
+    def snapshot(self) -> "Vault":
+        """The entries as they stand now, in a new vault that has counted no reads."""
+        copy = Vault(self._token_salt)
+        copy._entries = list(self._entries)
+        copy._by_tuid = dict(self._by_tuid)
+        copy._extrinsic_digests = set(self._extrinsic_digests)
+        return copy
 
     def audit(self) -> dict[str, int]:
         """Read counters by provenance. remote_reads must stay 0 forever."""

@@ -255,16 +255,19 @@ def _demo_mutated(tmp_path, mutate):
         (lambda d: d["kdf"].update(cost=2**40), 1, "InvalidKdf"),
         (lambda d: d["kdf"].update(cost=2**16, block_size=1), 1, "InvalidKdf"),
         (lambda d: d["kdf"].update(block_size=2**20), 1, "InvalidKdf"),
-        # Extrinsic overrides are checked when the network is built.
+        # Extrinsic overrides are checked when the network is built, and the
+        # error names the node.
         (lambda d: d["nodes"][3].update(extrinsic={"process_power_class": 1.7}), 2,
-         "nodes.extrinsic.process_power_class"),
+         "error: nodes[3].extrinsic.process_power_class: "),
         (lambda d: d["nodes"][3].update(extrinsic={"process_power_class": "3"}), 2,
-         "nodes.extrinsic.process_power_class"),
+         "error: nodes[3].extrinsic.process_power_class: "),
         (lambda d: d["nodes"][3].update(extrinsic={"mac_address": "00"}), 2,
-         "nodes.extrinsic.mac_address"),
+         "error: nodes[3].extrinsic.mac_address: "),
+        (lambda d: d["nodes"][1].update(extrinsic={"ip_address": "0102"}), 2,
+         "error: nodes[1].extrinsic.ip_address: "),
     ],
     ids=["cost-2^40", "cost-2^16-r1", "block_size-2^20", "power-class-float",
-         "power-class-string", "mac-one-byte"],
+         "power-class-string", "mac-one-byte", "ip-two-bytes-on-edge"],
 )
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_scenario_refused_at_build_exits_with_one_line(

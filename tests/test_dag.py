@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import random
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -25,11 +26,13 @@ from flexichain.errors import (
 )
 from flexichain.identity import TokenizedUid
 from flexichain.keys import public_bytes
-from flexichain.wire import encode_fields, lp
+from flexichain.netsim import ScenarioConfig, run_scenario
+from flexichain.wire import ZERO32, encode_fields, lp
 
 from conftest import make_signing_key, material
 
 VIRTUAL_GENESIS = material("dag/virtual-genesis", 32)
+DEMO = str(resources.files("flexichain") / "scenarios" / "demo.json")
 
 
 def signed_tx(label: str, tag: str = "B", timestamp: int = 100) -> Transaction:
@@ -383,6 +386,37 @@ def test_narration_fold_matches_nested_hash():
     for tuid in (t1, t2, t3):
         block = block.with_narration_entry(tuid)
     assert block.narration[-1][1] == expected
+
+
+def demo_finalized_block() -> tuple[Layer0Ledger, DataBlock]:
+    """A fresh ledger holding the demo's branch, and its finalized "B" block
+    decoded from the wire."""
+    net = run_scenario(ScenarioConfig.from_file(DEMO)).network
+    (block,) = net.layer0.blocks("B")
+    ledger = Layer0Ledger(net.nodechain.block_at(1).header_digest)
+    genesis = net.layer0.record(block.prev_same_type)
+    ledger.register_branch("telemetry", genesis.digest, genesis.timestamp)
+    return ledger, DataBlock.decode(block.encode())
+
+
+def test_append_block_rejects_a_narration_digest_that_does_not_chain():
+    ledger, block = demo_finalized_block()
+    forged = dataclasses.replace(
+        block, narration=block.narration + ((TokenizedUid(b"\x07" * 32), ZERO32),)
+    )
+    with pytest.raises(IntegrityViolation, match="narration digest does not chain"):
+        ledger.append_block(DataBlock.decode(forged.encode()))
+    ledger.append_block(block)
+    assert ledger.blocks("B") == [block]
+
+
+def test_append_block_rejects_a_repeated_narration_token():
+    ledger, block = demo_finalized_block()
+    repeated = block.with_narration_entry(block.narration[0][0])
+    assert len(repeated.narration) == len(block.narration) + 1
+    with pytest.raises(IntegrityViolation, match="narration repeats a token"):
+        ledger.append_block(DataBlock.decode(repeated.encode()))
+    assert ledger.blocks("B") == []
 
 
 def test_datablock_encode_decode_round_trip():

@@ -252,9 +252,10 @@ def test_every_schema_field_refuses_wrong_shapes(path, row, put, shape):
     put(data, value)
     with pytest.raises(ConfigError) as excinfo:
         Network(ScenarioConfig.from_dict(data))
-    expected = path
+    # The overrides sit on node 3, and the build-time error names it.
+    expected = path.replace("nodes.extrinsic.", "nodes[3].extrinsic.")
     if path == "nodes[3].extrinsic" and shape == "object":
-        expected = "nodes.extrinsic.?"  # an unknown override, refused at build
+        expected = "nodes[3].extrinsic.?"  # an unknown override, refused at build
     assert str(excinfo.value).startswith(expected), str(excinfo.value)
 
 
@@ -297,8 +298,9 @@ def test_extrinsic_overrides_apply():
     ],
 )
 def test_extrinsic_override_of_the_wrong_shape_names_its_field(field, value):
-    with pytest.raises(ConfigError, match=f"^nodes.extrinsic.{field}: "):
-        make_extrinsic(1, "n", material("k1", 32), overrides={field: value})
+    with pytest.raises(ConfigError, match=rf"^nodes\[2\]\.extrinsic\.{field}: "):
+        make_extrinsic(1, "n", material("k1", 32), overrides={field: value},
+                       path="nodes[2].extrinsic")
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +377,7 @@ def test_vault_replication_byte_identical():
     blobs = {node.name: node.vault.serialize() for node in net.full_nodes()}
     assert len(blobs) == 3
     assert len(set(blobs.values())) == 1
+    assert all(node.vault is net.vault for node in net.full_nodes())
 
 
 def test_subscriber_routes_through_assigned_edge():
@@ -467,6 +470,25 @@ def test_ves_cursor_is_read_from_the_chain_and_frozen_by_disable():
     cursors = {name: node.local_ves_index for name, node in net.nodes.items()}
     assert cursors == {"bn": 3, "e1": 2, "c1": 3, "c2": 0}
     assert not net.nodes["c2"].enrolled and net.metrics["rejected_enrollments"] == 1
+    # The vault stops with the cursor: e1 keeps the log as it stood.
+    assert net.nodes["bn"].vault is net.vault and len(net.vault) == 3
+    assert net.nodes["e1"].vault is not net.vault
+    assert net.nodes["e1"].vault.entries == net.vault.entries[:2]
+
+
+def test_a_second_disable_keeps_the_first_snapshot():
+    nodes = [
+        {"name": "bn", "role": "backup", "module": "tm-1"},
+        {"name": "e1", "role": "edge", "module": "tm-2"},
+    ]
+    net = run_scenario(ScenarioConfig.from_dict(scenario(
+        nodes=nodes, script=[{"at": 10, "event": "join", "node": "e1"}]
+    ))).network
+    e1 = net.nodes["e1"]
+    e1.disable()
+    snapshot = e1.vault
+    e1.disable()
+    assert e1.vault is snapshot and e1.local_ves_index == 2
 
 
 def test_fraud_block_never_takes_the_virtual_existence_tag():

@@ -5,6 +5,7 @@ one of them changes behaviour, and must say so and re-record the pin.
 """
 
 import hashlib
+import json
 from importlib import resources
 
 from flexichain.cli import main
@@ -22,7 +23,8 @@ DEMO_ARTIFACTS = {
 }
 
 SCALE_64_TRACE = "d687e0989a48a5405b2bff78d9e7182edd8b9139c202f045b16c31234e0b2562"
-# SHA-256 of every edge node's vault copy after the n=64 scenario.
+# SHA-256 of the vault log every online edge node holds after the n=64
+# scenario.
 SCALE_64_EDGE_VAULT = "3b5602d35c9e4d4b9da77628a71361904f4b899b25ae048ac121d5893053a7a6"
 
 EXHAUSTIVE_64_TRACE = "fc90cce54bcbc5244f60879b5e6a9320696ccf56faac74bf82a0b8e5a1289397"
@@ -136,9 +138,22 @@ def test_scale_64_is_pinned():
         for n in net.full_nodes() if n.online
     }
     assert edge_vaults == {SCALE_64_EDGE_VAULT}
+    assert all(n.vault is net.vault for n in net.full_nodes() if n.online)
     # The backup went offline after join 32 and missed every later delta.
     assert len(net.backup.vault) == net.backup.local_ves_index == 33
     assert {n.local_ves_index for n in net.nodes.values() if n.online} == {65}
+    assert net.vault_audit() == {"local_reads": 88, "remote_reads": 0, "remote_rejections": 0}
+
+
+def test_scale_64_runs_then_verifies_after_the_backup_failover(tmp_path):
+    """The backup is offline at the end, so vault.bin and the chain check
+    use the network's vault log, not the backup's stale snapshot."""
+    scenario = tmp_path / "scale_64.json"
+    scenario.write_text(json.dumps(scale_64()))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "vault.bin").read_bytes()).hexdigest() == SCALE_64_EDGE_VAULT
+    assert main(["verify", "--scenario", str(scenario), "--out", str(out)]) == 0
 
 
 def test_scale_64_membership_lookups():
