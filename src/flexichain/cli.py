@@ -29,6 +29,10 @@ from .netsim import U64_MAX, ScenarioConfig, monte_carlo_attack, run_scenario
 from .nodechain import verify_chain
 
 OUT_ENV = "FLEXICHAIN_OUT"
+# The sampler's memory does not grow with --trials, so a huge value would
+# run for hours instead of failing: 10^8 trials make the grid's ~2.5e10
+# draws, a few minutes by estimate.
+MAX_TRIALS = 10**8
 
 ARTIFACTS = ("trace.txt", "nodechain.bin", "layer0.txt", "vault.bin", "summary.json")
 
@@ -94,7 +98,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _integer_flag(lo: int, hi: float, what: str):
+def _integer_flag(lo: int, hi: int, what: str):
     """An argparse type: an integer in [lo, hi], else a usage error."""
     def integer(text: str) -> int:
         value = int(text)  # argparse reports a ValueError as a usage error
@@ -232,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     tables.set_defaults(func=cmd_tables)
 
     mc = sub.add_parser("montecarlo", help="sample the attack model and compare")
-    mc.add_argument("--trials", type=_integer_flag(1, math.inf, "a positive integer"),
+    mc.add_argument("--trials", type=_integer_flag(1, MAX_TRIALS, "an integer in [1, 10^8]"),
                     default=100_000)
     mc.add_argument("--seed", type=_seed_flag, default=0)
     mc.set_defaults(func=cmd_montecarlo)

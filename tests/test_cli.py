@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flexichain import netsim
-from flexichain.cli import main
+from flexichain.cli import MAX_TRIALS, build_parser, main
 
 DEMO = str(resources.files("flexichain") / "scenarios" / "demo.json")
 
@@ -116,6 +116,35 @@ def test_run_late_attestation_is_a_rejection(tmp_path):
     assert f"actor=bn event=reject payload={reason}" in read(out / "trace.txt").decode()
 
 
+def test_run_attack_with_no_full_node_online_records_its_outcome(tmp_path):
+    # The only full node is down when the attack comes; the attack needs no
+    # vault read, so it gets as far as the match layer and the run goes on.
+    path = tmp_path / "no-full-node.json"
+    path.write_text(json.dumps({
+        "seed": 3,
+        "kdf": {"cost": 16, "block_size": 1, "parallelism": 1},
+        "modules": ["tm-1", "tm-2"],
+        "nodes": [
+            {"name": "bn", "role": "backup", "module": "tm-1"},
+            {"name": "c1", "role": "cps", "module": "tm-2"},
+        ],
+        "script": [
+            {"at": 10, "event": "join", "node": "c1"},
+            {"at": 20, "event": "register_branch", "branch": "telemetry"},
+            {"at": 30, "event": "disable", "node": "bn"},
+            {"at": 40, "event": "attack", "category": 2, "targets": ["c1"],
+             "secrets": ["constructed_keys"]},
+        ],
+    }))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+    summary = json.loads(read(out / "summary.json"))
+    assert summary["attacks"] == [{"category": 2, "succeeded": False,
+                                   "blocked_at": "match layer",
+                                   "detail": "no real UID for c1"}]
+    assert main(["verify", "--scenario", str(path), "--out", str(out)]) == 0
+
+
 def test_seed_flag_overrides_scenario(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--scenario", DEMO, "--out", str(a)]) == 0
@@ -175,6 +204,12 @@ def test_montecarlo_validation_passes(capsys):
     assert "FAIL" not in stdout
 
 
+def test_montecarlo_accepts_the_trials_cap():
+    # Parsed only: 10^8 trials per cell would sample for minutes.
+    args = build_parser().parse_args(["montecarlo", "--trials", str(MAX_TRIALS)])
+    assert args.trials == MAX_TRIALS == 10**8
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -220,6 +255,8 @@ def test_verify_protocol_error_exits_one(tmp_path, capsys):
         ["montecarlo", "--trials", "10", "--seed", "-1"],
         ["montecarlo", "--trials", "0"],
         ["montecarlo", "--trials", "many"],
+        ["montecarlo", "--trials", str(10**8 + 1)],
+        ["montecarlo", "--trials", str(2**63)],
         ["tables", "--corrupt-cell", "garbage"],
         ["tables", "--corrupt-cell", "blockchain:99:category2=0.5"],
         ["tables", "--corrupt-cell", "blockchain:4:nope=0.5"],

@@ -2,14 +2,18 @@
 
 import json
 import math
+import tracemalloc
 from importlib import resources
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flexichain.consensus import AuthenticationMessage
 from flexichain.errors import AlreadyInitialized, ConfigError, DomainError, Unauthorized
 from flexichain.identity import TokenizedUid
-from flexichain.keys import sign_message
+from flexichain.keys import public_bytes, sign_message, signing_key_from_seed
 from flexichain import netsim
 from flexichain.netsim import (
     AttackEvent,
@@ -25,6 +29,8 @@ from flexichain.wire import sha256
 from conftest import material
 
 CHEAP_KDF_JSON = {"cost": 16, "block_size": 1, "parallelism": 1, "output_length": 128}
+# A node's constructed public key, as make_extrinsic takes it.
+PUBLIC_ID = public_bytes(signing_key_from_seed(material("k1", 32)))
 
 
 def scenario(nodes=None, script=None, mode="exhaustive", seed=7, extra=None):
@@ -267,24 +273,24 @@ def test_seed_override_wins():
 
 
 def test_fixture_derivation_is_seed_deterministic():
-    seed_a = make_extrinsic(1, "n", material("k1", 32))
-    seed_a2 = make_extrinsic(1, "n", material("k1", 32))
-    seed_b = make_extrinsic(2, "n", material("k1", 32))
+    seed_a = make_extrinsic(1, "n", PUBLIC_ID)
+    seed_a2 = make_extrinsic(1, "n", PUBLIC_ID)
+    seed_b = make_extrinsic(2, "n", PUBLIC_ID)
     assert seed_a == seed_a2
     assert seed_a.mac_address != seed_b.mac_address
 
 
 def test_extrinsic_overrides_apply():
     fixture = make_extrinsic(
-        1, "n", material("k1", 32),
+        1, "n", PUBLIC_ID,
         overrides={"mac_address": "0a0b0c0d0e0f", "process_power_class": 3},
     )
     assert fixture.mac_address == bytes.fromhex("0a0b0c0d0e0f")
     assert fixture.process_power_class == 3
     with pytest.raises(ConfigError):
-        make_extrinsic(1, "n", material("k1", 32), overrides={"mac_address": "zz"})
+        make_extrinsic(1, "n", PUBLIC_ID, overrides={"mac_address": "zz"})
     with pytest.raises(ConfigError):
-        make_extrinsic(1, "n", material("k1", 32), overrides={"serial": "00"})
+        make_extrinsic(1, "n", PUBLIC_ID, overrides={"serial": "00"})
 
 
 @pytest.mark.parametrize(
@@ -299,7 +305,7 @@ def test_extrinsic_overrides_apply():
 )
 def test_extrinsic_override_of_the_wrong_shape_names_its_field(field, value):
     with pytest.raises(ConfigError, match=rf"^nodes\[2\]\.extrinsic\.{field}: "):
-        make_extrinsic(1, "n", material("k1", 32), overrides={field: value},
+        make_extrinsic(1, "n", PUBLIC_ID, overrides={field: value},
                        path="nodes[2].extrinsic")
 
 
@@ -722,6 +728,29 @@ def test_stale_adversary_blocked_at_nns_gate():
     assert outcome["blocked_at"] == "NNS gate"
 
 
+@pytest.mark.parametrize(
+    "attack",
+    [
+        {"category": 2, "targets": ["v"], "secrets": ["constructed_keys", "vault_access"]},
+        {"category": 4, "targets": ["v"], "secrets": ["constructed_keys"]},
+    ],
+    ids=["vault_access", "remote lookup"],
+)
+def test_vault_read_with_no_full_node_online_is_blocked(attack):
+    # Before the attack, both full nodes go down: nothing holds the vault log.
+    script = ATTACK_JOINS + [
+        {"at": 41, "event": "disable", "node": "bn"},
+        {"at": 42, "event": "disable", "node": "e1"},
+        dict(attack, at=50, event="attack"),
+    ]
+    result = run_scenario(ScenarioConfig.from_dict(scenario(nodes=ATTACK_NODES, script=script)))
+    assert result.metrics["attacks"] == [{
+        "category": attack["category"], "succeeded": False,
+        "blocked_at": "vault access", "detail": "no full node is online",
+    }]
+    assert result.network.vault_audit()["remote_rejections"] == 0
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo sampling
 # ---------------------------------------------------------------------------
@@ -769,6 +798,57 @@ def test_monte_carlo_domain_errors(kwargs):
     args.update(kwargs)
     with pytest.raises(DomainError):
         monte_carlo_attack(**args)
+
+
+def _monte_carlo_in_one_piece(category, n, amplitude, per_node, trials, seed):
+    """Reference: every trial drawn at once from one generator."""
+    rng = np.random.default_rng([seed, category, n])
+    gate = rng.random(trials) < amplitude
+    stages = rng.random((trials, n)) < per_node
+    successes = np.logical_and(gate, stages.all(axis=1))
+    return float(successes.sum()) / trials
+
+
+_PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _chunk_shapes(draw):
+    """(n, trials), the trials at and around the chunk boundaries for n."""
+    n = draw(st.integers(1, 40))
+    rows = netsim.MC_CHUNK_DRAWS // n  # trials per chunk
+    trials = draw(st.sampled_from([1, rows - 1, rows, rows + 1]) | st.builds(
+        lambda k, r: k * rows + r, st.integers(1, 3), st.integers(0, rows - 1)
+    ))
+    return n, trials
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    category=st.integers(1, 4),
+    shape=_chunk_shapes(),
+    amplitude=_PROBABILITY,
+    per_node=_PROBABILITY,
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_chunked_monte_carlo_equals_the_one_piece_draw(
+    category, shape, amplitude, per_node, seed
+):
+    n, trials = shape
+    assert monte_carlo_attack(category, n, amplitude, per_node, trials, seed) == (
+        _monte_carlo_in_one_piece(category, n, amplitude, per_node, trials, seed)
+    )
+
+
+def test_monte_carlo_memory_does_not_grow_with_trials():
+    tracemalloc.start()
+    try:
+        monte_carlo_attack(1, 16, 0.25, 0.9, 10**6, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Drawn in one piece, the 10^6 x 16 stage draws alone take 128 MB.
+    assert peak < 8 * 2**20
 
 
 def test_monte_carlo_band_coverage_is_at_least_99_percent():

@@ -8,8 +8,9 @@ import hashlib
 import json
 from importlib import resources
 
+from flexichain import netsim
 from flexichain.cli import main
-from flexichain.netsim import ScenarioConfig, run_scenario
+from flexichain.netsim import Network, ScenarioConfig, run_scenario
 
 DEMO = str(resources.files("flexichain") / "scenarios" / "demo.json")
 
@@ -28,6 +29,14 @@ SCALE_64_TRACE = "d687e0989a48a5405b2bff78d9e7182edd8b9139c202f045b16c31234e0b25
 SCALE_64_EDGE_VAULT = "3b5602d35c9e4d4b9da77628a71361904f4b899b25ae048ac121d5893053a7a6"
 
 EXHAUSTIVE_64_TRACE = "fc90cce54bcbc5244f60879b5e6a9320696ccf56faac74bf82a0b8e5a1289397"
+
+# SHA-256 of `flexichain montecarlo` stdout, with its exit code. At
+# --trials 12345 one cell falls outside its 3-sigma band.
+MONTECARLO_STDOUT = {
+    (): ("6a6cbadd9df65f97685b966d7477649d826ca4dbb5dc410bda99ad552fb06a9d", 0),
+    ("--trials", "12345", "--seed", "99"):
+        ("8a4d2f46b35bff90ac3e2056621cc3e8d51872031a344906c617ace3841a2c43", 1),
+}
 
 
 def scale_64() -> dict:
@@ -176,3 +185,25 @@ def test_exhaustive_64_is_pinned():
     assert summary["authentications"] == 163
     assert summary["rejections"] == 0
     assert result.trace_digest.hex() == EXHAUSTIVE_64_TRACE
+
+
+def test_montecarlo_stdout_is_pinned(capsys):
+    for flags, pinned in MONTECARLO_STDOUT.items():
+        code = main(["montecarlo", *flags])
+        stdout = capsys.readouterr().out.encode()
+        assert (hashlib.sha256(stdout).hexdigest(), code) == pinned, flags
+
+
+def test_network_build_derives_each_key_once(monkeypatch):
+    calls = []
+    derive = netsim.signing_key_from_seed
+
+    def counted(seed):
+        calls.append(seed)
+        return derive(seed)
+
+    monkeypatch.setattr(netsim, "signing_key_from_seed", counted)
+    config = ScenarioConfig.from_dict(scale_64())
+    Network(config)
+    # One key per node and one per trusted module.
+    assert len(calls) == len(config.nodes) + len(config.modules) == 66
