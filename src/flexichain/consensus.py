@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .dag import DataBlock
 from .errors import (
     AlreadyEnrolled,
     BadSignature,
@@ -51,6 +50,9 @@ from .nodechain import NodeChainLedger, VesState, VirtualExistenceBlock, append_
 from .vault import CallOrigin, FULL_NODE_ROLES, VaultEntry
 from .wire import encode_fields, lp
 
+if TYPE_CHECKING:
+    from .dag import DataBlock
+
 NONCE_LENGTH = 8
 
 
@@ -64,9 +66,6 @@ class ModuleRegistry:
 
     def __init__(self, modules: dict[str, bytes]):
         self._modules = dict(modules)
-
-    def __contains__(self, module_id: str) -> bool:
-        return module_id in self._modules
 
     def public_key(self, module_id: str) -> bytes:
         if module_id not in self._modules:
@@ -146,8 +145,6 @@ def enroll_request(
     nonce: bytes,
 ) -> EnrollmentRequest:
     """Build the two-container request, attested by the trusted module."""
-    if credential.module_id not in registry:
-        raise UnknownModule(f"module {credential.module_id!r} not in genesis registry")
     if registry.public_key(credential.module_id) != credential.public_key:
         raise UnknownModule("credential public key does not match the registry")
     if len(nonce) != NONCE_LENGTH:

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field, replace
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
+from .consensus import FinalityMode, check_finality
 from .errors import (
     BadSignature,
     DuplicateBranch,
@@ -187,17 +188,18 @@ class DataBlock:
         txs = []
         for _ in range(r.read_u64()):
             tr = Reader(r.read_field())
-            txs.append(
-                Transaction(
-                    sender=tr.read_field(),
-                    block_type_tag=tr.read_field().decode(),
-                    payload=tr.read_field(),
-                    timestamp=tr.read_u64(),
-                    signature=tr.read_field(),
-                )
+            tx = Transaction(
+                sender=tr.read_field(),
+                block_type_tag=tr.read_field().decode(),
+                payload=tr.read_field(),
+                timestamp=tr.read_u64(),
+                signature=tr.read_field(),
             )
             if not tr.exhausted():
                 raise ValueError("trailing bytes after transaction")
+            if not tx.verify():
+                raise BadSignature("transaction signature does not verify")
+            txs.append(tx)
         narration = []
         for _ in range(r.read_u64()):
             narration.append((TokenizedUid(r.read_field()), r.read_field()))
@@ -345,8 +347,10 @@ class Layer0Ledger:
         pick = int.from_bytes(candidate.tx_root, "big") % len(ancestors)
         return prev_same_type, ancestors[pick]
 
-    def append_block(self, block: DataBlock) -> None:
-        """Store a sealed block after arc and commitment checks.
+    def append_block(self, block: DataBlock, roster: Sequence[TokenizedUid],
+                     mode: FinalityMode, latest_count: int = 1) -> None:
+        """Store a sealed, final block after arc and commitment checks: the
+        one way a data block enters the ledger, honest or adversarial.
 
         The transactions must be strictly increasing by (timestamp,
         digest): the canonical order, with no transaction repeated. The
@@ -356,7 +360,9 @@ class Layer0Ledger:
         come from one sender, as `build_candidate_block` collects them. A
         transaction that an earlier block already finalized is refused.
         The narration must list distinct tokens, each stored digest chained
-        from the one before it by `narration_fold`.
+        from the one before it by `narration_fold`. Every narration token
+        must be on the `roster`, and `check_finality` must hold. Signatures
+        were checked where each transaction entered its block.
         """
         if not block.sealed:
             raise IntegrityViolation("block is unsealed")
@@ -397,6 +403,10 @@ class Layer0Ledger:
                 raise IntegrityViolation("arc must reference a strictly earlier record")
         if block.header_digest in self._records:
             raise IntegrityViolation("block already present")
+        if not block.narrated.issubset(roster):
+            raise IntegrityViolation("narration names a token not on the roster")
+        if not check_finality(block, roster, mode, latest_count):
+            raise IntegrityViolation("narration is not final")
         record = LedgerRecord(block.header_digest, block.block_type_tag,
                               block.timestamp, block)
         self._records[record.digest] = record

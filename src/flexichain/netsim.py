@@ -21,9 +21,10 @@ Adversaries are modeled by an explicit capability lattice. An attack event
 holds a subset of {constructed_keys, module_key, vault_access, tuids} and
 attempts its category's protocol actions with exactly those secrets; the
 outcome records the first check that blocked it (module registry,
-signature, NNS gate, vault access, match layer, offline gate, or finality
-quorum). Knowing TUIDs grants nothing extra: they are already public on
-chain.
+signature, ledger validation, NNS gate, vault access, match layer, offline
+gate, or finality quorum). A final fraud block must pass
+`Layer0Ledger.append_block`, as an honest one does. Knowing TUIDs grants
+nothing extra: they are already public on chain.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from .identity import (
 )
 from .keys import public_bytes, sign_message, signing_key_from_seed, verify_signature
 from .vault import CallOrigin, FULL_NODE_ROLES, NodeRole, Vault, VaultEntry
-from .wire import ZERO32, encode_fields, encode_u64, lp, sha256
+from .wire import encode_fields, encode_u64, lp, sha256
 
 # Name prefix of the identities an attack fabricates. Scenario nodes may not
 # use it: a fabricated node would take over such a node's name and share its
@@ -210,6 +211,18 @@ def _declare_branch(value, path, scope):
     return value
 
 
+def _distinct(rule):
+    """The list `rule` parses, refusing an item that repeats an earlier one."""
+    def distinct(value, path, scope):
+        items, seen = rule(value, path, scope), set()
+        for j, item in enumerate(items):
+            if item in seen:
+                raise ConfigError(f"{path}[{j}]: duplicate {item!r}")
+            seen.add(item)
+        return items
+    return distinct
+
+
 def _either(word: str, rule):
     """The literal `word`, or a value `rule` takes."""
     return lambda v, path, scope: v if v == word else rule(v, path, scope)
@@ -300,7 +313,7 @@ EVENTS = {
     ),
     "attack": _event_rows(
         category=(_integer(1, 4), REQUIRED),
-        targets=(_list(_node_ref), []),
+        targets=(_distinct(_list(_node_ref)), []),
         secrets=(_list(_choice({k: k for k in sorted(SECRET_KINDS)}), into=frozenset), []),
         stale_ledger=(_bool, False),
         attempt_remote_vault=(_bool, None),  # None: only brute force tries remotely
@@ -541,6 +554,8 @@ class Network:
             TokenizedUid, tuple[NodeState, nodechain.VirtualExistenceBlock]
         ] = {}
         self._roster: list[TokenizedUid] = []
+        # check_finality's and append_block's rules; the roster grows in place.
+        self._finality = (self._roster, config.finality_mode, config.latest_count)
 
         # Genesis: the backup node's virtual existence is block 1.
         self.nodechain, genesis_uid = nodechain.genesis_chain(
@@ -645,9 +660,6 @@ class Network:
             if node.online and node.role is NodeRole.EDGE:
                 return node
         raise Unauthorized("no eligible enrollment responder is online")
-
-    def network_ves_index(self) -> int:
-        return self.nodechain.ves.index
 
     # -- event handlers -----------------------------------------------------
 
@@ -776,7 +788,7 @@ class Network:
             if not node.online:
                 raise Unauthorized("offline node cannot attest")
             result = consensus.authenticate_block(
-                node, block, self.network_ves_index(), self.config.token_salt
+                node, block, self.nodechain.ves.index, self.config.token_salt
             )
             message = AuthenticationMessage(
                 block_digest=block_digest,
@@ -815,13 +827,10 @@ class Network:
 
     def _check_block_finality(self, block_digest: bytes, at: int) -> None:
         block = self.pending_blocks[block_digest]
-        final = check_finality(
-            block, self._roster, self.config.finality_mode, self.config.latest_count
-        )
-        if not final:
+        if not check_finality(block, *self._finality):
             return
         try:
-            self.layer0.append_block(block)
+            self.layer0.append_block(block, *self._finality)
         except ProtocolError as exc:
             self.reject(at, "network", "finalize", exc)
             return
@@ -902,6 +911,10 @@ def inject_attack(net: Network, event: AttackEvent) -> AttackOutcome:
     bypasses the protocol surface: enrollment goes through the real
     responder, vault access goes through provenance-tagged lookups, and
     finality is evaluated with the real narration rules.
+
+    Stages: module registry, signature, ledger validation (no such branch),
+    NNS gate, vault access, offline gate, match layer, finality quorum, and
+    ledger validation (`append_block`, which keeps a block it accepts).
     """
     at = net.clock
 
@@ -925,7 +938,10 @@ def inject_attack(net: Network, event: AttackEvent) -> AttackOutcome:
         author = net.nodes[event.targets[0]]
     else:
         return blocked("signature", "no usable signing identity")
-    block = _craft_fraud_block(net, author, event)
+    try:
+        block = _craft_fraud_block(net, author, event)
+    except UnknownBranch as exc:  # the ledger has no arcs to offer
+        return blocked("ledger validation", str(exc))
 
     # NNS gate: an adversary replaying against a stale ledger view.
     if event.stale_ledger:
@@ -963,13 +979,14 @@ def inject_attack(net: Network, event: AttackEvent) -> AttackOutcome:
             return blocked("match layer", f"token mismatch for {actor.name}")
         block = block.with_narration_entry(actor.tuid)
 
-    final = check_finality(
-        block, net._roster, net.config.finality_mode, net.config.latest_count
-    )
-    if final:
-        net.record(at, "adversary", "fraud_finalized", block.encode())
-        return AttackOutcome(event.category, True, None, "fraudulent block finalized")
-    return blocked("finality quorum", "insufficient authenticators")
+    if not check_finality(block, *net._finality):
+        return blocked("finality quorum", "insufficient authenticators")
+    try:
+        net.layer0.append_block(block, *net._finality)
+    except ProtocolError as exc:
+        return blocked("ledger validation", str(exc))
+    net.record(at, "adversary", "fraud_finalized", block.encode())
+    return AttackOutcome(event.category, True, None, "fraudulent block finalized")
 
 
 def _enroll_fabricated_identity(net: Network, at: int) -> NodeState | None:
@@ -1012,11 +1029,7 @@ def _craft_fraud_block(net: Network, author: NodeState, event: AttackEvent) -> d
     candidate = dag.build_candidate_block(
         [tx], author.public_id, tag, (net.clock, net.clock + 1)
     )
-    try:
-        prev, rand = net.layer0.select_parents(candidate)
-    except UnknownBranch:
-        prev, rand = ZERO32, ZERO32
-    return candidate.with_parents(prev, rand)
+    return candidate.with_parents(*net.layer0.select_parents(candidate))
 
 
 # ---------------------------------------------------------------------------

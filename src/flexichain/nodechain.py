@@ -214,16 +214,20 @@ def verify_chain(
 ) -> Violation | None:
     """Walk the chain; return None if intact, else the first violation.
 
-    Link-only mode checks indices, links, and header digests. When a vault
-    handle (plus salt) is supplied, every block's TUID must tokenize from
-    the vault's real UID; with `kdf` as well, the whole UID derivation
-    chain is recomputed entry by entry.
+    Link-only mode checks indices, links, and header digests. Full mode,
+    with `kdf`, `vault` and `token_salt` all given, also requires every
+    block's TUID to tokenize from the vault's real UID and recomputes the
+    whole UID derivation chain entry by entry. Any other mix of the three
+    is a TypeError.
     """
+    given = [arg is not None for arg in (kdf, vault, token_salt)]
+    if any(given) != all(given):
+        raise TypeError("verify_chain takes kdf, vault and token_salt together or none")
+    full_mode = all(given)
     if len(ledger) == 0:
         raise EmptyChain("cannot verify an empty chain")
-    full_mode = vault is not None and token_salt is not None
     prev_digest = ZERO32
-    prev_uid = zero_uid(kdf.output_length) if kdf is not None else None
+    prev_uid = zero_uid(kdf.output_length) if full_mode else None
     for i, block in enumerate(ledger.blocks, start=1):
         if block.nns_index != i:
             return Violation(i, ViolationKind.INDEX_GAP)
@@ -239,11 +243,9 @@ def verify_chain(
                 return Violation(i, ViolationKind.TOKEN_MISMATCH)
             if entry.extrinsic_digest != block.extrinsic_digest:
                 return Violation(i, ViolationKind.TOKEN_MISMATCH)
-            if kdf is not None:
-                expected = derive_uid(block.extrinsic_digest, prev_uid, kdf)
-                if expected != entry.real_uid:
-                    return Violation(i, ViolationKind.TOKEN_MISMATCH)
-                prev_uid = entry.real_uid
+            if derive_uid(block.extrinsic_digest, prev_uid, kdf) != entry.real_uid:
+                return Violation(i, ViolationKind.TOKEN_MISMATCH)
+            prev_uid = entry.real_uid
         prev_digest = block.header_digest
     return None
 

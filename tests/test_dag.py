@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flexichain.consensus import FinalityMode
 from flexichain.dag import (
     DataBlock,
     Layer0Ledger,
@@ -22,6 +23,7 @@ from flexichain.errors import (
     DuplicateBranch,
     IntegrityViolation,
     NoTransactions,
+    ProtocolError,
     UnknownBranch,
 )
 from flexichain.identity import TokenizedUid
@@ -33,6 +35,11 @@ from conftest import make_signing_key, material
 
 VIRTUAL_GENESIS = material("dag/virtual-genesis", 32)
 DEMO = str(resources.files("flexichain") / "scenarios" / "demo.json")
+# The one enrolled identity of the unit-test ledger: a block it narrates is
+# final against ROSTER.
+NARRATOR = TokenizedUid(material("dag/narrator", 32))
+ROSTER = [NARRATOR]
+EXHAUSTIVE, NARRATED = FinalityMode.EXHAUSTIVE, FinalityMode.NARRATED
 
 
 def signed_tx(label: str, tag: str = "B", timestamp: int = 100) -> Transaction:
@@ -48,11 +55,16 @@ def ledger_with_branch() -> tuple[Layer0Ledger, str]:
     return ledger, tag
 
 
-def sealed_block(ledger: Layer0Ledger, label: str, tag: str, at: int) -> DataBlock:
+def sealed_block(
+    ledger: Layer0Ledger, label: str, tag: str, at: int, narrators=(NARRATOR,)
+) -> DataBlock:
     tx = signed_tx(label, tag, timestamp=at - 1)
     candidate = build_candidate_block([tx], tx.sender, tag, (at - 2, at))
     prev, rand = ledger.select_parents(candidate)
-    return candidate.with_parents(prev, rand)
+    block = candidate.with_parents(prev, rand)
+    for tuid in narrators:
+        block = block.with_narration_entry(tuid)
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +237,7 @@ def test_select_parents_unregistered_tag():
 def test_random_arc_uses_tx_root_modular_index():
     ledger, tag = ledger_with_branch()
     for i in range(4):
-        ledger.append_block(sealed_block(ledger, f"n{i}", tag, 10 + 2 * i))
+        ledger.append_block(sealed_block(ledger, f"n{i}", tag, 10 + 2 * i), ROSTER, EXHAUSTIVE)
     ancestors = ledger.same_type_ancestors(tag)
     assert len(ancestors) == 5
     candidate = build_candidate_block(
@@ -247,13 +259,13 @@ def test_append_block_validations():
     block = sealed_block(ledger, "alice", tag, 10)
     unsealed = dataclasses.replace(block, header_digest=b"\x00" * 32)
     with pytest.raises(IntegrityViolation):
-        ledger.append_block(unsealed)
+        ledger.append_block(unsealed, ROSTER, EXHAUSTIVE)
     wrong_root = dataclasses.replace(block, tx_root=b"\x11" * 32)
     with pytest.raises(IntegrityViolation):
-        ledger.append_block(wrong_root)
-    ledger.append_block(block)
+        ledger.append_block(wrong_root, ROSTER, EXHAUSTIVE)
+    ledger.append_block(block, ROSTER, EXHAUSTIVE)
     with pytest.raises(IntegrityViolation):
-        ledger.append_block(block)  # duplicate digest
+        ledger.append_block(block, ROSTER, EXHAUSTIVE)  # duplicate digest
 
 
 def test_append_block_rejects_an_already_finalized_transaction():
@@ -262,11 +274,12 @@ def test_append_block_rejects_an_already_finalized_transaction():
     for window, appends in (((8, 10), True), ((8, 11), False)):
         candidate = build_candidate_block([tx], tx.sender, tag, window)
         block = candidate.with_parents(*ledger.select_parents(candidate))
+        block = block.with_narration_entry(NARRATOR)
         if appends:
-            ledger.append_block(block)
+            ledger.append_block(block, ROSTER, EXHAUSTIVE)
         else:
             with pytest.raises(IntegrityViolation, match="already finalized"):
-                ledger.append_block(block)
+                ledger.append_block(block, ROSTER, EXHAUSTIVE)
     assert len(ledger.blocks(tag)) == 1
 
 
@@ -289,9 +302,12 @@ def test_append_block_rejects_a_repeated_or_out_of_order_transaction():
     )
     parents = ledger.select_parents(candidate)
     for bad in (repeated, reordered):
+        bad = bad.with_parents(*parents).with_narration_entry(NARRATOR)
         with pytest.raises(IntegrityViolation, match="repeated or out of canonical order"):
-            ledger.append_block(bad.with_parents(*parents))
-    ledger.append_block(candidate.with_parents(*parents))
+            ledger.append_block(bad, ROSTER, EXHAUSTIVE)
+    ledger.append_block(
+        candidate.with_parents(*parents).with_narration_entry(NARRATOR), ROSTER, EXHAUSTIVE
+    )
     assert [len(b.transactions) for b in ledger.blocks(tag)] == [3]
 
 
@@ -316,10 +332,12 @@ def test_append_block_rejects_a_mixed_branch_or_sender_block():
         bad = dataclasses.replace(
             candidate, transactions=txs,
             tx_root=merkle_root([tx.digest() for tx in txs]) if txs else b"\x00" * 32,
-        ).with_parents(*parents)
+        ).with_parents(*parents).with_narration_entry(NARRATOR)
         with pytest.raises(IntegrityViolation, match="one sender"):
-            ledger.append_block(bad)
-    ledger.append_block(candidate.with_parents(*parents))
+            ledger.append_block(bad, ROSTER, EXHAUSTIVE)
+    ledger.append_block(
+        candidate.with_parents(*parents).with_narration_entry(NARRATOR), ROSTER, EXHAUSTIVE
+    )
     assert [b.transactions for b in ledger.blocks()] == [(alice,)]
 
 
@@ -328,9 +346,57 @@ def test_append_block_rejects_equal_timestamp_arc():
     tx = signed_tx("alice", tag, 0)
     candidate = build_candidate_block([tx], tx.sender, tag, (0, 1))
     block = candidate.with_parents(*ledger.select_parents(candidate))
+    block = block.with_narration_entry(NARRATOR)
     # Branch genesis sits at t=1; the block timestamp is also 1.
-    with pytest.raises(IntegrityViolation):
-        ledger.append_block(block)
+    with pytest.raises(IntegrityViolation, match="strictly earlier"):
+        ledger.append_block(block, ROSTER, EXHAUSTIVE)
+
+
+STRANGER = TokenizedUid(material("dag/stranger", 32))  # on no roster
+
+
+@pytest.mark.parametrize(
+    "narrators,mode,reason",
+    [
+        ((), EXHAUSTIVE, "narration is not final"),
+        ((), NARRATED, "narration is not final"),
+        ((STRANGER,), NARRATED, "not on the roster"),
+        ((NARRATOR, STRANGER), NARRATED, "not on the roster"),
+    ],
+    ids=["unattested-exhaustive", "unattested-narrated", "stranger-only",
+         "final-plus-stranger"],
+)
+def test_append_block_refuses_a_block_that_is_not_final_on_the_roster(
+    narrators, mode, reason
+):
+    ledger, tag = ledger_with_branch()
+    block = sealed_block(ledger, "alice", tag, 10, narrators=narrators)
+    with pytest.raises(IntegrityViolation, match=reason):
+        ledger.append_block(block, ROSTER, mode)
+    assert ledger.blocks(tag) == []
+    ledger.append_block(sealed_block(ledger, "alice", tag, 10), ROSTER, mode)
+    assert len(ledger.blocks(tag)) == 1
+
+
+def test_datablock_decode_refuses_a_forged_transaction_signature():
+    ledger, tag = ledger_with_branch()
+    key = make_signing_key("alice")
+    sender = public_bytes(key)
+    txs = [Transaction.signed(key, sender, tag, material(f"dag/forge/{i}", 24), 5 + i)
+           for i in range(2)]
+    candidate = build_candidate_block(txs, sender, tag, (0, 10))
+    # A forged payload under the old signature, committed by a recomputed
+    # root and a resealed header: only the signature gives it away.
+    forged_tx = dataclasses.replace(candidate.transactions[1], payload=b"forged")
+    forged = dataclasses.replace(
+        candidate, transactions=(candidate.transactions[0], forged_tx),
+        tx_root=merkle_root([candidate.transactions[0].digest(), forged_tx.digest()]),
+    ).with_parents(*ledger.select_parents(candidate)).with_narration_entry(NARRATOR)
+    assert forged.recomputed_header() == forged.header_digest
+    with pytest.raises(BadSignature):
+        DataBlock.decode(forged.encode())
+    honest = candidate.with_parents(*ledger.select_parents(candidate))
+    assert DataBlock.decode(honest.encode()) == honest
 
 
 def test_topological_order_single_genesis():
@@ -341,16 +407,16 @@ def test_topological_order_single_genesis():
 def test_topological_order_sorts_by_time_then_digest():
     ledger, tag = ledger_with_branch()
     b1 = sealed_block(ledger, "alice", tag, 10)
-    ledger.append_block(b1)
+    ledger.append_block(b1, ROSTER, EXHAUSTIVE)
     b2 = sealed_block(ledger, "bob", tag, 20)
-    ledger.append_block(b2)
+    ledger.append_block(b2, ROSTER, EXHAUSTIVE)
     order = ledger.topological_order()
     assert order.index(b1.header_digest) < order.index(b2.header_digest)
 
     # Equal timestamps in independent branches break ties by digest.
     other = ledger.register_branch("firmware", material("dag/firm", 32), timestamp=1)
     c1 = sealed_block(ledger, "carol", other, 20)
-    ledger.append_block(c1)
+    ledger.append_block(c1, ROSTER, EXHAUSTIVE)
     order = ledger.topological_order()
     first, second = sorted([b2.header_digest, c1.header_digest])
     assert order.index(first) < order.index(second)
@@ -360,7 +426,8 @@ def test_every_block_follows_its_arc_targets():
     rng = random.Random(0xDA6)
     ledger, tag = ledger_with_branch()
     for i in range(12):
-        ledger.append_block(sealed_block(ledger, f"n{rng.randrange(1000)}", tag, 10 + 3 * i))
+        block = sealed_block(ledger, f"n{rng.randrange(1000)}", tag, 10 + 3 * i)
+        ledger.append_block(block, ROSTER, EXHAUSTIVE)
     order = ledger.topological_order()
     position = {digest: i for i, digest in enumerate(order)}
     for block in ledger.blocks(tag):
@@ -382,41 +449,57 @@ def test_narration_fold_matches_nested_hash():
     assert narration_fold((t1, t2, t3)) == expected
 
     ledger, tag = ledger_with_branch()
-    block = sealed_block(ledger, "alice", tag, 10)
-    for tuid in (t1, t2, t3):
-        block = block.with_narration_entry(tuid)
+    block = sealed_block(ledger, "alice", tag, 10, narrators=(t1, t2, t3))
     assert block.narration[-1][1] == expected
 
 
-def demo_finalized_block() -> tuple[Layer0Ledger, DataBlock]:
-    """A fresh ledger holding the demo's branch, and its finalized "B" block
-    decoded from the wire."""
+def demo_finalized_block() -> tuple[Layer0Ledger, DataBlock, tuple]:
+    """A fresh ledger holding the demo's branch, its finalized "B" block
+    decoded from the wire, and the demo's finality rules (roster, mode)."""
     net = run_scenario(ScenarioConfig.from_file(DEMO)).network
     (block,) = net.layer0.blocks("B")
     ledger = Layer0Ledger(net.nodechain.block_at(1).header_digest)
     genesis = net.layer0.record(block.prev_same_type)
     ledger.register_branch("telemetry", genesis.digest, genesis.timestamp)
-    return ledger, DataBlock.decode(block.encode())
+    rules = (net.roster(), net.config.finality_mode)
+    return ledger, DataBlock.decode(block.encode()), rules
 
 
 def test_append_block_rejects_a_narration_digest_that_does_not_chain():
-    ledger, block = demo_finalized_block()
+    ledger, block, rules = demo_finalized_block()
     forged = dataclasses.replace(
         block, narration=block.narration + ((TokenizedUid(b"\x07" * 32), ZERO32),)
     )
     with pytest.raises(IntegrityViolation, match="narration digest does not chain"):
-        ledger.append_block(DataBlock.decode(forged.encode()))
-    ledger.append_block(block)
+        ledger.append_block(DataBlock.decode(forged.encode()), *rules)
+    ledger.append_block(block, *rules)
     assert ledger.blocks("B") == [block]
 
 
 def test_append_block_rejects_a_repeated_narration_token():
-    ledger, block = demo_finalized_block()
+    ledger, block, rules = demo_finalized_block()
     repeated = block.with_narration_entry(block.narration[0][0])
     assert len(repeated.narration) == len(block.narration) + 1
     with pytest.raises(IntegrityViolation, match="narration repeats a token"):
-        ledger.append_block(DataBlock.decode(repeated.encode()))
+        ledger.append_block(DataBlock.decode(repeated.encode()), *rules)
     assert ledger.blocks("B") == []
+
+
+def test_every_single_byte_mutation_of_a_finalized_block_is_refused():
+    ledger, block, rules = demo_finalized_block()
+    encoded = block.encode()
+    accepted = []
+    for position in range(len(encoded)):
+        mutated = bytearray(encoded)
+        mutated[position] ^= 0x01
+        try:
+            ledger.append_block(DataBlock.decode(bytes(mutated)), *rules)
+        except (ValueError, ProtocolError):
+            continue
+        accepted.append(position)
+    assert accepted == []
+    ledger.append_block(DataBlock.decode(encoded), *rules)
+    assert ledger.blocks("B") == [block]
 
 
 def test_datablock_encode_decode_round_trip():
@@ -429,7 +512,7 @@ def test_datablock_encode_decode_round_trip():
 
 def test_datablock_decode_refuses_trailing_bytes():
     ledger, tag = ledger_with_branch()
-    block = sealed_block(ledger, "alice", tag, 10)
+    block = sealed_block(ledger, "alice", tag, 10, narrators=())
     with pytest.raises(ValueError, match="trailing bytes after block"):
         DataBlock.decode(block.encode() + lp(b"Z"))
     (tx,) = block.transactions
@@ -449,7 +532,7 @@ def test_datablock_decode_refuses_trailing_bytes():
 def test_export_text_lists_all_records():
     ledger, tag = ledger_with_branch()
     block = sealed_block(ledger, "alice", tag, 10)
-    ledger.append_block(block)
+    ledger.append_block(block, ROSTER, EXHAUSTIVE)
     text = ledger.export_text()
     lines = text.strip().splitlines()
     assert len(lines) == 3  # virtual genesis, branch genesis, one data block
@@ -464,7 +547,7 @@ NARRATORS = [TokenizedUid(material(f"dag/narrator/{i}", 32)) for i in range(6)]
 @given(st.lists(st.sampled_from(NARRATORS), max_size=20))
 def test_narrated_set_tracks_the_narration(narrators):
     ledger, tag = ledger_with_branch()
-    block = sealed_block(ledger, "alice", tag, 10)
+    block = sealed_block(ledger, "alice", tag, 10, narrators=())
     assert block.narrated == frozenset()
     for tuid in narrators:
         block = block.with_narration_entry(tuid)

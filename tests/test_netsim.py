@@ -132,6 +132,10 @@ BLOCK_FLOW = JOIN_ALL + [
         pytest.param(lambda d: d["script"].append(
             {"at": 80, "event": "attack", "category": 1, "branch": 5}
         ), "branch", id="attack-branch-int"),
+        # A repeated target once narrated its token twice.
+        pytest.param(lambda d: d["script"].append(
+            {"at": 80, "event": "attack", "category": 3, "targets": ["bn", "e1", "c1", "c1"]}
+        ), "script[7].targets[3]: duplicate 'c1'", id="attack-target-repeated"),
         # A list where a name is meant once ended in `TypeError: unhashable`.
         pytest.param(lambda d: d["nodes"][1].update(role=["edge"]), "nodes[1].role",
                      id="role-list"),
@@ -680,7 +684,7 @@ def test_phishing_with_vault_access_blocked_at_quorum(mode):
 
 @pytest.mark.parametrize("mode", ["exhaustive", "narrated"])
 def test_majority_with_all_secrets_succeeds(mode):
-    outcome, _ = run_attack(
+    outcome, net = run_attack(
         {
             "category": 3,
             "targets": ["bn", "e1", "v", "w"],
@@ -689,6 +693,25 @@ def test_majority_with_all_secrets_succeeds(mode):
         mode=mode,
     )
     assert outcome["succeeded"]
+    # The ledger accepted the fraud block: it is final on the real roster.
+    (fraud,) = net.layer0.blocks("B")
+    assert fraud.transactions[0].sender == net.nodes["bn"].public_id
+    assert fraud.narration_tuids() == tuple(net.roster())
+
+
+def test_attack_on_an_unregistered_branch_is_refused_by_the_ledger():
+    # No branch is registered, so the ledger has no arcs for the block.
+    script = ATTACK_JOINS[:3] + [{
+        "at": 50, "event": "attack", "category": 3,
+        "targets": ["bn", "e1", "v", "w"], "secrets": ["constructed_keys", "vault_access"],
+    }]
+    result = run_scenario(ScenarioConfig.from_dict(scenario(nodes=ATTACK_NODES, script=script)))
+    assert result.metrics["attacks"] == [{
+        "category": 3, "succeeded": False, "blocked_at": "ledger validation",
+        "detail": "no branch registered for tag 'B'",
+    }]
+    assert result.network.layer0.blocks() == []
+    assert not any("event=fraud_finalized" in line for line in result.trace)
 
 
 def test_majority_partial_coalition_blocked_at_quorum():

@@ -164,6 +164,18 @@ def test_verify_fresh_chain_ok():
     assert verify_chain(ledger, kdf=CHEAP_KDF, vault=vault, token_salt=TOKEN_SALT) is None
 
 
+@pytest.mark.parametrize(
+    "given", [("kdf",), ("vault",), ("token_salt",), ("kdf", "vault"), ("vault", "token_salt"),
+              ("kdf", "token_salt")],
+)
+def test_verify_takes_the_full_mode_arguments_together(given):
+    ledger, vault, _ = build_chain(2)
+    full = {"kdf": CHEAP_KDF, "vault": vault, "token_salt": TOKEN_SALT}
+    # kdf alone once checked links only, without deriving a single UID.
+    with pytest.raises(TypeError, match="together or none"):
+        verify_chain(ledger, **{name: full[name] for name in given})
+
+
 def test_verify_empty_chain():
     with pytest.raises(EmptyChain):
         verify_chain(NodeChainLedger())
@@ -186,7 +198,7 @@ def test_verify_detects_token_mismatch_via_vault():
         vault.entries[2], real_uid=Uid(b"\x55" * 128)
     )
     vault._entries[2] = swapped
-    violation = verify_chain(ledger, kdf=None, vault=vault, token_salt=TOKEN_SALT)
+    violation = verify_chain(ledger, kdf=CHEAP_KDF, vault=vault, token_salt=TOKEN_SALT)
     assert violation is not None
     assert violation.index == 3
     assert violation.kind is ViolationKind.TOKEN_MISMATCH

@@ -8,7 +8,7 @@ import hashlib
 import json
 from importlib import resources
 
-from flexichain import netsim
+from flexichain import dag, netsim
 from flexichain.cli import main
 from flexichain.netsim import Network, ScenarioConfig, run_scenario
 
@@ -207,3 +207,18 @@ def test_network_build_derives_each_key_once(monkeypatch):
     Network(config)
     # One key per node and one per trusted module.
     assert len(calls) == len(config.nodes) + len(config.modules) == 66
+
+
+def test_each_finalized_transaction_is_verified_once(monkeypatch):
+    calls = []
+    verify = dag.Transaction.verify
+
+    def counted(tx):
+        calls.append(tx.digest())
+        return verify(tx)
+
+    monkeypatch.setattr(dag.Transaction, "verify", counted)
+    result = run_scenario(ScenarioConfig.from_dict(exhaustive_64()))
+    finalized = [tx.digest() for b in result.network.layer0.blocks() for tx in b.transactions]
+    # Four rounds of four transactions, each checked where it enters its block.
+    assert sorted(calls) == sorted(finalized) and len(calls) == 16
