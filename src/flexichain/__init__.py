@@ -7,7 +7,7 @@ simulation harness with an explicit adversary model, and the analytic
 attack-probability model with its published reference tables.
 """
 
-from .consensus import FinalityMode
+from .consensus import FinalityMode, genesis
 from .identity import (
     ExtrinsicParameters,
     KdfParameters,
@@ -19,7 +19,7 @@ from .identity import (
     tokenize_uid,
 )
 from .netsim import ScenarioConfig, monte_carlo_attack, run_scenario
-from .nodechain import NodeChainLedger, genesis_chain, verify_chain
+from .nodechain import NodeChainLedger, verify_chain
 from .vault import NodeRole, Vault, VaultEntry
 
 __version__ = "0.1.0"
@@ -36,7 +36,7 @@ __all__ = [
     "Vault",
     "VaultEntry",
     "derive_uid",
-    "genesis_chain",
+    "genesis",
     "hash_extrinsic",
     "match_layer",
     "monte_carlo_attack",

@@ -109,19 +109,19 @@ def _integer_flag(lo: int, hi: int, what: str):
 
 
 _seed_flag = _integer_flag(0, U64_MAX, "an integer in [0, 2^64)")
-COLUMNS = tuple(f"category{i}" for i in range(1, 5)) + ("summation",)
 
 
 def _corruption(spec: str) -> tuple[str, int, int, float]:
     """Test hook `table:n:column=value`, e.g. blockchain:24:category2=0.5."""
     match = re.fullmatch(r"(blockchain|flexichain):(\d+):(\w+)=(.+)", spec)
-    if not match or int(match[2]) not in secmodel.TABULATED_N or match[3] not in COLUMNS:
+    if (not match or int(match[2]) not in secmodel.TABULATED_N
+            or match[3] not in secmodel.COLUMNS):
         raise argparse.ArgumentTypeError(
             f"must be table:n:column=value with table blockchain or flexichain, "
-            f"n in {secmodel.TABULATED_N} and column in {COLUMNS}, not {spec!r}"
+            f"n in {secmodel.TABULATED_N} and column in {secmodel.COLUMNS}, not {spec!r}"
         )
     # A value float() refuses is a ValueError, which argparse reports.
-    return match[1], int(match[2]), COLUMNS.index(match[3]), float(match[4])
+    return match[1], int(match[2]), secmodel.COLUMNS.index(match[3]), float(match[4])
 
 
 def cmd_tables(args) -> int:

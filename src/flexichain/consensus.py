@@ -3,9 +3,10 @@
 Enrollment is a request/response exchange. The request carries the two
 containers (extrinsic digest + constructed public ID) signed by a trusted
 module whose public key was predefined to the backup node at genesis. The
-responder -- the backup node, or any enrolled edge node -- derives the new
-UID, stores the vault binding, and broadcasts the node's virtual existence
-block as the response.
+responder -- the backup node, or any enrolled edge node -- checks it, and
+one binding step derives the UID, appends the virtual existence block and
+binds the UID in the vault; the block is broadcast as the response. Genesis
+binds the backup node as identity 1 through the same step.
 
 Blocks reach finality by accumulating authenticator tokens in their chain
 of narration. Exhaustive finality demands every enrolled identity; narrated
@@ -40,14 +41,16 @@ from .identity import (
     KdfParameters,
     TokenizedUid,
     TrustedModuleCredential,
+    Uid,
     derive_uid,
     hash_extrinsic,
     match_layer,
     tokenize_uid,
+    zero_uid,
 )
 from .keys import is_valid_public_key, sign_message, verify_signature
 from .nodechain import NodeChainLedger, VesState, VirtualExistenceBlock, append_virtual_block
-from .vault import CallOrigin, FULL_NODE_ROLES, VaultEntry
+from .vault import CallOrigin, FULL_NODE_ROLES, NodeRole, Vault, VaultEntry
 from .wire import encode_fields, lp
 
 if TYPE_CHECKING:
@@ -162,6 +165,48 @@ def enroll_request(
     )
 
 
+def _bind(
+    ledger: NodeChainLedger, vault: Vault, role: NodeRole,
+    container1: bytes, container2: bytes, module_id: str,
+    kdf: KdfParameters, token_salt: bytes, timestamp: int,
+) -> tuple[VirtualExistenceBlock, VesState, VaultEntry]:
+    """Derive the next UID, append its virtual block, and bind it in the vault.
+
+    The previous UID feeding the generator is the last vault entry's real
+    UID, or the all-zero UID for genesis.
+    """
+    prev_uid = vault.entry_at(len(vault)).real_uid if len(vault) else zero_uid(kdf.output_length)
+    uid = derive_uid(container1, prev_uid, kdf)
+    ves = ledger.ves
+    block = VirtualExistenceBlock.create(
+        tuid=tokenize_uid(uid, token_salt),
+        constructed_public_key=container2,
+        prev_link=ves.head_digest,
+        nns_index=ves.index + 1,
+        timestamp=timestamp,
+        extrinsic_digest=container1,
+    )
+    new_ves = append_virtual_block(ledger, block)
+    entry = VaultEntry(block.nns_index, uid, block.tuid, container1, module_id)
+    vault.append(entry, role)
+    return block, new_ves, entry
+
+
+def genesis(
+    params: ExtrinsicParameters,
+    module_id: str,
+    kdf: KdfParameters,
+    token_salt: bytes,
+    timestamp: int = 0,
+) -> tuple[NodeChainLedger, Vault, Uid]:
+    """The chain and vault holding the backup node as identity 1, and its UID."""
+    ledger, vault = NodeChainLedger(), Vault(token_salt)
+    container1, container2 = hash_extrinsic(params)
+    _, _, entry = _bind(ledger, vault, NodeRole.BACKUP, container1, container2,
+                        module_id, kdf, token_salt, timestamp)
+    return ledger, vault, entry.real_uid
+
+
 def enroll_respond(
     responder,
     request: EnrollmentRequest,
@@ -169,10 +214,11 @@ def enroll_respond(
     token_salt: bytes,
     timestamp: int,
 ) -> EnrollmentResponse:
-    """Derive the UID, bind it in the vault, and append the virtual block.
+    """Check the request, then bind the new identity on chain and in the vault.
 
-    Only backup and edge nodes may respond. The previous UID feeding the
-    generator is the most recent vault entry's real UID.
+    Only backup and edge nodes may respond, and only once genesis has
+    bound identity 1: an empty responder would otherwise mint a second
+    genesis.
     """
     if responder.role not in FULL_NODE_ROLES:
         raise Unauthorized(f"role {responder.role.value} cannot respond to enrollment")
@@ -188,33 +234,12 @@ def enroll_respond(
         raise EmptyChain("responder holds no genesis state")
     if vault.holds_extrinsic(request.container1):
         raise AlreadyEnrolled("extrinsic digest already enrolled")
-
-    prev_uid = vault.entry_at(len(vault)).real_uid
-    uid = derive_uid(request.container1, prev_uid, kdf)
-    tuid = tokenize_uid(uid, token_salt)
-    ledger: NodeChainLedger = responder.ledger
-    ves = ledger.ves
-    block = VirtualExistenceBlock.create(
-        tuid=tuid,
-        constructed_public_key=request.container2,
-        prev_link=ves.head_digest,
-        nns_index=ves.index + 1,
-        timestamp=timestamp,
-        extrinsic_digest=request.container1,
+    block, ves, entry = _bind(
+        responder.ledger, vault, responder.role, request.container1, request.container2,
+        request.module_id, kdf, token_salt, timestamp,
     )
-    new_ves = append_virtual_block(ledger, block)
-    entry = VaultEntry(
-        enrollment_index=block.nns_index,
-        real_uid=uid,
-        tuid=tuid,
-        extrinsic_digest=request.container1,
-        module_id=request.module_id,
-    )
-    vault.append(entry, responder.role)
     return EnrollmentResponse(
-        virtual_block=block,
-        ledger_snapshot_ref=new_ves,
-        vault_delta_ref=entry.enrollment_index,
+        virtual_block=block, ledger_snapshot_ref=ves, vault_delta_ref=entry.enrollment_index
     )
 
 

@@ -28,7 +28,8 @@ from .identity import TokenizedUid
 from .keys import sign_message, verify_signature
 from .wire import Reader, ZERO32, encode_fields, lp, sha256
 
-VIRTUAL_BRANCH_TAG = "A"
+# The branch id of the NodeChain mirror, which holds tag "A".
+VIRTUAL_BRANCH_ID = "virtual-existence"
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +302,7 @@ class Layer0Ledger:
         self._tags: dict[str, str] = {}
         self.branches: Mapping[str, str] = MappingProxyType(self._tags)
         self._tx_digests: set[bytes] = set()  # of every finalized transaction
-        self.register_branch("virtual-existence", virtual_genesis_digest, timestamp=0)
+        self.register_branch(VIRTUAL_BRANCH_ID, virtual_genesis_digest, timestamp=0)
 
     def register_branch(
         self, branch_id: str, genesis_digest: bytes, timestamp: int

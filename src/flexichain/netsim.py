@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import consensus, dag, identity, nodechain
 from .consensus import (
+    NONCE_LENGTH,
     AuthenticationMessage,
     FinalityMode,
     ModuleRegistry,
@@ -61,7 +62,7 @@ from .identity import (
     match_layer,
 )
 from .keys import public_bytes, sign_message, signing_key_from_seed, verify_signature
-from .vault import CallOrigin, FULL_NODE_ROLES, NodeRole, Vault, VaultEntry
+from .vault import CallOrigin, FULL_NODE_ROLES, NodeRole, Vault
 from .wire import encode_fields, encode_u64, lp, sha256
 
 # Name prefix of the identities an attack fabricates. Scenario nodes may not
@@ -196,19 +197,17 @@ def _fields(table: dict, make):
     return rule
 
 
-def _declare_node(value, path, scope):
-    name = _text(value, path, scope)
-    if name.startswith(SYBIL_PREFIX):
-        raise ConfigError(f"{path}: prefix {SYBIL_PREFIX!r} is reserved for fabricated identities")
-    if name in scope[_NODE_NAMES]:
-        raise ConfigError(f"{path}: duplicate {name!r}")
-    scope[_NODE_NAMES].add(name)
-    return name
-
-
-def _declare_branch(value, path, scope):
-    scope[_BRANCH_NAMES].add(_text(value, path, scope))
-    return value
+def _declare(names: str, reserved, why: str):
+    """A new name in the scope `names`, refusing a repeat and a `reserved` one."""
+    def declare(value, path, scope):
+        name = _text(value, path, scope)
+        if reserved(name):
+            raise ConfigError(f"{path}: {why}")
+        if name in scope[names]:
+            raise ConfigError(f"{path}: duplicate {name!r}")
+        scope[names].add(name)
+        return name
+    return declare
 
 
 def _distinct(rule):
@@ -240,6 +239,10 @@ _window = _rule(
     and all(type(t) is int and 0 <= t <= U64_MAX for t in v) and v[0] <= v[1],
     tuple,
 )
+_declare_node = _declare(_NODE_NAMES, lambda name: name.startswith(SYBIL_PREFIX),
+                         f"prefix {SYBIL_PREFIX!r} is reserved for fabricated identities")
+_declare_branch = _declare(_BRANCH_NAMES, lambda name: name == dag.VIRTUAL_BRANCH_ID,
+                           f"{dag.VIRTUAL_BRANCH_ID!r} is reserved for the NodeChain mirror")
 
 
 def _fixture(label: str, size: int | None = None):
@@ -317,7 +320,7 @@ EVENTS = {
         secrets=(_list(_choice({k: k for k in sorted(SECRET_KINDS)}), into=frozenset), []),
         stale_ledger=(_bool, False),
         attempt_remote_vault=(_bool, None),  # None: only brute force tries remotely
-        branch=(_text, None),
+        branch=(_branch_ref, None),  # None: tag "B", registered or not
     ),
     "disable": _event_rows(node=(_node_ref, REQUIRED)),
     "genesis": _event_rows(),
@@ -499,14 +502,6 @@ class AttackOutcome:
             self.detail.encode(),
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "category": self.category,
-            "succeeded": self.succeeded,
-            "blocked_at": self.blocked_at,
-            "detail": self.detail,
-        }
-
 
 # ---------------------------------------------------------------------------
 # The network
@@ -558,22 +553,10 @@ class Network:
         self._finality = (self._roster, config.finality_mode, config.latest_count)
 
         # Genesis: the backup node's virtual existence is block 1.
-        self.nodechain, genesis_uid = nodechain.genesis_chain(
-            self.backup.params, config.kdf, config.token_salt, timestamp=0
+        self.nodechain, self.vault, self.backup.hardware_uid = consensus.genesis(
+            self.backup.params, self.backup.module_id, config.kdf, config.token_salt
         )
         genesis_block = self.nodechain.block_at(1)
-        self.vault = Vault(config.token_salt)
-        self.vault.append(
-            VaultEntry(
-                enrollment_index=1,
-                real_uid=genesis_uid,
-                tuid=genesis_block.tuid,
-                extrinsic_digest=genesis_block.extrinsic_digest,
-                module_id=self.backup.module_id,
-            ),
-            NodeRole.BACKUP,
-        )
-        self.backup.hardware_uid = genesis_uid
         self._admit(self.backup, genesis_block)
 
         self.layer0 = dag.Layer0Ledger(genesis_block.header_digest)
@@ -685,7 +668,7 @@ class Network:
         """Full request/response/broadcast flow for one joining node."""
         if not node.online:
             raise Unauthorized("offline node cannot join")
-        nonce = _material(self.config.seed, "nonce", node.name)[:8]
+        nonce = _material(self.config.seed, "nonce", node.name)[:NONCE_LENGTH]
         request = consensus.enroll_request(
             node.params, self._credential(node.module_id), self.module_registry, nonce
         )
@@ -851,7 +834,7 @@ class Network:
         event = AttackEvent.from_dict(ev)
         self.record(self.clock, "adversary", "attack", event.encode())
         outcome = inject_attack(self, event)
-        self.metrics["attacks"].append(outcome.as_dict())
+        self.metrics["attacks"].append(asdict(outcome))
         self.record(self.clock, "adversary", "attack_outcome", outcome.encode())
 
     # -- summary ------------------------------------------------------------
@@ -999,7 +982,7 @@ def _enroll_fabricated_identity(net: Network, at: int) -> NodeState | None:
         _material(net.config.seed, "sybil-key", net._fraud_counter),
     )
     try:
-        nonce = _material(net.config.seed, "sybil-nonce", net._fraud_counter)[:8]
+        nonce = _material(net.config.seed, "sybil-nonce", net._fraud_counter)[:NONCE_LENGTH]
         request = consensus.enroll_request(
             fake.params, net._credential(module_id), net.module_registry, nonce
         )
@@ -1019,9 +1002,7 @@ def _enroll_fabricated_identity(net: Network, at: int) -> NodeState | None:
 
 def _craft_fraud_block(net: Network, author: NodeState, event: AttackEvent) -> dag.DataBlock:
     """A block of forged payload signed with whatever key the adversary holds."""
-    tag = net.layer0.branches.get(event.branch)
-    if tag in (None, dag.VIRTUAL_BRANCH_TAG):
-        tag = "B"  # the first data branch, registered or not
+    tag = "B" if event.branch is None else net.layer0.branches[event.branch]
     payload = _material(net.config.seed, "fraud", net._fraud_counter, author.name)
     tx = dag.Transaction.signed(
         author.signing_key, author.public_id, tag, payload, net.clock

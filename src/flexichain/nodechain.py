@@ -7,6 +7,9 @@ Blocks are linked by header digests, and the Virtual Existence State (VES)
 must match before it may authenticate. Because the extrinsic digest is
 committed inside the header, any hardware change on a node shows up as a
 header mismatch that every ledger holder can observe.
+
+Every block, genesis included, enters through `append_virtual_block`, called
+by the binding step in `consensus`; `verify_chain` replays its derivation.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .identity import (
     ExtrinsicParameters,
     KdfParameters,
     TokenizedUid,
-    Uid,
     derive_uid,
     hash_extrinsic,
     tokenize_uid,
@@ -162,31 +164,6 @@ class NodeChainLedger:
         while not r.exhausted():
             ledger._blocks.append(VirtualExistenceBlock.decode(r.read_field()))
         return ledger
-
-
-def genesis_chain(
-    bn_params: ExtrinsicParameters,
-    kdf: KdfParameters,
-    token_salt: bytes,
-    timestamp: int = 0,
-) -> tuple[NodeChainLedger, Uid]:
-    """Create the chain with the backup node's virtual block as block 1.
-
-    The genesis UID is derived against the all-zero previous UID.
-    """
-    container1, container2 = hash_extrinsic(bn_params)
-    uid = derive_uid(container1, zero_uid(kdf.output_length), kdf)
-    block = VirtualExistenceBlock.create(
-        tuid=tokenize_uid(uid, token_salt),
-        constructed_public_key=container2,
-        prev_link=ZERO32,
-        nns_index=1,
-        timestamp=timestamp,
-        extrinsic_digest=container1,
-    )
-    ledger = NodeChainLedger()
-    ledger._blocks.append(block)
-    return ledger, uid
 
 
 def append_virtual_block(

@@ -28,6 +28,8 @@ from typing import Mapping, Sequence
 from .errors import DomainError, NotTabulated
 
 CATEGORY_NAMES = ("sybil", "phishing", "majority", "brute-force")
+#: The columns of a table row, as the CSVs name them.
+COLUMNS = tuple(f"category{i}" for i in range(1, 5)) + ("summation",)
 
 #: n -> (category 1..4, summation); reference values for a plain blockchain.
 BLOCKCHAIN_REFERENCE: dict[int, tuple[float, ...]] = {
@@ -173,11 +175,10 @@ def compare_to_reference(
     """Check every computed cell against the reference at its tolerance."""
     failures = []
     rows = computed_rows(table)
-    columns = [f"category{i}" for i in range(1, 5)] + ["summation"]
     for n in TABULATED_N:
         ref_row = table[n]
         has_tiny = any(cell < SMALL_CELL for cell in ref_row[:4])
-        for col_idx, column in enumerate(columns):
+        for col_idx, column in enumerate(COLUMNS):
             tol = CELL_TOLERANCE
             if column == "summation" and has_tiny:
                 tol = SMALL_SUM_TOLERANCE
@@ -224,7 +225,7 @@ def emit_tables(
         totals[name] = {n: rows[n][4] for n in TABULATED_N}
         path = os.path.join(out_dir, filename)
         with open(path, "w") as fh:
-            fh.write("n,category1,category2,category3,category4,summation\n")
+            fh.write(",".join(("n",) + COLUMNS) + "\n")
             for n in TABULATED_N:
                 fh.write(",".join([str(n)] + [_format(v) for v in rows[n]]) + "\n")
         paths[name] = path

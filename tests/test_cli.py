@@ -318,6 +318,30 @@ def test_scenario_refused_at_build_exits_with_one_line(
 
 
 @pytest.mark.parametrize(
+    "event,needle",
+    [
+        # A misspelt branch once sent a succeeding attack to tag "B", the
+        # first data branch, and finalized the fraud block there.
+        ({"event": "attack", "category": 3, "targets": ["bn", "e1", "s1", "c1"],
+          "secrets": ["constructed_keys", "vault_access"], "branch": "telemtry"},
+         "error: script[8].branch: must be a branch registered earlier in the script"),
+        # A repeated branch once ended the run in DuplicateBranch (exit 1).
+        ({"event": "register_branch", "branch": "telemetry"},
+         "error: script[8].branch: duplicate 'telemetry'"),
+        ({"event": "register_branch", "branch": "virtual-existence"},
+         "error: script[8].branch: 'virtual-existence' is reserved"),
+    ],
+    ids=["attack-misspelt", "register-repeated", "register-reserved"],
+)
+def test_branch_names_are_checked_at_parse_time(tmp_path, capsys, event, needle):
+    path = _demo_mutated(tmp_path, lambda d: d["script"].append(dict(event, at=90)))
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", path, "--out", str(out)]) == 2
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "content",
     [b'{"seed": "\xff"}', b"[" * 200_000],
     ids=["not-utf-8", "nested-too-deep"],

@@ -15,11 +15,13 @@ from flexichain.consensus import (
     check_finality,
     enroll_request,
     enroll_respond,
+    genesis,
 )
 from flexichain.dag import DataBlock, Transaction, build_candidate_block
 from flexichain.errors import (
     AlreadyEnrolled,
     BadSignature,
+    EmptyChain,
     EmptyRoster,
     IdentityMismatch,
     StaleState,
@@ -34,8 +36,8 @@ from flexichain.identity import (
     tokenize_uid,
 )
 from flexichain.keys import public_bytes, sign_message, signing_key_from_seed
-from flexichain.nodechain import genesis_chain
-from flexichain.vault import CallOrigin, NodeRole, Vault, VaultEntry
+from flexichain.nodechain import NodeChainLedger
+from flexichain.vault import CallOrigin, NodeRole, Vault
 
 from conftest import CHEAP_KDF, TOKEN_SALT, make_params, make_signing_key, material
 
@@ -55,14 +57,7 @@ def registry() -> ModuleRegistry:
 @pytest.fixture
 def responder(registry):
     """A freshly initialized backup-node state."""
-    params = make_params("bn")
-    ledger, uid = genesis_chain(params, CHEAP_KDF, TOKEN_SALT, timestamp=0)
-    vault = Vault(TOKEN_SALT)
-    block = ledger.blocks[0]
-    vault.append(
-        VaultEntry(1, uid, block.tuid, block.extrinsic_digest, "tm-1"),
-        NodeRole.BACKUP,
-    )
+    ledger, vault, uid = genesis(make_params("bn"), "tm-1", CHEAP_KDF, TOKEN_SALT)
     return SimpleNamespace(
         role=NodeRole.BACKUP,
         module_registry=registry,
@@ -181,6 +176,24 @@ def test_respond_requires_full_node_role(responder):
     )
     with pytest.raises(Unauthorized):
         enroll_respond(subscriber, request, CHEAP_KDF, TOKEN_SALT, timestamp=10)
+
+
+def test_respond_without_genesis_state_mints_nothing(responder):
+    # Without the EmptyChain check the binding step would bind this request
+    # against the all-zero UID: a second genesis.
+    request = enroll_request(
+        make_params("n1"), module_credential("tm-2"), responder.module_registry,
+        nonce=b"\x01" * 8,
+    )
+    empty = SimpleNamespace(
+        role=NodeRole.EDGE,
+        module_registry=responder.module_registry,
+        ledger=NodeChainLedger(),
+        vault=Vault(TOKEN_SALT),
+    )
+    with pytest.raises(EmptyChain):
+        enroll_respond(empty, request, CHEAP_KDF, TOKEN_SALT, timestamp=10)
+    assert len(empty.ledger) == 0 and len(empty.vault) == 0
 
 
 def test_respond_rejects_forged_signature(responder):

@@ -1,0 +1,49 @@
+"""Static check: every name a package module imports is used in it or exported."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "flexichain"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import in `source` that it never reads or lists in `__all__`."""
+    tree = ast.parse(source)
+    imported, used, exported = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                imported.add(alias.asname or alias.name.split(".")[0])
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    return sorted(imported - used - exported)
+
+
+@pytest.mark.parametrize(
+    "source,unused",
+    [
+        ("import os\n", ["os"]),
+        ("import os.path\nos.sep\n", []),
+        ("from a import b as c\nb\n", ["c"]),
+        ("from __future__ import annotations\n", []),
+        ("from a import b\n__all__ = ['b']\n", []),
+        ("from a import b\ndef f() -> b: ...\n", []),
+    ],
+)
+def test_checker(source, unused):
+    assert unused_imports(source) == unused
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name
+)
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text()) == []

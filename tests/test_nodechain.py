@@ -4,9 +4,11 @@ import dataclasses
 import hashlib
 import random
 import struct
+from types import SimpleNamespace
 
 import pytest
 
+from flexichain.consensus import ModuleRegistry, enroll_request, enroll_respond, genesis
 from flexichain.errors import (
     EmptyChain,
     IntegrityViolation,
@@ -14,37 +16,33 @@ from flexichain.errors import (
     UnknownNode,
 )
 from flexichain.identity import (
+    TrustedModuleCredential,
     Uid,
     derive_uid,
     hash_extrinsic,
     tokenize_uid,
     zero_uid,
 )
+from flexichain.keys import public_bytes, signing_key_from_seed
 from flexichain.nodechain import (
     NodeChainLedger,
     ViolationKind,
     VirtualExistenceBlock,
+    VesState,
     append_virtual_block,
     detect_header_change,
-    genesis_chain,
     verify_chain,
 )
-from flexichain.vault import NodeRole, Vault, VaultEntry
+from flexichain.vault import NodeRole, VaultEntry
+from flexichain.wire import lp
 
-from conftest import CHEAP_KDF, TOKEN_SALT, make_params
+from conftest import CHEAP_KDF, TOKEN_SALT, make_params, material
 
 
 def build_chain(n: int):
     """Genesis plus n-1 enrollments, mirroring the responder flow."""
     params = [make_params(f"node-{i}") for i in range(n)]
-    ledger, uid = genesis_chain(params[0], CHEAP_KDF, TOKEN_SALT, timestamp=0)
-    vault = Vault(TOKEN_SALT)
-    genesis_block = ledger.blocks[0]
-    vault.append(
-        VaultEntry(1, uid, genesis_block.tuid, genesis_block.extrinsic_digest, "tm-1"),
-        NodeRole.BACKUP,
-    )
-    prev_uid = uid
+    ledger, vault, prev_uid = genesis(params[0], "tm-1", CHEAP_KDF, TOKEN_SALT)
     for i in range(1, n):
         c1, c2 = hash_extrinsic(params[i])
         uid_i = derive_uid(c1, prev_uid, CHEAP_KDF)
@@ -64,24 +62,55 @@ def build_chain(n: int):
     return ledger, vault, params
 
 
+def stored_with(ledger: NodeChainLedger, index: int, block) -> NodeChainLedger:
+    """The chain read back from a file in which block `index` (0-based) was replaced."""
+    blocks = list(ledger.blocks)
+    blocks[index] = block
+    return NodeChainLedger.deserialize(b"".join(lp(b.encode()) for b in blocks))
+
+
 # ---------------------------------------------------------------------------
 # Genesis
 # ---------------------------------------------------------------------------
 
 def test_genesis_chain_shape():
-    ledger, uid = genesis_chain(make_params("bn"), CHEAP_KDF, TOKEN_SALT)
+    # Block 1 at index 1, linked to 32 zero bytes and bound as vault entry 1.
+    ledger, vault, uid = genesis(make_params("bn"), "tm-1", CHEAP_KDF, TOKEN_SALT)
+    block = ledger.block_at(1)
     assert len(ledger) == 1
-    assert ledger.ves.index == 1
-    assert ledger.ves.head_digest == ledger.blocks[0].header_digest
+    assert (block.nns_index, block.prev_link) == (1, b"\x00" * 32)
+    assert ledger.ves == VesState(1, block.header_digest)
     assert len(uid.value) == 128
+    assert vault.entries == (
+        VaultEntry(1, uid, block.tuid, block.extrinsic_digest, "tm-1"),
+    )
+    assert verify_chain(ledger, CHEAP_KDF, vault, TOKEN_SALT) is None
 
 
 def test_genesis_uid_matches_generator_recomputation():
     params = make_params("bn")
-    ledger, uid = genesis_chain(params, CHEAP_KDF, TOKEN_SALT)
+    ledger, _, uid = genesis(params, "tm-1", CHEAP_KDF, TOKEN_SALT)
     c1, _ = hash_extrinsic(params)
     assert uid == derive_uid(c1, zero_uid(), CHEAP_KDF)
     assert ledger.blocks[0].tuid == tokenize_uid(uid, TOKEN_SALT)
+
+
+def test_genesis_and_enrollments_equal_the_hand_built_chain():
+    # One binding step writes genesis and every join: the bytes are those of
+    # build_chain's hand-built loop.
+    ledger, vault, params = build_chain(5)
+    key = signing_key_from_seed(material("module/tm-1", 32))
+    credential = TrustedModuleCredential("tm-1", public_bytes(key), key)
+    registry = ModuleRegistry({"tm-1": credential.public_key})
+    chain, log, _ = genesis(params[0], "tm-1", CHEAP_KDF, TOKEN_SALT)
+    responder = SimpleNamespace(
+        role=NodeRole.BACKUP, module_registry=registry, ledger=chain, vault=log
+    )
+    for i in range(1, 5):
+        request = enroll_request(params[i], credential, registry, material(f"nonce/{i}", 8))
+        enroll_respond(responder, request, CHEAP_KDF, TOKEN_SALT, timestamp=i * 10)
+    assert chain.serialize() == ledger.serialize()
+    assert log.serialize() == vault.serialize()
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +214,7 @@ def test_verify_detects_mutated_extrinsic_digest():
     ledger, _, _ = build_chain(3)
     target = ledger.blocks[1]
     mutated = dataclasses.replace(target, extrinsic_digest=b"\x13" * 32)
-    ledger._blocks[1] = mutated
-    violation = verify_chain(ledger)
+    violation = verify_chain(stored_with(ledger, 1, mutated))
     assert violation is not None
     assert violation.index == 2
     assert violation.kind is ViolationKind.HEADER_MISMATCH
@@ -207,8 +235,7 @@ def test_verify_detects_token_mismatch_via_vault():
 def test_verify_detects_index_gap():
     ledger, _, _ = build_chain(3)
     block = ledger.blocks[2]
-    ledger._blocks[2] = dataclasses.replace(block, nns_index=7)
-    violation = verify_chain(ledger)
+    violation = verify_chain(stored_with(ledger, 2, dataclasses.replace(block, nns_index=7)))
     assert violation is not None
     assert violation.index == 3
     assert violation.kind is ViolationKind.INDEX_GAP
@@ -231,8 +258,8 @@ def test_fuzzed_single_byte_mutations_detected():
         field = rng.choice(MUTABLE_FIELDS)
         value = bytearray(getattr(block, field))
         value[rng.randrange(len(value))] ^= 1 << rng.randrange(8)
-        ledger._blocks[index] = dataclasses.replace(block, **{field: bytes(value)})
-        violation = verify_chain(ledger)
+        mutated = dataclasses.replace(block, **{field: bytes(value)})
+        violation = verify_chain(stored_with(ledger, index, mutated))
         assert violation is not None
         assert violation.index <= index + 1
 
