@@ -12,11 +12,6 @@ Blocks reach finality by accumulating authenticator tokens in their chain
 of narration. Exhaustive finality demands every enrolled identity; narrated
 finality accepts the most recently enrolled identity standing in for all
 earlier ones, since each UID is derived from its predecessor.
-
-Responder and authenticator states are duck-typed. A responder needs
-`role`, `module_registry`, `ledger`, and `vault` attributes; an
-authenticator needs `tuid` (None until enrolled), `hardware_uid`,
-`local_ves_index`, and (for full nodes) `vault`.
 """
 
 from __future__ import annotations
@@ -208,34 +203,35 @@ def genesis(
 
 
 def enroll_respond(
-    responder,
+    role: NodeRole,
+    registry: ModuleRegistry,
+    ledger: NodeChainLedger,
+    vault: Vault,
     request: EnrollmentRequest,
     kdf: KdfParameters,
     token_salt: bytes,
     timestamp: int,
 ) -> EnrollmentResponse:
-    """Check the request, then bind the new identity on chain and in the vault.
+    """Check the request as a responder of `role`, then bind the new
+    identity in `ledger` and `vault`.
 
     Only backup and edge nodes may respond, and only once genesis has
-    bound identity 1: an empty responder would otherwise mint a second
-    genesis.
+    bound identity 1: an empty vault would otherwise mint a second genesis.
     """
-    if responder.role not in FULL_NODE_ROLES:
-        raise Unauthorized(f"role {responder.role.value} cannot respond to enrollment")
-    registry: ModuleRegistry = responder.module_registry
+    if role not in FULL_NODE_ROLES:
+        raise Unauthorized(f"role {role.value} cannot respond to enrollment")
     module_key = registry.public_key(request.module_id)
     message = EnrollmentRequest.signing_bytes(request.container1, request.container2)
     if not verify_signature(module_key, request.module_signature, message):
         raise BadSignature("module signature does not verify")
     if not is_valid_public_key(request.container2):
         raise InvalidParameters("container2 is not a valid public key")
-    vault = responder.vault
     if len(vault) == 0:
         raise EmptyChain("responder holds no genesis state")
     if vault.holds_extrinsic(request.container1):
         raise AlreadyEnrolled("extrinsic digest already enrolled")
     block, ves, entry = _bind(
-        responder.ledger, vault, responder.role, request.container1, request.container2,
+        ledger, vault, role, request.container1, request.container2,
         request.module_id, kdf, token_salt, timestamp,
     )
     return EnrollmentResponse(
@@ -246,26 +242,26 @@ def enroll_respond(
 def authenticate_block(
     node,
     block: DataBlock,
+    local_ves_index: int,
     network_ves_index: int,
     token_salt: bytes,
 ) -> AuthResult:
     """Extend a block's chain of narration with this node's token.
 
-    The node must be enrolled, hold a ledger copy at the network's current
-    version (the NNS handshake), and pass the match layer for its own
-    identity. Full nodes additionally check the vault they hold against the
-    hardware-held UID. Re-authentication is an idempotent no-op flagged as
-    a duplicate.
+    Only the node's `tuid` (None until enrolled), `hardware_uid` and `vault`
+    are read. The node must be enrolled, hold the ledger at the network's
+    current version (the NNS handshake), and pass the match layer for its
+    own identity. A full node additionally checks the vault it holds against
+    the hardware-held UID. Re-authentication is an idempotent no-op flagged
+    as a duplicate.
     """
     if node.tuid is None:
         raise IdentityMismatch("node is not enrolled")
-    if node.local_ves_index != network_ves_index:
-        raise StaleState(
-            f"local VES {node.local_ves_index} != network VES {network_ves_index}"
-        )
+    if local_ves_index != network_ves_index:
+        raise StaleState(f"local VES {local_ves_index} != network VES {network_ves_index}")
     if node.hardware_uid is None or not match_layer(node.tuid, node.hardware_uid, token_salt):
         raise IdentityMismatch("match layer failed for authenticator identity")
-    if getattr(node, "vault", None) is not None:
+    if node.vault is not None:
         entry = node.vault.lookup(node.tuid, CallOrigin.LOCAL)
         if entry is None or entry.real_uid != node.hardware_uid:
             raise IdentityMismatch("vault entry does not match hardware identity")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidKdf, InvalidParameters
 from .keys import is_valid_public_key
-from .wire import encode_fields, lp, sha256
+from .wire import encode_fields, sha256
 
 UID_LENGTH = 128
 TUID_LENGTH = 32
@@ -71,9 +71,6 @@ class ExtrinsicParameters:
             self.location_tag,
             self.ip_address,
         )
-
-    def canonical_bytes(self) -> bytes:
-        return self.manufacturing_bytes() + lp(self.constructed_public_id)
 
 
 @dataclass(frozen=True)
@@ -133,6 +130,11 @@ def zero_uid(length: int = UID_LENGTH) -> Uid:
     return Uid(b"\x00" * length)
 
 
+def scrypt_memory(cost: int, block_size: int, parallelism: int) -> int:
+    """scrypt's working memory for these parameters: 128 * N * r * p bytes."""
+    return 128 * cost * block_size * parallelism
+
+
 def scrypt_kdf(
     password: bytes,
     salt: bytes,
@@ -142,9 +144,9 @@ def scrypt_kdf(
     length: int,
 ) -> bytes:
     """The raw scrypt submodule (RFC 7914); InvalidKdf where hashlib refuses."""
-    # 128 * N * r bytes of V plus working buffers; leave generous headroom
-    # so the 2^20 reference vector fits.
-    maxmem = 128 * cost * block_size * parallelism + (32 << 20)
+    # V plus working buffers; leave generous headroom so the 2^20
+    # reference vector fits.
+    maxmem = scrypt_memory(cost, block_size, parallelism) + (32 << 20)
     try:
         return hashlib.scrypt(password, salt=salt, n=cost, r=block_size, p=parallelism,
                               dklen=length, maxmem=maxmem)

@@ -9,13 +9,13 @@ consumes -- extrinsic fixtures, signing keys, nonces, payloads -- is
 derived from the scenario seed by counter-mode SHA-256, and all timestamps
 come from the script, so a scenario replays to a byte-identical trace.
 
-The authoritative NodeChain is shared state (honest full copies are
-byte-identical by construction), and so is the layer-0 ledger, which owns
-the branch table. A node's VES cursor, which the NNS gate checks, is read
-from the chain: an online member is at the head, and a node that goes
-offline keeps the version it held. The vault follows the same pattern: one
-log, which every online full node holds and an offline one keeps a snapshot
-of, and every vault read carries its provenance for the offline audit.
+The NodeChain, the layer-0 ledger (which owns the branch table) and the
+module registry are network state, passed to `consensus` as arguments; a
+node holds only its own facts. The network reads a node's VES cursor, which
+the NNS gate checks, from the chain: an online member is at the head, and a
+node that goes offline keeps the version it held. The vault follows the same
+pattern: one log, which every online full node holds and an offline one
+keeps a snapshot of, and every vault read carries its provenance.
 
 Adversaries are modeled by an explicit capability lattice. An attack event
 holds a subset of {constructed_keys, module_key, vault_access, tuids} and
@@ -112,6 +112,10 @@ MAX_TX_COUNT = 4096
 # Genesis allocates a zero UID of this size and the vault keeps UIDs
 # of it: 1024 bytes is eight times the default.
 MAX_UID_LENGTH = 1024
+# Every join runs scrypt, whose memory `identity.scrypt_memory` counts.
+# hashlib would allow up to about 2 GiB per derivation; the schema stops at
+# 256 MiB, 16 times the default (cost 2^14, block_size 8, parallelism 1).
+MAX_SCRYPT_MEMORY = 2**28
 # Scope keys of the names declared so far; no scenario key has a space.
 _NODE_NAMES, _BRANCH_NAMES = "node names", "branch names"
 
@@ -379,6 +383,10 @@ class ScenarioConfig:
         _walk(SCENARIO, data, "", scope, out=scope)
         config = cls(**{key: scope[key] for key in SCENARIO})
         # The checks no single field can make.
+        kdf = config.kdf
+        if identity.scrypt_memory(kdf.cost, kdf.block_size, kdf.parallelism) > MAX_SCRYPT_MEMORY:
+            raise ConfigError("kdf: 128 * cost * block_size * parallelism must be at most "
+                              "2^28 (256 MiB of scrypt memory per join)")
         if [s.role for s in config.nodes].count(NodeRole.BACKUP) != 1:
             raise ConfigError("nodes: exactly one backup node is required")
         for i, spec in enumerate(config.nodes):
@@ -406,7 +414,7 @@ class ScenarioConfig:
 
 @dataclass
 class NodeState:
-    """Runtime state of one actor, honest or fabricated."""
+    """What one actor, honest or fabricated, holds itself."""
 
     name: str
     role: NodeRole
@@ -416,9 +424,7 @@ class NodeState:
     via: str | None = None
     tuid: TokenizedUid | None = None
     hardware_uid: Uid | None = None  # real UID held in the node's secure hardware
-    vault: Vault | None = None
-    ledger: nodechain.NodeChainLedger | None = None
-    module_registry: ModuleRegistry | None = None
+    vault: Vault | None = None  # full nodes: the log while online, then a snapshot
     ves_at_disable: int | None = None  # None while the node is online
 
     @property
@@ -432,28 +438,6 @@ class NodeState:
     @property
     def enrolled(self) -> bool:
         return self.tuid is not None
-
-    @property
-    def local_ves_index(self) -> int:
-        """The NodeChain version this node holds.
-
-        An online member reads the shared chain, so it is at the head; an
-        offline node holds the version it had when it went down; a node
-        not yet admitted holds none.
-        """
-        if self.ves_at_disable is not None:
-            return self.ves_at_disable
-        return len(self.ledger) if self.ledger is not None else 0
-
-    def disable(self) -> None:
-        """Take the node offline; its ledger view and its vault stop here.
-
-        Once offline the cursor reads the frozen value and the vault is
-        left as it is, so disabling twice keeps the first version.
-        """
-        if self.online and self.vault is not None:
-            self.vault = self.vault.snapshot()
-        self.ves_at_disable = self.local_ves_index
 
 
 @dataclass(frozen=True)
@@ -596,17 +580,27 @@ class Network:
             ),
             signing_key=key,
             via=spec.via,
-            module_registry=self.module_registry,
         )
 
-    def _credential(self, module_id: str) -> TrustedModuleCredential:
-        """The trusted module's credential; empty for an unregistered module."""
-        module_key = self._module_keys.get(module_id)
-        return TrustedModuleCredential(
-            module_id=module_id,
-            public_key=public_bytes(module_key) if module_key else b"",
-            private_key=module_key,
+    def _request(self, node: NodeState, nonce: bytes) -> consensus.EnrollmentRequest:
+        """`node`'s request; an unregistered module's credential is empty."""
+        key = self._module_keys.get(node.module_id)
+        public_key = public_bytes(key) if key else b""
+        credential = TrustedModuleCredential(node.module_id, public_key, key)
+        return consensus.enroll_request(
+            node.params, credential, self.module_registry, nonce[:NONCE_LENGTH]
         )
+
+    def _respond(
+        self, responder: NodeState, node: NodeState, request: consensus.EnrollmentRequest, at: int
+    ) -> consensus.EnrollmentResponse:
+        """`responder` checks and binds `request`; `node` becomes its member."""
+        response = consensus.enroll_respond(
+            responder.role, self.module_registry, self.nodechain, self.vault, request,
+            self.config.kdf, self.config.token_salt, timestamp=at,
+        )
+        self._admit(node, response.virtual_block)
+        return response
 
     def _admit(self, node: NodeState, block: nodechain.VirtualExistenceBlock) -> None:
         """Make `node` the member behind the on-chain `block`, which a
@@ -617,12 +611,22 @@ class Network:
         list of distinct tokens.
         """
         node.tuid = block.tuid
-        node.ledger = self.nodechain
         if node.role in FULL_NODE_ROLES:
             node.vault = self.vault
         self._members[block.tuid] = (node, block)
         self._roster.append(block.tuid)
         self.metrics["enrollments"] += 1
+
+    def local_ves_index(self, node: NodeState) -> int:
+        """The NodeChain version `node` holds.
+
+        An online member reads the shared chain, so it is at the head; an
+        offline node holds the version it had when it went down; a node
+        not yet admitted holds 0.
+        """
+        if node.ves_at_disable is not None:
+            return node.ves_at_disable
+        return len(self.nodechain) if node.enrolled else 0
 
     def roster(self) -> list[TokenizedUid]:
         """A copy of the on-chain identity roster in enrollment order."""
@@ -668,24 +672,16 @@ class Network:
         """Full request/response/broadcast flow for one joining node."""
         if not node.online:
             raise Unauthorized("offline node cannot join")
-        nonce = _material(self.config.seed, "nonce", node.name)[:NONCE_LENGTH]
-        request = consensus.enroll_request(
-            node.params, self._credential(node.module_id), self.module_registry, nonce
-        )
+        request = self._request(node, _material(self.config.seed, "nonce", node.name))
         self.record(at, node.name, "request", request.encode())
-
         responder = self._route_responder(node)
-        response = consensus.enroll_respond(
-            responder, request, self.config.kdf, self.config.token_salt, timestamp=at
-        )
+        response = self._respond(responder, node, request, at)
         self.record(at, responder.name, "response", response.encode())
-        block = response.virtual_block
-        # The joining node receives its ledger view, its hardware identity,
-        # and (for full roles) the vault.
-        self._admit(node, block)
-        provisioned = responder.vault.lookup(block.tuid, CallOrigin.LOCAL)
+        # The joining node receives its hardware identity; a full node
+        # already holds the vault.
+        provisioned = self.vault.lookup(response.virtual_block.tuid, CallOrigin.LOCAL)
         node.hardware_uid = provisioned.real_uid
-        self.record(at, node.name, "sync", encode_fields(node.local_ves_index))
+        self.record(at, node.name, "sync", encode_fields(self.local_ves_index(node)))
 
     def _route_responder(self, node: NodeState) -> NodeState:
         if node.role is NodeRole.SUBSCRIBER and node.via:
@@ -770,18 +766,17 @@ class Network:
         try:
             if not node.online:
                 raise Unauthorized("offline node cannot attest")
+            ves_index = self.local_ves_index(node)
             result = consensus.authenticate_block(
-                node, block, self.nodechain.ves.index, self.config.token_salt
+                node, block, ves_index, self.nodechain.ves.index, self.config.token_salt
             )
             message = AuthenticationMessage(
                 block_digest=block_digest,
                 tuid=node.tuid,
-                local_ves_index=node.local_ves_index,
+                local_ves_index=ves_index,
                 signature=sign_message(
                     node.signing_key,
-                    AuthenticationMessage.signing_bytes(
-                        block_digest, node.tuid, node.local_ves_index
-                    ),
+                    AuthenticationMessage.signing_bytes(block_digest, node.tuid, ves_index),
                 ),
             )
             self._verify_auth_message(message)
@@ -826,8 +821,13 @@ class Network:
         self.record(at, "network", "finalized", block.encode())
 
     def _handle_disable(self, ev: dict) -> None:
+        """Take the node offline: its VES cursor and its vault stop here,
+        so a second disable keeps the first version."""
         node = self.nodes[ev["node"]]
-        node.disable()
+        if node.online:
+            node.ves_at_disable = self.local_ves_index(node)
+            if node.vault is not None:
+                node.vault = node.vault.snapshot()
         self.record(self.clock, node.name, "disable", b"")
 
     def _handle_attack(self, ev: dict) -> None:
@@ -938,11 +938,13 @@ def inject_attack(net: Network, event: AttackEvent) -> AttackOutcome:
     if fake is not None:
         attempt_order.append(fake)
 
+    # No vault lookup changes whether a node is online: one scan serves all.
     reads_vault = "vault_access" in event.secrets or event.tries_remote_vault
+    vault_offline = reads_vault and not any(n.online for n in net.full_nodes())
     for actor in attempt_order:
         if not actor.enrolled:
             continue
-        if reads_vault and not any(n.online for n in net.full_nodes()):
+        if vault_offline:
             return blocked("vault access", "no full node is online")
         if "vault_access" in event.secrets:
             # Compromised full-node endpoint: reads carry local provenance.
@@ -976,26 +978,18 @@ def _enroll_fabricated_identity(net: Network, at: int) -> NodeState | None:
     """Enroll a Sybil identity with a stolen (real) module key."""
     net._fraud_counter += 1
     name = f"{SYBIL_PREFIX}{net._fraud_counter}"
-    module_id = net.config.modules[0]
     fake = net._new_node(
-        NodeSpec(name, NodeRole.CPS_IOT, module_id),
+        NodeSpec(name, NodeRole.CPS_IOT, net.config.modules[0]),
         _material(net.config.seed, "sybil-key", net._fraud_counter),
     )
     try:
-        nonce = _material(net.config.seed, "sybil-nonce", net._fraud_counter)[:NONCE_LENGTH]
-        request = consensus.enroll_request(
-            fake.params, net._credential(module_id), net.module_registry, nonce
-        )
-        responder = net.responder()
-        response = consensus.enroll_respond(
-            responder, request, net.config.kdf, net.config.token_salt, timestamp=at
-        )
+        request = net._request(fake, _material(net.config.seed, "sybil-nonce", net._fraud_counter))
+        response = net._respond(net.responder(), fake, request, at)
     except ProtocolError:
         return None
     net.record(at, name, "attack_enroll", response.encode())
     # The fabricated device has no genuine hardware (hardware_uid stays
     # None): its real UID exists only inside the vault.
-    net._admit(fake, response.virtual_block)
     net.nodes[name] = fake
     return fake
 

@@ -27,7 +27,6 @@ from typing import Mapping, Sequence
 
 from .errors import DomainError, NotTabulated
 
-CATEGORY_NAMES = ("sybil", "phishing", "majority", "brute-force")
 #: The columns of a table row, as the CSVs name them.
 COLUMNS = tuple(f"category{i}" for i in range(1, 5)) + ("summation",)
 
@@ -190,12 +189,6 @@ def compare_to_reference(
     return failures
 
 
-def _format(value: float) -> str:
-    # repr round-trips exactly, always carries full precision, and drops
-    # into scientific notation below 1e-4.
-    return repr(value)
-
-
 def emit_tables(
     out_dir: str,
     blockchain: Mapping[int, tuple[float, ...]] | None = None,
@@ -210,6 +203,8 @@ def emit_tables(
     (columns: n, central, blockchain, flexichain); the central column is
     the verbatim reference.
     """
+    # Cells are written with repr: it round-trips exactly, always carries
+    # full precision, and drops into scientific notation below 1e-4.
     blockchain = blockchain if blockchain is not None else BLOCKCHAIN_REFERENCE
     flexichain = flexichain if flexichain is not None else FLEXICHAIN_REFERENCE
     os.makedirs(out_dir, exist_ok=True)
@@ -227,7 +222,7 @@ def emit_tables(
         with open(path, "w") as fh:
             fh.write(",".join(("n",) + COLUMNS) + "\n")
             for n in TABULATED_N:
-                fh.write(",".join([str(n)] + [_format(v) for v in rows[n]]) + "\n")
+                fh.write(",".join([str(n)] + [repr(v) for v in rows[n]]) + "\n")
         paths[name] = path
 
     comparison_path = os.path.join(out_dir, "security_comparison.csv")
@@ -238,9 +233,9 @@ def emit_tables(
                 ",".join(
                     [
                         str(n),
-                        _format(CENTRAL_REFERENCE[n]),
-                        _format(totals["blockchain"][n]),
-                        _format(totals["flexichain"][n]),
+                        repr(CENTRAL_REFERENCE[n]),
+                        repr(totals["blockchain"][n]),
+                        repr(totals["flexichain"][n]),
                     ]
                 )
                 + "\n"

@@ -288,10 +288,11 @@ def _demo_mutated(tmp_path, mutate):
 @pytest.mark.parametrize(
     "mutate,code,needle",
     [
+        # scrypt memory beyond 2^28 bytes is refused at parse time.
+        (lambda d: d["kdf"].update(cost=2**40), 2, "error: kdf: "),
         # scrypt parameters hashlib refuses: a protocol error (InvalidKdf).
-        (lambda d: d["kdf"].update(cost=2**40), 1, "InvalidKdf"),
         (lambda d: d["kdf"].update(cost=2**16, block_size=1), 1, "InvalidKdf"),
-        (lambda d: d["kdf"].update(block_size=2**20), 1, "InvalidKdf"),
+        (lambda d: d["kdf"].update(block_size=2**20), 2, "error: kdf: "),
         # Extrinsic overrides are checked when the network is built, and the
         # error names the node.
         (lambda d: d["nodes"][3].update(extrinsic={"process_power_class": 1.7}), 2,

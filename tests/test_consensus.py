@@ -56,7 +56,7 @@ def registry() -> ModuleRegistry:
 
 @pytest.fixture
 def responder(registry):
-    """A freshly initialized backup-node state."""
+    """The state a backup node answers from right after genesis."""
     ledger, vault, uid = genesis(make_params("bn"), "tm-1", CHEAP_KDF, TOKEN_SALT)
     return SimpleNamespace(
         role=NodeRole.BACKUP,
@@ -64,6 +64,14 @@ def responder(registry):
         ledger=ledger,
         vault=vault,
         uid=uid,
+    )
+
+
+def respond(responder, request, timestamp):
+    """`enroll_respond` from the fixture's role, registry, chain and vault."""
+    return enroll_respond(
+        responder.role, responder.module_registry, responder.ledger, responder.vault,
+        request, CHEAP_KDF, TOKEN_SALT, timestamp=timestamp,
     )
 
 
@@ -76,22 +84,14 @@ def data_block(label: str = "payload") -> DataBlock:
     )
 
 
-def enrolled_participant(responder, label: str, role=NodeRole.CPS_IOT):
+def enrolled_participant(responder, label: str):
     request = enroll_request(
         make_params(label), module_credential("tm-2"), responder.module_registry,
         nonce=material(f"nonce/{label}", 8),
     )
-    response = enroll_respond(responder, request, CHEAP_KDF, TOKEN_SALT, timestamp=50)
+    response = respond(responder, request, timestamp=50)
     entry = responder.vault.lookup(response.virtual_block.tuid, CallOrigin.LOCAL)
-    return SimpleNamespace(
-        name=label,
-        role=role,
-        enrolled=True,
-        tuid=entry.tuid,
-        hardware_uid=entry.real_uid,
-        local_ves_index=responder.ledger.ves.index,
-        vault=None,
-    )
+    return SimpleNamespace(tuid=entry.tuid, hardware_uid=entry.real_uid, vault=None)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +143,7 @@ def test_respond_creates_matching_vault_entry(responder):
         make_params("n1"), module_credential("tm-2"), responder.module_registry,
         nonce=b"\x01" * 8,
     )
-    response = enroll_respond(responder, request, CHEAP_KDF, TOKEN_SALT, timestamp=10)
+    response = respond(responder, request, timestamp=10)
     assert response.ledger_snapshot_ref.index == 2
     assert response.vault_delta_ref == 2
     entry = responder.vault.entries[-1]
@@ -158,9 +158,9 @@ def test_respond_duplicate_enrollment(responder):
         make_params("n1"), module_credential("tm-2"), responder.module_registry,
         nonce=b"\x01" * 8,
     )
-    enroll_respond(responder, request, CHEAP_KDF, TOKEN_SALT, timestamp=10)
+    respond(responder, request, timestamp=10)
     with pytest.raises(AlreadyEnrolled):
-        enroll_respond(responder, request, CHEAP_KDF, TOKEN_SALT, timestamp=11)
+        respond(responder, request, timestamp=11)
 
 
 def test_respond_requires_full_node_role(responder):
@@ -168,14 +168,11 @@ def test_respond_requires_full_node_role(responder):
         make_params("n1"), module_credential("tm-2"), responder.module_registry,
         nonce=b"\x01" * 8,
     )
-    subscriber = SimpleNamespace(
-        role=NodeRole.SUBSCRIBER,
-        module_registry=responder.module_registry,
-        ledger=responder.ledger,
-        vault=responder.vault,
-    )
     with pytest.raises(Unauthorized):
-        enroll_respond(subscriber, request, CHEAP_KDF, TOKEN_SALT, timestamp=10)
+        enroll_respond(
+            NodeRole.SUBSCRIBER, responder.module_registry, responder.ledger,
+            responder.vault, request, CHEAP_KDF, TOKEN_SALT, timestamp=10,
+        )
 
 
 def test_respond_without_genesis_state_mints_nothing(responder):
@@ -185,15 +182,11 @@ def test_respond_without_genesis_state_mints_nothing(responder):
         make_params("n1"), module_credential("tm-2"), responder.module_registry,
         nonce=b"\x01" * 8,
     )
-    empty = SimpleNamespace(
-        role=NodeRole.EDGE,
-        module_registry=responder.module_registry,
-        ledger=NodeChainLedger(),
-        vault=Vault(TOKEN_SALT),
-    )
+    ledger, vault = NodeChainLedger(), Vault(TOKEN_SALT)
     with pytest.raises(EmptyChain):
-        enroll_respond(empty, request, CHEAP_KDF, TOKEN_SALT, timestamp=10)
-    assert len(empty.ledger) == 0 and len(empty.vault) == 0
+        enroll_respond(NodeRole.EDGE, responder.module_registry, ledger, vault, request,
+                       CHEAP_KDF, TOKEN_SALT, timestamp=10)
+    assert len(ledger) == 0 and len(vault) == 0
 
 
 def test_respond_rejects_forged_signature(responder):
@@ -209,7 +202,7 @@ def test_respond_rejects_forged_signature(responder):
         nonce=request.nonce,
     )
     with pytest.raises(BadSignature):
-        enroll_respond(responder, forged, CHEAP_KDF, TOKEN_SALT, timestamp=10)
+        respond(responder, forged, timestamp=10)
 
 
 def test_real_uid_never_in_message_encodings(responder):
@@ -219,7 +212,7 @@ def test_real_uid_never_in_message_encodings(responder):
         make_params("n1"), module_credential("tm-2"), responder.module_registry,
         nonce=b"\x01" * 8,
     )
-    response = enroll_respond(responder, request, CHEAP_KDF, TOKEN_SALT, timestamp=10)
+    response = respond(responder, request, timestamp=10)
     real_uid = responder.vault.entries[-1].real_uid.value
     assert real_uid not in request.encode()
     assert real_uid not in response.encode()
@@ -232,7 +225,7 @@ def test_enrollment_chain_recomputes(responder):
             make_params(f"chain-{i}"), module_credential("tm-2"),
             responder.module_registry, nonce=material(f"nonce/{i}", 8),
         )
-        enroll_respond(responder, request, CHEAP_KDF, TOKEN_SALT, timestamp=10 + i)
+        respond(responder, request, timestamp=10 + i)
     entries = responder.vault.entries
     prev = Uid(b"\x00" * 128)
     for entry in entries:
@@ -247,7 +240,8 @@ def test_enrollment_chain_recomputes(responder):
 def test_first_authentication_extends_narration(responder):
     node = enrolled_participant(responder, "auth-1")
     block = data_block()
-    result = authenticate_block(node, block, node.local_ves_index, TOKEN_SALT)
+    ves = responder.ledger.ves.index
+    result = authenticate_block(node, block, ves, ves, TOKEN_SALT)
     assert not result.duplicate
     assert len(result.block.narration) == 1
     assert result.block.narration[0][0] == node.tuid
@@ -256,8 +250,9 @@ def test_first_authentication_extends_narration(responder):
 def test_duplicate_authentication_is_noop(responder):
     node = enrolled_participant(responder, "auth-1")
     block = data_block()
-    once = authenticate_block(node, block, node.local_ves_index, TOKEN_SALT).block
-    again = authenticate_block(node, once, node.local_ves_index, TOKEN_SALT)
+    ves = responder.ledger.ves.index
+    once = authenticate_block(node, block, ves, ves, TOKEN_SALT).block
+    again = authenticate_block(node, once, ves, ves, TOKEN_SALT)
     assert again.duplicate
     assert len(again.block.narration) == 1
 
@@ -267,8 +262,9 @@ def test_narration_digest_matches_hash_fold(responder):
 
     nodes = [enrolled_participant(responder, f"auth-{i}") for i in range(3)]
     block = data_block()
+    ves = responder.ledger.ves.index
     for node in nodes:
-        block = authenticate_block(node, block, node.local_ves_index, TOKEN_SALT).block
+        block = authenticate_block(node, block, ves, ves, TOKEN_SALT).block
     digest = b"\x00" * 32
     for node in nodes:
         digest = hashlib.sha256(digest + node.tuid.value).digest()
@@ -277,57 +273,52 @@ def test_narration_digest_matches_hash_fold(responder):
 
 def test_stale_ves_blocks_authentication(responder):
     node = enrolled_participant(responder, "auth-1")
-    node.local_ves_index -= 1
+    ves = responder.ledger.ves.index
     with pytest.raises(StaleState):
-        authenticate_block(node, data_block(), responder.ledger.ves.index, TOKEN_SALT)
+        authenticate_block(node, data_block(), ves - 1, ves, TOKEN_SALT)
     # After syncing, the same node authenticates fine.
-    node.local_ves_index += 1
-    result = authenticate_block(
-        node, data_block(), responder.ledger.ves.index, TOKEN_SALT
-    )
+    result = authenticate_block(node, data_block(), ves, ves, TOKEN_SALT)
     assert len(result.block.narration) == 1
 
 
 def test_unenrolled_node_cannot_authenticate(responder):
-    ghost = SimpleNamespace(
-        name="ghost", enrolled=False, tuid=None, hardware_uid=None,
-        local_ves_index=responder.ledger.ves.index, vault=None,
-    )
+    ghost = SimpleNamespace(tuid=None, hardware_uid=None, vault=None)
+    ves = responder.ledger.ves.index
     with pytest.raises(IdentityMismatch):
-        authenticate_block(ghost, data_block(), responder.ledger.ves.index, TOKEN_SALT)
+        authenticate_block(ghost, data_block(), ves, ves, TOKEN_SALT)
 
 
 def test_match_layer_failure_blocks_authentication(responder):
     node = enrolled_participant(responder, "auth-1")
     node.hardware_uid = Uid(b"\xee" * 128)
+    ves = responder.ledger.ves.index
     with pytest.raises(IdentityMismatch):
-        authenticate_block(node, data_block(), node.local_ves_index, TOKEN_SALT)
+        authenticate_block(node, data_block(), ves, ves, TOKEN_SALT)
 
 
 def test_full_node_authenticates_against_its_vault(responder):
-    node = enrolled_participant(responder, "auth-1", role=NodeRole.EDGE)
+    node = enrolled_participant(responder, "auth-1")
     node.vault = responder.vault
-    result = authenticate_block(node, data_block(), node.local_ves_index, TOKEN_SALT)
+    ves = responder.ledger.ves.index
+    result = authenticate_block(node, data_block(), ves, ves, TOKEN_SALT)
     assert len(result.block.narration) == 1
     # A vault copy that disagrees with the hardware identity blocks it.
-    node2 = enrolled_participant(responder, "auth-2", role=NodeRole.EDGE)
+    node2 = enrolled_participant(responder, "auth-2")
     node2.vault = responder.vault
     node2.hardware_uid = responder.vault.entries[0].real_uid  # someone else's
+    ves = responder.ledger.ves.index
     with pytest.raises(IdentityMismatch):
-        authenticate_block(node2, data_block(), node2.local_ves_index, TOKEN_SALT)
+        authenticate_block(node2, data_block(), ves, ves, TOKEN_SALT)
 
 
 def test_authentication_message_encoding_round_trips(responder):
     node = enrolled_participant(responder, "auth-1")
     key = make_signing_key("auth-1")
     digest = data_block().header_digest
-    payload = AuthenticationMessage.signing_bytes(digest, node.tuid, node.local_ves_index)
-    message = AuthenticationMessage(
-        digest, node.tuid, node.local_ves_index, sign_message(key, payload)
-    )
-    clone = AuthenticationMessage(
-        digest, node.tuid, node.local_ves_index, sign_message(key, payload)
-    )
+    ves = responder.ledger.ves.index
+    payload = AuthenticationMessage.signing_bytes(digest, node.tuid, ves)
+    message = AuthenticationMessage(digest, node.tuid, ves, sign_message(key, payload))
+    clone = AuthenticationMessage(digest, node.tuid, ves, sign_message(key, payload))
     assert message.encode() == clone.encode()
 
 

@@ -71,7 +71,7 @@ def test_scrypt_first_vector_prefix():
 
 def test_canonical_serialization_is_deterministic():
     params = make_params("node-a")
-    assert params.canonical_bytes() == make_params("node-a").canonical_bytes()
+    assert params.manufacturing_bytes() == make_params("node-a").manufacturing_bytes()
 
 
 def test_canonical_order_sensitivity():

@@ -186,6 +186,17 @@ def test_count_bound_is_accepted():
     assert ScenarioConfig.from_dict(data).script[4]["count"] == netsim.MAX_TX_COUNT
 
 
+def test_scrypt_memory_is_bounded_at_parse_time():
+    # Parsing runs no scrypt. 2^28 bytes (cost 2^18, block_size 8) is the
+    # most a scenario may ask each join for; hashlib would allow 2^30.
+    at_bound = scenario(extra={"kdf": {"cost": 2**18, "block_size": 8}})
+    assert ScenarioConfig.from_dict(at_bound).kdf.cost == 2**18
+    for kdf in ({"cost": 2**20, "block_size": 8},
+                {"cost": 2**18, "block_size": 8, "parallelism": 2}):
+        with pytest.raises(ConfigError, match=r"^kdf: .* at most 2\^28"):
+            ScenarioConfig.from_dict(scenario(extra={"kdf": kdf}))
+
+
 def test_parsed_events_carry_every_default():
     script = ScenarioConfig.from_dict(scenario(script=[
         {"at": 10, "event": "register_branch", "branch": "b"},
@@ -446,7 +457,8 @@ def test_offline_node_fails_nns_gate():
     result = run_scenario(ScenarioConfig.from_dict(scenario(nodes=nodes, script=script)))
     rejects = [line for line in result.trace if "event=reject" in line]
     assert any("actor=e1" in line for line in rejects)
-    assert result.network.nodes["e1"].local_ves_index == 2  # missed index 3
+    net = result.network
+    assert net.local_ves_index(net.nodes["e1"]) == 2  # missed index 3
 
 
 def demo_through(last_at: int, extra: list[dict]):
@@ -477,7 +489,7 @@ def test_ves_cursor_is_read_from_the_chain_and_frozen_by_disable():
         ScenarioConfig.from_dict(scenario(nodes=nodes, script=script))
     ).network
     assert len(net.nodechain) == 3
-    cursors = {name: node.local_ves_index for name, node in net.nodes.items()}
+    cursors = {name: net.local_ves_index(node) for name, node in net.nodes.items()}
     assert cursors == {"bn": 3, "e1": 2, "c1": 3, "c2": 0}
     assert not net.nodes["c2"].enrolled and net.metrics["rejected_enrollments"] == 1
     # The vault stops with the cursor: e1 keeps the log as it stood.
@@ -495,10 +507,10 @@ def test_a_second_disable_keeps_the_first_snapshot():
         nodes=nodes, script=[{"at": 10, "event": "join", "node": "e1"}]
     ))).network
     e1 = net.nodes["e1"]
-    e1.disable()
+    net._handle_disable({"node": "e1"})
     snapshot = e1.vault
-    e1.disable()
-    assert e1.vault is snapshot and e1.local_ves_index == 2
+    net._handle_disable({"node": "e1"})
+    assert e1.vault is snapshot and net.local_ves_index(e1) == 2
 
 
 def test_fraud_block_never_takes_the_virtual_existence_tag():

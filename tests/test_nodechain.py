@@ -4,7 +4,6 @@ import dataclasses
 import hashlib
 import random
 import struct
-from types import SimpleNamespace
 
 import pytest
 
@@ -103,12 +102,10 @@ def test_genesis_and_enrollments_equal_the_hand_built_chain():
     credential = TrustedModuleCredential("tm-1", public_bytes(key), key)
     registry = ModuleRegistry({"tm-1": credential.public_key})
     chain, log, _ = genesis(params[0], "tm-1", CHEAP_KDF, TOKEN_SALT)
-    responder = SimpleNamespace(
-        role=NodeRole.BACKUP, module_registry=registry, ledger=chain, vault=log
-    )
     for i in range(1, 5):
         request = enroll_request(params[i], credential, registry, material(f"nonce/{i}", 8))
-        enroll_respond(responder, request, CHEAP_KDF, TOKEN_SALT, timestamp=i * 10)
+        enroll_respond(NodeRole.BACKUP, registry, chain, log, request, CHEAP_KDF, TOKEN_SALT,
+                       timestamp=i * 10)
     assert chain.serialize() == ledger.serialize()
     assert log.serialize() == vault.serialize()
 
