@@ -20,7 +20,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 
 from . import secmodel
@@ -111,44 +110,21 @@ def _integer_flag(lo: int, hi: int, what: str):
 _seed_flag = _integer_flag(0, U64_MAX, "an integer in [0, 2^64)")
 
 
-def _corruption(spec: str) -> tuple[str, int, int, float]:
-    """Test hook `table:n:column=value`, e.g. blockchain:24:category2=0.5."""
-    match = re.fullmatch(r"(blockchain|flexichain):(\d+):(\w+)=(.+)", spec)
-    if (not match or int(match[2]) not in secmodel.TABULATED_N
-            or match[3] not in secmodel.COLUMNS):
-        raise argparse.ArgumentTypeError(
-            f"must be table:n:column=value with table blockchain or flexichain, "
-            f"n in {secmodel.TABULATED_N} and column in {secmodel.COLUMNS}, not {spec!r}"
-        )
-    # A value float() refuses is a ValueError, which argparse reports.
-    return match[1], int(match[2]), secmodel.COLUMNS.index(match[3]), float(match[4])
-
-
 def cmd_tables(args) -> int:
-    tables = {
-        "blockchain": secmodel.BLOCKCHAIN_REFERENCE,
-        "flexichain": secmodel.FLEXICHAIN_REFERENCE,
-    }
-    if args.corrupt_cell:
-        name, n, column, value = args.corrupt_cell
-        tables[name] = {**tables[name], n: tuple(
-            value if i == column else v for i, v in enumerate(tables[name][n])
-        )}
     try:
-        paths = secmodel.emit_tables(args.out, **tables)
+        paths = secmodel.emit_tables(args.out)
     except OSError as exc:
         print(f"error: cannot write tables: {exc}", file=sys.stderr)
         return 2
-    failures = []
-    for name, table in tables.items():
+    failures, rows = [], {}
+    for name, table in secmodel.REFERENCES.items():
         table_failures = secmodel.compare_to_reference(name, table)
         failures.extend(table_failures)
+        rows[name] = secmodel.computed_rows(table)
         status = "PASS" if not table_failures else "FAIL"
         print(f"{status} {name} table reproduction -> {paths[name]}")
     ordering_ok = all(
-        secmodel.central_reference(n)
-        > secmodel.computed_rows(tables["blockchain"])[n][4]
-        > secmodel.computed_rows(tables["flexichain"])[n][4]
+        secmodel.CENTRAL_REFERENCE[n] > rows["blockchain"][n][4] > rows["flexichain"][n][4]
         for n in secmodel.TABULATED_N
     )
     print(f"{'PASS' if ordering_ok else 'FAIL'} comparison ordering -> {paths['comparison']}")
@@ -158,19 +134,15 @@ def cmd_tables(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    references = (
-        ("blockchain", secmodel.BLOCKCHAIN_REFERENCE, 0),
-        ("flexichain", secmodel.FLEXICHAIN_REFERENCE, 1000),
-    )
     breaches = 0
-    for name, table, offset in references:
+    for i, (name, table) in enumerate(secmodel.REFERENCES.items()):
         factors = secmodel.chain_factors(table)
         for category, f in enumerate(factors, start=1):
             for n in (4, 8, 16):
                 analytic = secmodel.category_probability(f, n)
                 empirical = monte_carlo_attack(
                     category, n, f.amplitude, f.per_node, args.trials,
-                    args.seed + offset,
+                    args.seed + 1000 * i,
                 )
                 sigma = math.sqrt(analytic * (1 - analytic) / args.trials)
                 ok = abs(empirical - analytic) <= 3 * sigma
@@ -232,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     tables = sub.add_parser("tables", help="emit and check the reference tables")
     tables.add_argument("--out", default=_default_out(), help="output directory")
-    tables.add_argument("--corrupt-cell", type=_corruption, default=None, help=argparse.SUPPRESS)
     tables.set_defaults(func=cmd_tables)
 
     mc = sub.add_parser("montecarlo", help="sample the attack model and compare")

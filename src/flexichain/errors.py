@@ -107,7 +107,3 @@ class ConfigError(ProtocolError):
 
 class DomainError(ProtocolError):
     """Numeric argument outside its admissible domain."""
-
-
-class NotTabulated(ProtocolError):
-    """Requested node count has no reference value."""

@@ -21,8 +21,8 @@ Adversaries are modeled by an explicit capability lattice. An attack event
 holds a subset of {constructed_keys, module_key, vault_access, tuids} and
 attempts its category's protocol actions with exactly those secrets; the
 outcome records the first check that blocked it (module registry,
-signature, ledger validation, NNS gate, vault access, match layer, offline
-gate, or finality quorum). A final fraud block must pass
+signature, ledger validation, NNS gate, vault access, offline gate, match
+layer, or finality quorum). A final fraud block must pass
 `Layer0Ledger.append_block`, as an honest one does. Knowing TUIDs grants
 nothing extra: they are already public on chain.
 """
@@ -319,6 +319,7 @@ EVENTS = {
         nodes=(_either("all", _list(_node_ref, "'all' or a list")), "all"),
     ),
     "attack": _event_rows(
+        at=(_integer(0, U64_MAX - 1), REQUIRED),  # the fraud block is sealed at `at` + 1
         category=(_integer(1, 4), REQUIRED),
         targets=(_distinct(_list(_node_ref)), []),
         secrets=(_list(_choice({k: k for k in sorted(SECRET_KINDS)}), into=frozenset), []),

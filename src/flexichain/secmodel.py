@@ -14,8 +14,7 @@ FlexiChain with NodeChain -- at n in {4, 24, 44, 64}. The underlying
 per-category factors were not published; `back_solve_factors` recovers
 them exactly from two rows, because A * x**n is invertible from two
 points. The central-authority column has no published generating formula
-and is served verbatim; `mixture_probability` is available for fitting
-experiments against it.
+and is served verbatim.
 """
 
 from __future__ import annotations
@@ -23,9 +22,9 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .errors import DomainError, NotTabulated
+from .errors import DomainError
 
 #: The columns of a table row, as the CSVs name them.
 COLUMNS = tuple(f"category{i}" for i in range(1, 5)) + ("summation",)
@@ -52,6 +51,13 @@ CENTRAL_REFERENCE: dict[int, float] = {
     24: 0.572781765,
     44: 0.428023172,
     64: 0.332009476,
+}
+
+#: The two modelled tables by name. `tables` and `montecarlo` report them in
+#: this order, and `montecarlo` offsets each one's sampler seed by its position.
+REFERENCES: dict[str, dict[int, tuple[float, ...]]] = {
+    "blockchain": BLOCKCHAIN_REFERENCE,
+    "flexichain": FLEXICHAIN_REFERENCE,
 }
 
 TABULATED_N = (4, 24, 44, 64)
@@ -82,20 +88,6 @@ def category_probability(factors: CategoryFactors, n: int) -> float:
     return factors.amplitude * factors.per_node**n
 
 
-def mixture_probability(terms: Sequence[CategoryFactors], n: int) -> float:
-    """Sum of A_i * x_i**n over arbitrary terms (for fitting experiments)."""
-    if n < 1:
-        raise DomainError("node count must be at least 1")
-    return sum(category_probability(t, n) for t in terms)
-
-
-def total_probability(factors: Sequence[CategoryFactors], n: int) -> float:
-    """Total exposure: the sum over the four category probabilities."""
-    if len(factors) != 4:
-        raise DomainError("expected factors for exactly four categories")
-    return mixture_probability(factors, n)
-
-
 def back_solve_factors(
     table: Mapping[int, tuple[float, ...]], category: int
 ) -> CategoryFactors:
@@ -123,12 +115,6 @@ def chain_factors(
 ) -> tuple[CategoryFactors, ...]:
     """Back-solve all four categories of one reference table."""
     return tuple(back_solve_factors(table, c) for c in range(1, 5))
-
-
-def central_reference(n: int) -> float:
-    if n not in CENTRAL_REFERENCE:
-        raise NotTabulated(f"no central-authority reference for n={n}")
-    return CENTRAL_REFERENCE[n]
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +175,7 @@ def compare_to_reference(
     return failures
 
 
-def emit_tables(
-    out_dir: str,
-    blockchain: Mapping[int, tuple[float, ...]] | None = None,
-    flexichain: Mapping[int, tuple[float, ...]] | None = None,
-) -> dict[str, str]:
+def emit_tables(out_dir: str) -> dict[str, str]:
     """Write the three CSV files and return their paths by name.
 
     `blockchain_attack_probabilities.csv` and
@@ -205,20 +187,13 @@ def emit_tables(
     """
     # Cells are written with repr: it round-trips exactly, always carries
     # full precision, and drops into scientific notation below 1e-4.
-    blockchain = blockchain if blockchain is not None else BLOCKCHAIN_REFERENCE
-    flexichain = flexichain if flexichain is not None else FLEXICHAIN_REFERENCE
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
-
-    per_chain = {
-        "blockchain": ("blockchain_attack_probabilities.csv", blockchain),
-        "flexichain": ("flexichain_attack_probabilities.csv", flexichain),
-    }
     totals = {}
-    for name, (filename, table) in per_chain.items():
+    for name, table in REFERENCES.items():
         rows = computed_rows(table)
         totals[name] = {n: rows[n][4] for n in TABULATED_N}
-        path = os.path.join(out_dir, filename)
+        path = os.path.join(out_dir, f"{name}_attack_probabilities.csv")
         with open(path, "w") as fh:
             fh.write(",".join(("n",) + COLUMNS) + "\n")
             for n in TABULATED_N:

@@ -1,19 +1,22 @@
 """CLI tests: subcommands, exit codes, reproducible outputs."""
 
+import argparse
 import hashlib
 import json
 import os
 import tempfile
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flexichain import netsim
+from flexichain import netsim, secmodel
 from flexichain.cli import MAX_TRIALS, build_parser, main
 
 DEMO = str(resources.files("flexichain") / "scenarios" / "demo.json")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read(path) -> bytes:
@@ -181,11 +184,11 @@ def test_tables_pass_and_emit(tmp_path, capsys):
         assert (tmp_path / name).exists()
 
 
-def test_tables_corruption_hook_fails_naming_cell(tmp_path, capsys):
-    assert main([
-        "tables", "--out", str(tmp_path),
-        "--corrupt-cell", "blockchain:44:category2=0.5",
-    ]) == 1
+def test_tables_corruption_hook_fails_naming_cell(tmp_path, capsys, monkeypatch):
+    row = list(secmodel.BLOCKCHAIN_REFERENCE[44])
+    row[1] = 0.5  # category2
+    monkeypatch.setitem(secmodel.BLOCKCHAIN_REFERENCE, 44, tuple(row))
+    assert main(["tables", "--out", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert "FAIL blockchain" in captured.out
     assert "n=44" in captured.err
@@ -257,11 +260,6 @@ def test_verify_protocol_error_exits_one(tmp_path, capsys):
         ["montecarlo", "--trials", "many"],
         ["montecarlo", "--trials", str(10**8 + 1)],
         ["montecarlo", "--trials", str(2**63)],
-        ["tables", "--corrupt-cell", "garbage"],
-        ["tables", "--corrupt-cell", "blockchain:99:category2=0.5"],
-        ["tables", "--corrupt-cell", "blockchain:4:nope=0.5"],
-        ["tables", "--corrupt-cell", "garbage:4:category2=0.5"],
-        ["tables", "--corrupt-cell", "blockchain:4:category2=half"],
         ["run", "--scenario", DEMO, "--seed", "18446744073709551616"],
         ["verify", "--scenario", DEMO, "--seed", "x"],
     ],
@@ -343,6 +341,24 @@ def test_branch_names_are_checked_at_parse_time(tmp_path, capsys, event, needle)
 
 
 @pytest.mark.parametrize(
+    "at,code",
+    [(2**64 - 2, 0), (2**64 - 1, 2)],
+    ids=["2^64-2", "2^64-1"],
+)
+def test_attack_at_leaves_room_for_the_fraud_block_seal(tmp_path, capsys, at, code):
+    # The fraud block is sealed at `at` + 1, which must still fit in a u64;
+    # at 2^64-1 the run once ended in struct.error.
+    path = _demo_mutated(tmp_path, lambda d: d["script"][7].update(at=at))
+    assert main(["run", "--scenario", path, "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == ("error: script[7].at: must be an integer in "
+                       f"[0, {2**64 - 2}], not {2**64 - 1}\n")
+    else:
+        assert err == ""
+
+
+@pytest.mark.parametrize(
     "content",
     [b'{"seed": "\xff"}', b"[" * 200_000],
     ids=["not-utf-8", "nested-too-deep"],
@@ -409,3 +425,31 @@ def test_any_single_field_mutation_exits_cleanly(capsys, slot, value):
         if code == 0:
             assert main(["verify", "--scenario", path, "--out", out]) == 0
     assert "Traceback" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# documentation
+# ---------------------------------------------------------------------------
+
+def _synopsis_options() -> dict[str, set[str]]:
+    """The options README's CLI synopsis names, by subcommand."""
+    section = README.read_text().split("## CLI", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split() for line in block.splitlines() if line.startswith("flexichain ")]
+    return {
+        words[1]: {w.strip("[]") for w in words if w.strip("[").startswith("-")}
+        for words in lines
+    }
+
+
+def _parser_options() -> dict[str, set[str]]:
+    """The options `build_parser()` accepts, by subcommand, hidden ones included."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+        for name, parser in sub.choices.items()
+    }
+
+
+def test_readme_synopsis_names_every_option():
+    assert _synopsis_options() == _parser_options()

@@ -438,7 +438,9 @@ def test_spf_edge_takes_over_after_backup_disabled():
     assert len(net.nodechain) == 3
 
 
-def test_offline_node_fails_nns_gate():
+def test_offline_node_that_missed_a_join_is_unauthorized():
+    """An offline node is refused before the NNS gate: `Network.authenticate`
+    rejects it as `Unauthorized`, so its stale VES cursor is never compared."""
     nodes = [
         {"name": "bn", "role": "backup", "module": "tm-1"},
         {"name": "e1", "role": "edge", "module": "tm-2"},
@@ -455,8 +457,8 @@ def test_offline_node_fails_nns_gate():
         {"at": 50, "event": "authenticate", "block": "latest", "nodes": ["e1"]},
     ]
     result = run_scenario(ScenarioConfig.from_dict(scenario(nodes=nodes, script=script)))
-    rejects = [line for line in result.trace if "event=reject" in line]
-    assert any("actor=e1" in line for line in rejects)
+    reason = sha256(b"authenticate:Unauthorized").hex()
+    assert result.trace[-1] == f"t=50 actor=e1 event=reject payload={reason}"
     net = result.network
     assert net.local_ves_index(net.nodes["e1"]) == 2  # missed index 3
 

@@ -10,7 +10,7 @@ from dataclasses import fields
 from importlib import resources
 
 from flexichain import dag, netsim
-from flexichain.cli import main
+from flexichain.cli import _replayed_artifacts, main
 from flexichain.netsim import Network, ScenarioConfig, run_scenario
 
 DEMO = str(resources.files("flexichain") / "scenarios" / "demo.json")
@@ -46,6 +46,19 @@ SCALE_64_EDGE_VAULT = "3b5602d35c9e4d4b9da77628a71361904f4b899b25ae048ac121d5893
 
 EXHAUSTIVE_64_TRACE = "fc90cce54bcbc5244f60879b5e6a9320696ccf56faac74bf82a0b8e5a1289397"
 
+# SHA-256 of the nodechain.bin, layer0.txt and vault.bin that `run` writes
+# for each scale scenario; the trace is pinned above.
+SCALE_64_LEDGERS = {
+    "nodechain.bin": "053025c0b9e84e958bda8e8b735a54482b4f06e87ee1fed560ff4e3c9645290d",
+    "layer0.txt": "f426237781c157e4a0d31f4af6f81e7478d74c1f5ac0f01684e50b750fe29834",
+    "vault.bin": SCALE_64_EDGE_VAULT,
+}
+EXHAUSTIVE_64_LEDGERS = {
+    "nodechain.bin": "b5b3230d8d5946b7f1e32903aba406d6a63956c53b0bf205853141d35893b734",
+    "layer0.txt": "ebf7fc01dd9fc76482e24548f8cb28acbd6d6fcba2f3ea40d6428bac47f832df",
+    "vault.bin": "b1fdad90dcc91557929c3935064142ff2c821be0877fcea3028b51d9f3f2398d",
+}
+
 # SHA-256 of `flexichain montecarlo` stdout, with its exit code. At
 # --trials 12345 one cell falls outside its 3-sigma band.
 MONTECARLO_STDOUT = {
@@ -53,6 +66,14 @@ MONTECARLO_STDOUT = {
     ("--trials", "12345", "--seed", "99"):
         ("8a4d2f46b35bff90ac3e2056621cc3e8d51872031a344906c617ace3841a2c43", 1),
 }
+
+
+def ledger_digests(result) -> dict[str, str]:
+    """SHA-256 of the ledger artifacts `run` writes for `result`."""
+    return {
+        name: hashlib.sha256(data).hexdigest()
+        for name, data in _replayed_artifacts(result).items() if name != "trace.txt"
+    }
 
 
 def scale_64() -> dict:
@@ -166,6 +187,7 @@ def test_scale_64_is_pinned():
     assert summary["blocks_finalized"] == 3
     assert summary["attacks"][0]["blocked_at"] == "match layer"
     assert result.trace_digest.hex() == SCALE_64_TRACE
+    assert ledger_digests(result) == SCALE_64_LEDGERS
     edge_vaults = {
         hashlib.sha256(n.vault.serialize()).hexdigest()
         for n in net.full_nodes() if n.online
@@ -221,6 +243,7 @@ def test_exhaustive_64_is_pinned():
     assert summary["authentications"] == 163
     assert summary["rejections"] == 0
     assert result.trace_digest.hex() == EXHAUSTIVE_64_TRACE
+    assert ledger_digests(result) == EXHAUSTIVE_64_LEDGERS
 
 
 def test_montecarlo_stdout_is_pinned(capsys):

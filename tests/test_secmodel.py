@@ -5,21 +5,18 @@ import math
 
 import pytest
 
-from flexichain.errors import DomainError, NotTabulated
+from flexichain.errors import DomainError
 from flexichain.secmodel import (
     BLOCKCHAIN_REFERENCE,
+    CENTRAL_REFERENCE,
     FLEXICHAIN_REFERENCE,
     TABULATED_N,
     CategoryFactors,
     back_solve_factors,
     category_probability,
-    central_reference,
-    chain_factors,
     compare_to_reference,
     computed_rows,
     emit_tables,
-    mixture_probability,
-    total_probability,
 )
 
 
@@ -31,13 +28,6 @@ from flexichain.secmodel import (
 def test_summation_cells_equal_row_sums(table):
     for n, row in table.items():
         assert sum(row[:4]) == pytest.approx(row[4], abs=1e-6)
-
-
-def test_central_reference_lookup():
-    assert central_reference(4) == 0.9675
-    assert central_reference(44) == 0.428023172
-    with pytest.raises(NotTabulated):
-        central_reference(10)
 
 
 # ---------------------------------------------------------------------------
@@ -61,19 +51,6 @@ def test_category_probability_domain():
         CategoryFactors(1.5, 0.9)
     with pytest.raises(DomainError):
         CategoryFactors(0.25, -0.1)
-
-
-def test_total_probability_reference_points():
-    assert total_probability(chain_factors(BLOCKCHAIN_REFERENCE), 4) == pytest.approx(
-        0.759204611, rel=1e-3
-    )
-    assert total_probability(chain_factors(FLEXICHAIN_REFERENCE), 64) == pytest.approx(
-        7.32743e-07, rel=1e-2
-    )
-    quarter = [CategoryFactors(0.25, 1.0)] * 4
-    assert total_probability(quarter, 9) == pytest.approx(1.0)
-    with pytest.raises(DomainError):
-        total_probability(quarter[:3], 4)
 
 
 def test_monotonic_decrease_in_n():
@@ -153,15 +130,8 @@ def test_three_way_ordering_claim():
     blockchain = computed_rows(BLOCKCHAIN_REFERENCE)
     flexichain = computed_rows(FLEXICHAIN_REFERENCE)
     for n in TABULATED_N:
-        assert central_reference(n) > BLOCKCHAIN_REFERENCE[n][4] > FLEXICHAIN_REFERENCE[n][4]
-        assert central_reference(n) > blockchain[n][4] > flexichain[n][4]
-
-
-def test_mixture_probability_general_terms():
-    terms = [CategoryFactors(0.5, 0.9), CategoryFactors(0.2, 0.99)]
-    assert mixture_probability(terms, 10) == pytest.approx(
-        0.5 * 0.9**10 + 0.2 * 0.99**10
-    )
+        assert CENTRAL_REFERENCE[n] > BLOCKCHAIN_REFERENCE[n][4] > FLEXICHAIN_REFERENCE[n][4]
+        assert CENTRAL_REFERENCE[n] > blockchain[n][4] > flexichain[n][4]
 
 
 # ---------------------------------------------------------------------------
