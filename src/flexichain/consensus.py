@@ -44,7 +44,7 @@ from .identity import (
     zero_uid,
 )
 from .keys import is_valid_public_key, sign_message, verify_signature
-from .nodechain import NodeChainLedger, VesState, VirtualExistenceBlock, append_virtual_block
+from .nodechain import NodeChainLedger, VirtualExistenceBlock, append_virtual_block
 from .vault import CallOrigin, FULL_NODE_ROLES, NodeRole, Vault, VaultEntry
 from .wire import encode_fields, lp
 
@@ -97,19 +97,17 @@ class EnrollmentRequest:
 
 @dataclass(frozen=True)
 class EnrollmentResponse:
-    """Broadcast result of an enrollment: the node's virtual block."""
+    """Broadcast result of an enrollment: the node's virtual block.
+
+    The block is the new chain head, so the encoding follows it with the
+    VES index, the VES head digest and the vault entry index it implies.
+    """
 
     virtual_block: VirtualExistenceBlock
-    ledger_snapshot_ref: VesState
-    vault_delta_ref: int
 
     def encode(self) -> bytes:
-        return encode_fields(
-            self.virtual_block.encode(),
-            self.ledger_snapshot_ref.index,
-            self.ledger_snapshot_ref.head_digest,
-            self.vault_delta_ref,
-        )
+        block = self.virtual_block
+        return encode_fields(block.encode(), block.nns_index, block.header_digest, block.nns_index)
 
 
 @dataclass(frozen=True)
@@ -164,7 +162,7 @@ def _bind(
     ledger: NodeChainLedger, vault: Vault, role: NodeRole,
     container1: bytes, container2: bytes, module_id: str,
     kdf: KdfParameters, token_salt: bytes, timestamp: int,
-) -> tuple[VirtualExistenceBlock, VesState, VaultEntry]:
+) -> tuple[VirtualExistenceBlock, Uid]:
     """Derive the next UID, append its virtual block, and bind it in the vault.
 
     The previous UID feeding the generator is the last vault entry's real
@@ -181,10 +179,9 @@ def _bind(
         timestamp=timestamp,
         extrinsic_digest=container1,
     )
-    new_ves = append_virtual_block(ledger, block)
-    entry = VaultEntry(block.nns_index, uid, block.tuid, container1, module_id)
-    vault.append(entry, role)
-    return block, new_ves, entry
+    append_virtual_block(ledger, block)
+    vault.append(VaultEntry(block.nns_index, uid, block.tuid, container1, module_id), role)
+    return block, uid
 
 
 def genesis(
@@ -197,9 +194,9 @@ def genesis(
     """The chain and vault holding the backup node as identity 1, and its UID."""
     ledger, vault = NodeChainLedger(), Vault(token_salt)
     container1, container2 = hash_extrinsic(params)
-    _, _, entry = _bind(ledger, vault, NodeRole.BACKUP, container1, container2,
-                        module_id, kdf, token_salt, timestamp)
-    return ledger, vault, entry.real_uid
+    _, uid = _bind(ledger, vault, NodeRole.BACKUP, container1, container2,
+                   module_id, kdf, token_salt, timestamp)
+    return ledger, vault, uid
 
 
 def enroll_respond(
@@ -230,13 +227,11 @@ def enroll_respond(
         raise EmptyChain("responder holds no genesis state")
     if vault.holds_extrinsic(request.container1):
         raise AlreadyEnrolled("extrinsic digest already enrolled")
-    block, ves, entry = _bind(
+    block, _ = _bind(
         ledger, vault, role, request.container1, request.container2,
         request.module_id, kdf, token_salt, timestamp,
     )
-    return EnrollmentResponse(
-        virtual_block=block, ledger_snapshot_ref=ves, vault_delta_ref=entry.enrollment_index
-    )
+    return EnrollmentResponse(block)
 
 
 def authenticate_block(

@@ -324,7 +324,6 @@ EVENTS = {
         targets=(_distinct(_list(_node_ref)), []),
         secrets=(_list(_choice({k: k for k in sorted(SECRET_KINDS)}), into=frozenset), []),
         stale_ledger=(_bool, False),
-        attempt_remote_vault=(_bool, None),  # None: only brute force tries remotely
         branch=(_branch_ref, None),  # None: tag "B", registered or not
     ),
     "disable": _event_rows(node=(_node_ref, REQUIRED)),
@@ -447,7 +446,6 @@ class AttackEvent:
     targets: tuple[str, ...] = ()
     secrets: frozenset[str] = frozenset()
     stale_ledger: bool = False
-    attempt_remote_vault: bool | None = None  # default: brute-force tries remotely
     branch: str | None = None
 
     @classmethod
@@ -457,8 +455,7 @@ class AttackEvent:
 
     @property
     def tries_remote_vault(self) -> bool:
-        if self.attempt_remote_vault is not None:
-            return self.attempt_remote_vault
+        """Only key brute force looks the vault up over the network."""
         return self.category == 4
 
     def encode(self) -> bytes:
@@ -551,17 +548,19 @@ class Network:
         self._fraud_counter = 0
         self._tx_counter = 0
 
-        self.record(0, self.backup.name, "genesis", genesis_block.encode())
+        self.record(self.backup.name, "genesis", genesis_block.encode())
 
     # -- bookkeeping --------------------------------------------------------
 
-    def record(self, at: int, actor: str, event: str, payload: bytes) -> None:
-        self.trace.append(f"t={at} actor={actor} event={event} payload={sha256(payload).hex()}")
+    def record(self, actor: str, event: str, payload: bytes) -> None:
+        """Append a trace line stamped with the network clock."""
+        digest = sha256(payload).hex()
+        self.trace.append(f"t={self.clock} actor={actor} event={event} payload={digest}")
 
-    def reject(self, at: int, actor: str, action: str, exc: Exception) -> None:
+    def reject(self, actor: str, action: str, exc: Exception) -> None:
         self.metrics["rejections"] += 1
         payload = f"{action}:{type(exc).__name__}".encode()
-        self.record(at, actor, "reject", payload)
+        self.record(actor, "reject", payload)
 
     def trace_digest(self) -> bytes:
         return sha256(("\n".join(self.trace) + "\n").encode())
@@ -593,12 +592,12 @@ class Network:
         )
 
     def _respond(
-        self, responder: NodeState, node: NodeState, request: consensus.EnrollmentRequest, at: int
+        self, responder: NodeState, node: NodeState, request: consensus.EnrollmentRequest
     ) -> consensus.EnrollmentResponse:
         """`responder` checks and binds `request`; `node` becomes its member."""
         response = consensus.enroll_respond(
             responder.role, self.module_registry, self.nodechain, self.vault, request,
-            self.config.kdf, self.config.token_salt, timestamp=at,
+            self.config.kdf, self.config.token_salt, timestamp=self.clock,
         )
         self._admit(node, response.virtual_block)
         return response
@@ -664,25 +663,25 @@ class Network:
     def _handle_join(self, ev: dict) -> None:
         node = self.nodes[ev["node"]]
         try:
-            self.enroll(node, at=self.clock)
+            self.enroll(node)
         except ProtocolError as exc:
             self.metrics["rejected_enrollments"] += 1
-            self.reject(self.clock, node.name, "join", exc)
+            self.reject(node.name, "join", exc)
 
-    def enroll(self, node: NodeState, at: int) -> None:
+    def enroll(self, node: NodeState) -> None:
         """Full request/response/broadcast flow for one joining node."""
         if not node.online:
             raise Unauthorized("offline node cannot join")
         request = self._request(node, _material(self.config.seed, "nonce", node.name))
-        self.record(at, node.name, "request", request.encode())
+        self.record(node.name, "request", request.encode())
         responder = self._route_responder(node)
-        response = self._respond(responder, node, request, at)
-        self.record(at, responder.name, "response", response.encode())
+        response = self._respond(responder, node, request)
+        self.record(responder.name, "response", response.encode())
         # The joining node receives its hardware identity; a full node
         # already holds the vault.
         provisioned = self.vault.lookup(response.virtual_block.tuid, CallOrigin.LOCAL)
         node.hardware_uid = provisioned.real_uid
-        self.record(at, node.name, "sync", encode_fields(self.local_ves_index(node)))
+        self.record(node.name, "sync", encode_fields(self.local_ves_index(node)))
 
     def _route_responder(self, node: NodeState) -> NodeState:
         if node.role is NodeRole.SUBSCRIBER and node.via:
@@ -699,7 +698,7 @@ class Network:
             + lp(self.nodechain.ves.head_digest)
         )
         tag = self.layer0.register_branch(branch_id, genesis_digest, self.clock)
-        self.record(self.clock, "network", "branch", encode_fields(
+        self.record("network", "branch", encode_fields(
             tag.encode(), branch_id.encode(), genesis_digest
         ))
 
@@ -707,8 +706,7 @@ class Network:
         node = self.nodes[ev["node"]]
         tag = self.layer0.branches[ev["branch"]]
         if not (node.enrolled and node.online):
-            self.reject(self.clock, node.name, "transactions",
-                        Unauthorized("node not enrolled or offline"))
+            self.reject(node.name, "transactions", Unauthorized("node not enrolled or offline"))
             return
         for _ in range(ev["count"]):
             payload = _material(self.config.seed, "tx", node.name, self._tx_counter)
@@ -718,7 +716,7 @@ class Network:
             )
             self.tx_pool.append(tx)
             self.metrics["transactions"] += 1
-            self.record(self.clock, node.name, "tx", tx.encode())
+            self.record(node.name, "tx", tx.encode())
 
     def _handle_build_block(self, ev: dict) -> None:
         node = self.nodes[ev["node"]]
@@ -730,18 +728,17 @@ class Network:
             prev, rand = self.layer0.select_parents(candidate)
             block = candidate.with_parents(prev, rand)
         except ProtocolError as exc:
-            self.reject(self.clock, node.name, "build_block", exc)
+            self.reject(node.name, "build_block", exc)
             return
         self.pending_blocks[block.header_digest] = block
         self.latest_pending = block.header_digest
         self.metrics["blocks_built"] += 1
-        self.record(self.clock, node.name, "block_candidate", block.encode())
+        self.record(node.name, "block_candidate", block.encode())
 
     def _handle_authenticate(self, ev: dict) -> None:
         digest = self.latest_pending if ev["block"] == "latest" else ev["block"]
         if digest not in self.pending_blocks:
-            self.reject(self.clock, "network", "authenticate",
-                        ProtocolError("no pending block"))
+            self.reject("network", "authenticate", ProtocolError("no pending block"))
             return
         who = ev["nodes"]
         if who == "all":
@@ -749,9 +746,9 @@ class Network:
         else:
             authenticators = [self.nodes[name] for name in who]
         for node in authenticators:
-            self.authenticate(node, digest, at=self.clock)
+            self.authenticate(node, digest)
 
-    def authenticate(self, node: NodeState, block_digest: bytes, at: int) -> None:
+    def authenticate(self, node: NodeState, block_digest: bytes) -> None:
         """One node's signed attestation over a pending block.
 
         The authenticator gates itself first (enrollment, NNS handshake,
@@ -761,8 +758,7 @@ class Network:
         block = self.pending_blocks.get(block_digest)
         if block is None:
             # The block finalized earlier in this round of attestations.
-            self.reject(at, node.name, "authenticate",
-                        BlockNotPending("block is no longer pending"))
+            self.reject(node.name, "authenticate", BlockNotPending("block is no longer pending"))
             return
         try:
             if not node.online:
@@ -782,16 +778,16 @@ class Network:
             )
             self._verify_auth_message(message)
         except ProtocolError as exc:
-            self.reject(at, node.name, "authenticate", exc)
+            self.reject(node.name, "authenticate", exc)
             return
         if result.duplicate:
             self.metrics["duplicate_authentications"] += 1
-            self.record(at, node.name, "duplicate_auth", message.encode())
+            self.record(node.name, "duplicate_auth", message.encode())
             return
         self.pending_blocks[block_digest] = result.block
         self.metrics["authentications"] += 1
-        self.record(at, node.name, "auth", message.encode())
-        self._check_block_finality(block_digest, at)
+        self.record(node.name, "auth", message.encode())
+        self._check_block_finality(block_digest)
 
     def _verify_auth_message(self, message: AuthenticationMessage) -> None:
         """Receivers check the attestation signature against the on-chain key."""
@@ -804,14 +800,14 @@ class Network:
         if not verify_signature(member[1].constructed_public_key, message.signature, payload):
             raise Unauthorized("attestation signature does not verify")
 
-    def _check_block_finality(self, block_digest: bytes, at: int) -> None:
+    def _check_block_finality(self, block_digest: bytes) -> None:
         block = self.pending_blocks[block_digest]
         if not check_finality(block, *self._finality):
             return
         try:
             self.layer0.append_block(block, *self._finality)
         except ProtocolError as exc:
-            self.reject(at, "network", "finalize", exc)
+            self.reject("network", "finalize", exc)
             return
         del self.pending_blocks[block_digest]
         finalized = set(block.transactions)
@@ -819,7 +815,7 @@ class Network:
         if self.latest_pending == block_digest:
             self.latest_pending = None
         self.metrics["blocks_finalized"] += 1
-        self.record(at, "network", "finalized", block.encode())
+        self.record("network", "finalized", block.encode())
 
     def _handle_disable(self, ev: dict) -> None:
         """Take the node offline: its VES cursor and its vault stop here,
@@ -829,14 +825,14 @@ class Network:
             node.ves_at_disable = self.local_ves_index(node)
             if node.vault is not None:
                 node.vault = node.vault.snapshot()
-        self.record(self.clock, node.name, "disable", b"")
+        self.record(node.name, "disable", b"")
 
     def _handle_attack(self, ev: dict) -> None:
         event = AttackEvent.from_dict(ev)
-        self.record(self.clock, "adversary", "attack", event.encode())
+        self.record("adversary", "attack", event.encode())
         outcome = inject_attack(self, event)
         self.metrics["attacks"].append(asdict(outcome))
-        self.record(self.clock, "adversary", "attack_outcome", outcome.encode())
+        self.record("adversary", "attack_outcome", outcome.encode())
 
     # -- summary ------------------------------------------------------------
 
@@ -900,8 +896,6 @@ def inject_attack(net: Network, event: AttackEvent) -> AttackOutcome:
     NNS gate, vault access, offline gate, match layer, finality quorum, and
     ledger validation (`append_block`, which keeps a block it accepts).
     """
-    at = net.clock
-
     def blocked(stage: str, detail: str = "") -> AttackOutcome:
         return AttackOutcome(event.category, False, stage, detail)
 
@@ -911,7 +905,7 @@ def inject_attack(net: Network, event: AttackEvent) -> AttackOutcome:
     if event.category == 1 and "module_key" not in event.secrets:
         return blocked("module registry", "no registered module key")
     if "module_key" in event.secrets:
-        fake = _enroll_fabricated_identity(net, at)
+        fake = _enroll_fabricated_identity(net)
         if fake is None:
             return blocked("module registry", "no responder accepted enrollment")
 
@@ -971,11 +965,11 @@ def inject_attack(net: Network, event: AttackEvent) -> AttackOutcome:
         net.layer0.append_block(block, *net._finality)
     except ProtocolError as exc:
         return blocked("ledger validation", str(exc))
-    net.record(at, "adversary", "fraud_finalized", block.encode())
+    net.record("adversary", "fraud_finalized", block.encode())
     return AttackOutcome(event.category, True, None, "fraudulent block finalized")
 
 
-def _enroll_fabricated_identity(net: Network, at: int) -> NodeState | None:
+def _enroll_fabricated_identity(net: Network) -> NodeState | None:
     """Enroll a Sybil identity with a stolen (real) module key."""
     net._fraud_counter += 1
     name = f"{SYBIL_PREFIX}{net._fraud_counter}"
@@ -985,10 +979,10 @@ def _enroll_fabricated_identity(net: Network, at: int) -> NodeState | None:
     )
     try:
         request = net._request(fake, _material(net.config.seed, "sybil-nonce", net._fraud_counter))
-        response = net._respond(net.responder(), fake, request, at)
+        response = net._respond(net.responder(), fake, request)
     except ProtocolError:
         return None
-    net.record(at, name, "attack_enroll", response.encode())
+    net.record(name, "attack_enroll", response.encode())
     # The fabricated device has no genuine hardware (hardware_uid stays
     # None): its real UID exists only inside the vault.
     net.nodes[name] = fake

@@ -166,9 +166,7 @@ class NodeChainLedger:
         return ledger
 
 
-def append_virtual_block(
-    ledger: NodeChainLedger, block: VirtualExistenceBlock
-) -> VesState:
+def append_virtual_block(ledger: NodeChainLedger, block: VirtualExistenceBlock) -> None:
     """Append the next virtual block after checking index, link, and header."""
     ves = ledger.ves
     if block.nns_index != ves.index + 1:
@@ -180,7 +178,6 @@ def append_virtual_block(
     if block.recomputed_header() != block.header_digest:
         raise IntegrityViolation("header digest does not verify")
     ledger._blocks.append(block)
-    return ledger.ves
 
 
 def verify_chain(

@@ -301,9 +301,14 @@ def _demo_mutated(tmp_path, mutate):
          "error: nodes[3].extrinsic.mac_address: "),
         (lambda d: d["nodes"][1].update(extrinsic={"ip_address": "0102"}), 2,
          "error: nodes[1].extrinsic.ip_address: "),
+        # Only key brute force tries the vault remotely; the key that once
+        # chose otherwise is gone, so a file that sets it is refused.
+        (lambda d: d["script"][7].update(attempt_remote_vault=False), 2,
+         "error: script[7].attempt_remote_vault: unknown key"),
     ],
     ids=["cost-2^40", "cost-2^16-r1", "block_size-2^20", "power-class-float",
-         "power-class-string", "mac-one-byte", "ip-two-bytes-on-edge"],
+         "power-class-string", "mac-one-byte", "ip-two-bytes-on-edge",
+         "attempt-remote-vault"],
 )
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_scenario_refused_at_build_exits_with_one_line(
@@ -425,6 +430,43 @@ def test_any_single_field_mutation_exits_cleanly(capsys, slot, value):
         if code == 0:
             assert main(["verify", "--scenario", path, "--out", out]) == 0
     assert "Traceback" not in capsys.readouterr().err
+
+
+# Flag values of every kind argparse meets. A valid --trials stays at most
+# 64 so that no draw samples for long, and no text draw holds a digit.
+_FLAG_VALUES = st.one_of(
+    st.integers(-2, 64).map(str),
+    st.sampled_from([str(2**63), str(2**64 - 1), str(2**64), str(MAX_TRIALS + 1), "1.5",
+                     "0x10", "", "-", "-h", "--out", "many"]),
+    st.text(alphabet=" +-._ex", max_size=4),
+)
+# --out stays inside the example's temporary directory, which holds the
+# demo's artifacts in `out` and a plain file named `file`.
+_OUT_PARTS = st.lists(st.sampled_from(["out", "file", "new", "."]), min_size=1, max_size=3)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_flag_of_any_subcommand_exits_cleanly(capsys, data):
+    options = _parser_options()
+    command = data.draw(st.sampled_from(sorted(options)))
+    flag = data.draw(st.sampled_from(sorted(options[command] - {"--scenario"})))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        assert main(["run", "--scenario", DEMO, "--out", out]) == 0
+        Path(tmp, "file").write_text("")
+        defaults = {"--scenario": DEMO, "--out": out, "--trials": "64"}
+        argv = [command]
+        for option in sorted(options[command] & set(defaults)):
+            argv += [option, defaults[option]]
+        if flag == "--out":
+            value = os.path.join(tmp, *data.draw(_OUT_PARTS))
+        else:
+            value = data.draw(_FLAG_VALUES)
+        assert main([*argv, flag, value]) in (0, 1, 2)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
 
 
 # ---------------------------------------------------------------------------

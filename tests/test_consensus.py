@@ -144,9 +144,9 @@ def test_respond_creates_matching_vault_entry(responder):
         nonce=b"\x01" * 8,
     )
     response = respond(responder, request, timestamp=10)
-    assert response.ledger_snapshot_ref.index == 2
-    assert response.vault_delta_ref == 2
+    assert response.virtual_block.nns_index == 2
     entry = responder.vault.entries[-1]
+    assert entry.enrollment_index == 2
     # Independent generator recomputation: previous UID is the genesis UID.
     assert entry.real_uid == derive_uid(request.container1, responder.uid, CHEAP_KDF)
     assert entry.tuid == tokenize_uid(entry.real_uid, TOKEN_SALT)

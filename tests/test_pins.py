@@ -9,6 +9,8 @@ import json
 from dataclasses import fields
 from importlib import resources
 
+import pytest
+
 from flexichain import dag, netsim
 from flexichain.cli import _replayed_artifacts, main
 from flexichain.netsim import Network, ScenarioConfig, run_scenario
@@ -244,6 +246,42 @@ def test_exhaustive_64_is_pinned():
     assert summary["rejections"] == 0
     assert result.trace_digest.hex() == EXHAUSTIVE_64_TRACE
     assert ledger_digests(result) == EXHAUSTIVE_64_LEDGERS
+
+
+def reappended_layer0(net: Network) -> dag.Layer0Ledger:
+    """A fresh ledger with `net`'s branch markers, into which every block
+    `net` finalized is appended again, decoded from its bytes.
+
+    Each block is checked against the roster it finalized on: the roster cut
+    after the newest token its narration names.
+    """
+    markers = [(branch, net.layer0.record(net.layer0.same_type_ancestors(tag)[0]))
+               for branch, tag in net.layer0.branches.items()]
+    (_, virtual), *registered = markers
+    fresh = dag.Layer0Ledger(virtual.digest)
+    for branch, marker in registered:
+        fresh.register_branch(branch, marker.digest, marker.timestamp)
+    roster = net.roster()
+    position = {tuid: i for i, tuid in enumerate(roster)}
+    for block in net.layer0.blocks():
+        cut = 1 + max(position[tuid] for tuid in block.narrated)
+        fresh.append_block(dag.DataBlock.decode(block.encode()), roster[:cut],
+                           net.config.finality_mode, net.config.latest_count)
+    return fresh
+
+
+@pytest.mark.parametrize(
+    "config,finalized",
+    [(lambda: ScenarioConfig.from_file(DEMO), 1),
+     (lambda: ScenarioConfig.from_dict(scale_64()), 3),
+     (lambda: ScenarioConfig.from_dict(exhaustive_64()), 4)],
+    ids=["demo", "scale_64", "exhaustive_64"],
+)
+def test_finalized_blocks_reappend_from_their_bytes(config, finalized):
+    net = run_scenario(config()).network
+    fresh = reappended_layer0(net)
+    assert len(fresh.blocks()) == finalized
+    assert fresh.export_text() == net.layer0.export_text()
 
 
 def test_montecarlo_stdout_is_pinned(capsys):
