@@ -113,8 +113,9 @@ MAX_TX_COUNT = 4096
 # of it: 1024 bytes is eight times the default.
 MAX_UID_LENGTH = 1024
 # Every join runs scrypt, whose memory `identity.scrypt_memory` counts.
-# hashlib would allow up to about 2 GiB per derivation; the schema stops at
-# 256 MiB, 16 times the default (cost 2^14, block_size 8, parallelism 1).
+# `identity.scrypt_kdf` allows up to about 2 GiB per derivation; the schema
+# stops at 256 MiB, 16 times the default (cost 2^14, block_size 8,
+# parallelism 1).
 MAX_SCRYPT_MEMORY = 2**28
 # Scope keys of the names declared so far; no scenario key has a space.
 _NODE_NAMES, _BRANCH_NAMES = "node names", "branch names"

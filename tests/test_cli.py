@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from flexichain import netsim, secmodel
 from flexichain.cli import MAX_TRIALS, build_parser, main
 
+from test_pins import reappended_layer0
+
 DEMO = str(resources.files("flexichain") / "scenarios" / "demo.json")
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -288,7 +290,7 @@ def _demo_mutated(tmp_path, mutate):
     [
         # scrypt memory beyond 2^28 bytes is refused at parse time.
         (lambda d: d["kdf"].update(cost=2**40), 2, "error: kdf: "),
-        # scrypt parameters hashlib refuses: a protocol error (InvalidKdf).
+        # scrypt parameters OpenSSL refuses: a protocol error (InvalidKdf).
         (lambda d: d["kdf"].update(cost=2**16, block_size=1), 1, "InvalidKdf"),
         (lambda d: d["kdf"].update(block_size=2**20), 2, "error: kdf: "),
         # Extrinsic overrides are checked when the network is built, and the
@@ -428,7 +430,12 @@ def test_any_single_field_mutation_exits_cleanly(capsys, slot, value):
         code = main(["run", "--scenario", path, "--out", out])
         assert code in (0, 1, 2)
         if code == 0:
+            # verify replays the run and checks that the vault was never
+            # read remotely; each finalized block must also re-append from
+            # its bytes on the roster it finalized on.
             assert main(["verify", "--scenario", path, "--out", out]) == 0
+            net = netsim.run_scenario(netsim.ScenarioConfig.from_file(path)).network
+            assert reappended_layer0(net).export_text() == net.layer0.export_text()
     assert "Traceback" not in capsys.readouterr().err
 
 

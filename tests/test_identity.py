@@ -10,7 +10,10 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flexichain import identity
 from flexichain.errors import InvalidKdf, InvalidParameters
 from flexichain.identity import (
     KdfParameters,
@@ -63,6 +66,23 @@ def test_scrypt_reference_vectors(password, salt, n, r, p, dklen, expected):
 def test_scrypt_first_vector_prefix():
     out = scrypt_kdf(b"", b"", 16, 1, 1, 64)
     assert out[:8].hex() == "77d6576238657b20"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    password=st.binary(max_size=64),
+    salt=st.binary(max_size=64),
+    log_cost=st.integers(1, 10),
+    block_size=st.integers(1, 4),
+    parallelism=st.integers(1, 2),
+    length=st.integers(1, 256),
+)
+def test_scrypt_kdf_equals_hashlib(password, salt, log_cost, block_size, parallelism, length):
+    # hashlib.scrypt is the independent oracle; the package never calls it.
+    cost = 2**log_cost
+    expected = hashlib.scrypt(password, salt=salt, n=cost, r=block_size, p=parallelism,
+                              dklen=length, maxmem=64 << 20)
+    assert scrypt_kdf(password, salt, cost, block_size, parallelism, length) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +222,50 @@ def test_kdf_parameter_validation(kwargs):
         (1024, 2**20, 1, 128),
         (16, 1, 2**64 - 1, 128),  # beyond a C long
         (16, 1, 1, 2**31),  # dklen
+        (3, 1, 1, 128),  # cost not a power of two
+        (1, 1, 1, 128),
+        (16, 0, 1, 128),
+        (16, 1, 0, 128),
+        (-2**64, 1, 1, 128),  # below a C unsigned long
+        (16, 1, 1, 0),
+        # B and V (128 * r * (N + p + 2) bytes) beyond the budget.
+        (2, 2**20, 1, 128),
+        (2, 8_000_000, 1, 128),
     ],
 )
 def test_scrypt_parameters_hashlib_refuses_raise_invalid_kdf(
     cost, block_size, parallelism, length
 ):
+    with pytest.raises(InvalidKdf, match="scrypt refuses"):
+        scrypt_kdf(b"pw", b"salt", cost, block_size, parallelism, length)
+
+
+@pytest.mark.parametrize(
+    "cost,block_size,parallelism,length",
+    [
+        (2**40, 8, 1, 128),
+        (1024, 2**20, 1, 128),
+        (16, 1, 2**64 - 1, 128),
+        (2**24, 8, 1, 128),
+        # 128 * 2^14 * 1008 + 32 MiB is 2^31, one byte beyond the limit;
+        # 1007 would be accepted and allocate about 2 GiB.
+        (2**14, 1008, 1, 128),
+        (2**14, 1, 1008, 128),
+        # The budget fits, but B and V (640 MiB; about 5 GiB) do not.
+        (2, 2**20, 1, 128),
+        (2, 8_000_000, 1, 128),
+        (16, 1, 1, 2**31),
+        (16, 1, 1, 0),
+        (16, 1, 1, -1),
+    ],
+)
+def test_scrypt_limits_refuse_before_the_kernel_is_built(
+    monkeypatch, cost, block_size, parallelism, length
+):
+    def built(**kwargs):
+        raise AssertionError(f"Scrypt constructed with {kwargs}")
+
+    monkeypatch.setattr(identity, "Scrypt", built)
     with pytest.raises(InvalidKdf, match="scrypt refuses"):
         scrypt_kdf(b"pw", b"salt", cost, block_size, parallelism, length)
 

@@ -1,6 +1,11 @@
-"""Static check: every name a package module imports is used in it or exported."""
+"""Static checks on the package source.
+
+Every name a package module imports is used in it or exported, and scrypt
+runs on one kernel, from one function.
+"""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -47,3 +52,16 @@ def test_checker(source, unused):
 )
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_one_scrypt_kernel_from_one_function():
+    # Joins, genesis, full-mode verification and the benchmark's floor all
+    # derive through `identity.scrypt_kdf`, so they share one kernel.
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: text.count("Scrypt(") for name, text in sources.items()
+            if "Scrypt(" in text} == {"identity.py": 1}
+    body = sources["identity.py"].split("\ndef scrypt_kdf(", 1)[1].split("\ndef ", 1)[0]
+    assert "Scrypt(" in body
+    # The docstrings compare against hashlib.scrypt; no code calls it.
+    for text in sources.values():
+        assert not re.search(r"hashlib\.scrypt\(|from hashlib import .*\bscrypt\b", text)

@@ -188,7 +188,7 @@ def test_count_bound_is_accepted():
 
 def test_scrypt_memory_is_bounded_at_parse_time():
     # Parsing runs no scrypt. 2^28 bytes (cost 2^18, block_size 8) is the
-    # most a scenario may ask each join for; hashlib would allow 2^30.
+    # most a scenario may ask each join for; scrypt_kdf would allow 2^30.
     at_bound = scenario(extra={"kdf": {"cost": 2**18, "block_size": 8}})
     assert ScenarioConfig.from_dict(at_bound).kdf.cost == 2**18
     for kdf in ({"cost": 2**20, "block_size": 8},
