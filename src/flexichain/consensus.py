@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     AlreadyEnrolled,
@@ -129,11 +129,6 @@ class AuthenticationMessage:
         )
 
 
-class AuthResult(NamedTuple):
-    block: DataBlock
-    duplicate: bool
-
-
 def enroll_request(
     params: ExtrinsicParameters,
     credential: TrustedModuleCredential,
@@ -240,15 +235,16 @@ def authenticate_block(
     local_ves_index: int,
     network_ves_index: int,
     token_salt: bytes,
-) -> AuthResult:
-    """Extend a block's chain of narration with this node's token.
+) -> DataBlock:
+    """The block with its chain of narration extended by this node's token.
 
     Only the node's `tuid` (None until enrolled), `hardware_uid` and `vault`
     are read. The node must be enrolled, hold the ledger at the network's
     current version (the NNS handshake), and pass the match layer for its
     own identity. A full node additionally checks the vault it holds against
-    the hardware-held UID. Re-authentication is an idempotent no-op flagged
-    as a duplicate.
+    the hardware-held UID. Re-authentication is an idempotent no-op: the
+    block comes back unchanged, and a caller tells a duplicate by
+    `node.tuid in block.narrated` on the block it passed in.
     """
     if node.tuid is None:
         raise IdentityMismatch("node is not enrolled")
@@ -261,8 +257,8 @@ def authenticate_block(
         if entry is None or entry.real_uid != node.hardware_uid:
             raise IdentityMismatch("vault entry does not match hardware identity")
     if node.tuid in block.narrated:
-        return AuthResult(block, duplicate=True)
-    return AuthResult(block.with_narration_entry(node.tuid), duplicate=False)
+        return block
+    return block.with_narration_entry(node.tuid)
 
 
 def check_finality(

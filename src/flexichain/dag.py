@@ -7,7 +7,9 @@ NodeChain; data branches are allocated sequential tags starting at "B".
 Every data block carries two arcs into its own branch: a chain arc to
 the most recent same-type block, and a pseudorandom arc to an earlier
 same-type block chosen by the block's own transaction root. Ordering is
-time consensus: ascending timestamp with header-digest tie-break.
+time consensus: ascending timestamp with header-digest tie-break. A block's
+chain of narration is its authenticators' tokens: `encode` derives the
+digests that chain them, and `decode` refuses digests that do not chain.
 """
 
 from __future__ import annotations
@@ -116,11 +118,12 @@ class DataBlock:
     the timestamp. Narration accumulates after creation as authenticators
     attest, so it is deliberately outside the header.
 
-    `narrated` is the set of the narration's tokens, for constant-time
-    membership and finality tests. It is derived, so it is never encoded
-    or compared: it is built once when a block is constructed or decoded,
-    and `with_narration_entry` hands the next block this set extended by
-    one token instead of rebuilding it.
+    `narration` lists the authenticators' tokens in attestation order, and
+    `narrated` is their set, for constant-time membership and finality
+    tests. It is derived, so it is never encoded or compared: it is built
+    once when a block is constructed or decoded, and `with_narration_entry`
+    hands the next block this set extended by one token instead of
+    rebuilding it.
     """
 
     block_type_tag: str
@@ -128,7 +131,7 @@ class DataBlock:
     tx_root: bytes
     prev_same_type: bytes
     random_arc: bytes
-    narration: tuple[tuple[TokenizedUid, bytes], ...]
+    narration: tuple[TokenizedUid, ...]
     timestamp: int
     header_digest: bytes
     narrated: frozenset[TokenizedUid] = field(init=False, compare=False, repr=False)
@@ -136,7 +139,7 @@ class DataBlock:
 
     def __post_init__(self, narrated_with: frozenset[TokenizedUid] | None) -> None:
         if narrated_with is None:
-            narrated_with = frozenset(tuid for tuid, _ in self.narration)
+            narrated_with = frozenset(self.narration)
         object.__setattr__(self, "narrated", narrated_with)
 
     def header_bytes(self) -> bytes:
@@ -149,33 +152,25 @@ class DataBlock:
     def recomputed_header(self) -> bytes:
         return sha256(self.header_bytes())
 
-    @property
-    def sealed(self) -> bool:
-        return self.header_digest != ZERO32
-
     def with_parents(self, prev_same_type: bytes, random_arc: bytes) -> "DataBlock":
         """Attach arcs and seal the header."""
         block = replace(self, prev_same_type=prev_same_type, random_arc=random_arc)
         return replace(block, header_digest=block.recomputed_header())
 
-    def narration_tuids(self) -> tuple[TokenizedUid, ...]:
-        return tuple(tuid for tuid, _ in self.narration)
-
     def with_narration_entry(self, tuid: TokenizedUid) -> "DataBlock":
-        prev = self.narration[-1][1] if self.narration else NARRATION_SEED
-        entry = (tuid, narration_fold((tuid,), prev))
         return replace(
-            self, narration=self.narration + (entry,), narrated_with=self.narrated | {tuid}
+            self, narration=self.narration + (tuid,), narrated_with=self.narrated | {tuid}
         )
 
     def encode(self) -> bytes:
         txs = encode_fields(len(self.transactions)) + b"".join(
             lp(t.encode()) for t in self.transactions
         )
-        narration = encode_fields(len(self.narration)) + b"".join(
-            lp(tuid.value) + lp(digest) for tuid, digest in self.narration
-        )
-        return self.header_bytes() + lp(self.header_digest) + txs + narration
+        narration, digest = [encode_fields(len(self.narration))], NARRATION_SEED
+        for tuid in self.narration:
+            digest = narration_fold((tuid,), digest)
+            narration.append(lp(tuid.value) + lp(digest))
+        return self.header_bytes() + lp(self.header_digest) + txs + b"".join(narration)
 
     @classmethod
     def decode(cls, data: bytes) -> "DataBlock":
@@ -201,9 +196,12 @@ class DataBlock:
             if not tx.verify():
                 raise BadSignature("transaction signature does not verify")
             txs.append(tx)
-        narration = []
+        narration, digest = [], NARRATION_SEED
         for _ in range(r.read_u64()):
-            narration.append((TokenizedUid(r.read_field()), r.read_field()))
+            narration.append(TokenizedUid(r.read_field()))
+            digest = narration_fold(narration[-1:], digest)
+            if r.read_field() != digest:
+                raise IntegrityViolation("narration digest does not chain")
         if not r.exhausted():
             raise ValueError("trailing bytes after block")
         return cls(
@@ -350,23 +348,22 @@ class Layer0Ledger:
 
     def append_block(self, block: DataBlock, roster: Sequence[TokenizedUid],
                      mode: FinalityMode, latest_count: int = 1) -> None:
-        """Store a sealed, final block after arc and commitment checks: the
-        one way a data block enters the ledger, honest or adversarial.
+        """Store a final block after arc and commitment checks: the one way
+        a data block enters the ledger, honest or adversarial.
 
-        The transactions must be strictly increasing by (timestamp,
-        digest): the canonical order, with no transaction repeated. The
-        Merkle rule pairs an odd last leaf with itself, so a repeated last
-        transaction would otherwise keep the block's tx_root
+        The header digest must verify, which refuses an unsealed candidate's
+        all-zero one. The transactions must be strictly increasing by
+        (timestamp, digest): the canonical order, with no transaction
+        repeated. The Merkle rule pairs an odd last leaf with itself, so a
+        repeated last transaction would otherwise keep the block's tx_root
         (CVE-2012-2459). Every transaction must carry the block's tag and
         come from one sender, as `build_candidate_block` collects them. A
         transaction that an earlier block already finalized is refused.
-        The narration must list distinct tokens, each stored digest chained
-        from the one before it by `narration_fold`. Every narration token
-        must be on the `roster`, and `check_finality` must hold. Signatures
-        were checked where each transaction entered its block.
+        The narration must list distinct tokens, every one on the `roster`,
+        and `check_finality` must hold. Signatures were checked where each
+        transaction entered its block, narration digests where the block's
+        bytes did (`DataBlock.decode`).
         """
-        if not block.sealed:
-            raise IntegrityViolation("block is unsealed")
         if block.block_type_tag not in self._by_tag:
             raise UnknownBranch(
                 f"no branch registered for tag {block.block_type_tag!r}"
@@ -383,11 +380,6 @@ class Layer0Ledger:
             raise IntegrityViolation("header digest does not verify")
         if len(block.narrated) != len(block.narration):
             raise IntegrityViolation("narration repeats a token")
-        prev = NARRATION_SEED
-        for tuid, digest in block.narration:
-            if narration_fold((tuid,), prev) != digest:
-                raise IntegrityViolation("narration digest does not chain")
-            prev = digest
         tx_digests = [tx.digest() for tx in block.transactions]
         if merkle_root(tx_digests) != block.tx_root:
             raise IntegrityViolation("tx_root does not match transactions")

@@ -110,7 +110,7 @@ class TokenizedUid:
 
 @dataclass(frozen=True)
 class KdfParameters:
-    """scrypt work parameters plus network salt. Secret network configuration."""
+    """scrypt work parameters OpenSSL accepts, plus network salt. Secret network configuration."""
 
     cost: int
     block_size: int
@@ -127,6 +127,7 @@ class KdfParameters:
             raise InvalidKdf("parallelism must be positive")
         if self.output_length < 1:
             raise InvalidKdf("output_length must be positive")
+        scrypt_budget(self.cost, self.block_size, self.parallelism)
 
 
 @dataclass(frozen=True)
@@ -148,6 +149,22 @@ def scrypt_memory(cost: int, block_size: int, parallelism: int) -> int:
     return 128 * cost * block_size * parallelism
 
 
+def scrypt_budget(cost: int, block_size: int, parallelism: int) -> int:
+    """scrypt's memory plus 32 MiB: the most hashlib.scrypt let it allocate.
+
+    InvalidKdf where OpenSSL refuses the parameters: N >= 2^(16 r), found by
+    bit length, or B and V, 128 * r * (N + p + 2) bytes, beyond the budget.
+    """
+    if cost.bit_length() > 16 * block_size:
+        raise InvalidKdf("scrypt refuses these parameters: cost >= 2^(16 * block_size)")
+    budget = scrypt_memory(cost, block_size, parallelism) + (32 << 20)
+    allocated = 128 * block_size * (cost + parallelism + 2)
+    if allocated > budget:
+        raise InvalidKdf(f"scrypt refuses these parameters: B and V need {allocated} "
+                         f"bytes, beyond the budget of {budget}")
+    return budget
+
+
 def scrypt_kdf(
     password: bytes,
     salt: bytes,
@@ -158,20 +175,14 @@ def scrypt_kdf(
 ) -> bytes:
     """The raw scrypt submodule (RFC 7914), on `cryptography`'s kernel.
 
-    InvalidKdf where OpenSSL refuses the parameters (such as N >= 2^(16 r)),
-    and where they break the memory or length limits the module docstring
+    InvalidKdf where OpenSSL refuses the parameters (`scrypt_budget`), and
+    where they break the memory or length limits the module docstring
     states, which also gives the measured cost per call.
     """
     # `cryptography` lets OpenSSL allocate without limit, so hashlib.scrypt's
-    # limits are checked here, before anything is allocated. OpenSSL
-    # allocates B and V, 128 * r * (N + p + 2) bytes, which must fit the
-    # budget hashlib was given (scrypt's memory plus 32 MiB); the budget and
-    # the output length must each fit a C int.
-    budget = scrypt_memory(cost, block_size, parallelism) + (32 << 20)
-    allocated = 128 * block_size * (cost + parallelism + 2)
-    if allocated > budget or budget > 2**31 - 1:
-        raise InvalidKdf(f"scrypt refuses these parameters: they need {allocated} bytes; "
-                         f"the budget is {budget} and may be at most 2^31 - 1")
+    # limits are checked first: the budget and the length must fit a C int.
+    if scrypt_budget(cost, block_size, parallelism) > 2**31 - 1:
+        raise InvalidKdf("scrypt refuses these parameters: their budget exceeds 2^31 - 1")
     if not 1 <= length <= 2**31 - 1:
         raise InvalidKdf(f"scrypt refuses these parameters: length {length} "
                          f"is not in [1, 2^31 - 1]")

@@ -765,7 +765,7 @@ class Network:
             if not node.online:
                 raise Unauthorized("offline node cannot attest")
             ves_index = self.local_ves_index(node)
-            result = consensus.authenticate_block(
+            attested = consensus.authenticate_block(
                 node, block, ves_index, self.nodechain.ves.index, self.config.token_salt
             )
             message = AuthenticationMessage(
@@ -781,11 +781,11 @@ class Network:
         except ProtocolError as exc:
             self.reject(node.name, "authenticate", exc)
             return
-        if result.duplicate:
+        if node.tuid in block.narrated:
             self.metrics["duplicate_authentications"] += 1
             self.record(node.name, "duplicate_auth", message.encode())
             return
-        self.pending_blocks[block_digest] = result.block
+        self.pending_blocks[block_digest] = attested
         self.metrics["authentications"] += 1
         self.record(node.name, "auth", message.encode())
         self._check_block_finality(block_digest)

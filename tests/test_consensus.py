@@ -38,6 +38,7 @@ from flexichain.identity import (
 from flexichain.keys import public_bytes, sign_message, signing_key_from_seed
 from flexichain.nodechain import NodeChainLedger
 from flexichain.vault import CallOrigin, NodeRole, Vault
+from flexichain.wire import lp
 
 from conftest import CHEAP_KDF, TOKEN_SALT, make_params, make_signing_key, material
 
@@ -241,20 +242,23 @@ def test_first_authentication_extends_narration(responder):
     node = enrolled_participant(responder, "auth-1")
     block = data_block()
     ves = responder.ledger.ves.index
-    result = authenticate_block(node, block, ves, ves, TOKEN_SALT)
-    assert not result.duplicate
-    assert len(result.block.narration) == 1
-    assert result.block.narration[0][0] == node.tuid
+    attested = authenticate_block(node, block, ves, ves, TOKEN_SALT)
+    # Not a duplicate: the block passed in does not narrate the node yet.
+    assert node.tuid not in block.narrated
+    assert attested.narration == (node.tuid,)
 
 
 def test_duplicate_authentication_is_noop(responder):
     node = enrolled_participant(responder, "auth-1")
     block = data_block()
     ves = responder.ledger.ves.index
-    once = authenticate_block(node, block, ves, ves, TOKEN_SALT).block
+    once = authenticate_block(node, block, ves, ves, TOKEN_SALT)
     again = authenticate_block(node, once, ves, ves, TOKEN_SALT)
-    assert again.duplicate
-    assert len(again.block.narration) == 1
+    # A duplicate: the block passed in already narrates the node, and it
+    # comes back unchanged.
+    assert node.tuid in once.narrated
+    assert again is once
+    assert len(again.narration) == 1
 
 
 def test_narration_digest_matches_hash_fold(responder):
@@ -264,11 +268,12 @@ def test_narration_digest_matches_hash_fold(responder):
     block = data_block()
     ves = responder.ledger.ves.index
     for node in nodes:
-        block = authenticate_block(node, block, ves, ves, TOKEN_SALT).block
+        block = authenticate_block(node, block, ves, ves, TOKEN_SALT)
     digest = b"\x00" * 32
     for node in nodes:
         digest = hashlib.sha256(digest + node.tuid.value).digest()
-    assert block.narration[-1][1] == digest
+    # The encoding ends with the last (TUID, digest) pair of the narration.
+    assert block.encode().endswith(lp(nodes[-1].tuid.value) + lp(digest))
 
 
 def test_stale_ves_blocks_authentication(responder):
@@ -277,8 +282,8 @@ def test_stale_ves_blocks_authentication(responder):
     with pytest.raises(StaleState):
         authenticate_block(node, data_block(), ves - 1, ves, TOKEN_SALT)
     # After syncing, the same node authenticates fine.
-    result = authenticate_block(node, data_block(), ves, ves, TOKEN_SALT)
-    assert len(result.block.narration) == 1
+    block = authenticate_block(node, data_block(), ves, ves, TOKEN_SALT)
+    assert len(block.narration) == 1
 
 
 def test_unenrolled_node_cannot_authenticate(responder):
@@ -300,8 +305,8 @@ def test_full_node_authenticates_against_its_vault(responder):
     node = enrolled_participant(responder, "auth-1")
     node.vault = responder.vault
     ves = responder.ledger.ves.index
-    result = authenticate_block(node, data_block(), ves, ves, TOKEN_SALT)
-    assert len(result.block.narration) == 1
+    block = authenticate_block(node, data_block(), ves, ves, TOKEN_SALT)
+    assert len(block.narration) == 1
     # A vault copy that disagrees with the hardware identity blocks it.
     node2 = enrolled_participant(responder, "auth-2")
     node2.vault = responder.vault

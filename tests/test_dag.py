@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import random
+import struct
 from importlib import resources
 
 import pytest
@@ -122,7 +123,7 @@ def test_candidate_block_commits_matching_transactions():
     ordered = sorted(txs, key=lambda t: (t.timestamp, t.digest()))
     assert block.tx_root == reference_merkle([tx.digest() for tx in ordered])
     assert block.narration == ()
-    assert not block.sealed
+    assert block.header_digest == ZERO32  # unsealed
 
 
 def test_candidate_block_filters_other_senders():
@@ -450,7 +451,7 @@ def test_narration_fold_matches_nested_hash():
 
     ledger, tag = ledger_with_branch()
     block = sealed_block(ledger, "alice", tag, 10, narrators=(t1, t2, t3))
-    assert block.narration[-1][1] == expected
+    assert block.encode().endswith(lp(t3.value) + lp(expected))
 
 
 def demo_finalized_block() -> tuple[Layer0Ledger, DataBlock, tuple]:
@@ -465,20 +466,32 @@ def demo_finalized_block() -> tuple[Layer0Ledger, DataBlock, tuple]:
     return ledger, DataBlock.decode(block.encode()), rules
 
 
-def test_append_block_rejects_a_narration_digest_that_does_not_chain():
+def test_decode_refuses_a_narration_digest_that_does_not_chain():
     ledger, block, rules = demo_finalized_block()
-    forged = dataclasses.replace(
-        block, narration=block.narration + ((TokenizedUid(b"\x07" * 32), ZERO32),)
-    )
+    encoded = block.encode()
+    # The encoding ends with the narration's (TUID, digest) pairs, each
+    # field a 4-byte length and 32 bytes.
+    pairs_at = len(encoded) - 72 * len(block.narration)
+    for i in range(len(block.narration)):
+        digest_at = pairs_at + 72 * i + 40
+        assert encoded[digest_at - 4:digest_at] == (32).to_bytes(4, "big")
+        for position in range(digest_at, digest_at + 32):
+            forged = bytearray(encoded)
+            forged[position] ^= 0x01
+            with pytest.raises(IntegrityViolation, match="narration digest does not chain"):
+                DataBlock.decode(bytes(forged))
+    # A pair appended with a digest that does not chain is refused too.
+    appended = (encoded[:pairs_at - 12] + encode_fields(len(block.narration) + 1)
+                + encoded[pairs_at:] + lp(b"\x07" * 32) + lp(ZERO32))
     with pytest.raises(IntegrityViolation, match="narration digest does not chain"):
-        ledger.append_block(DataBlock.decode(forged.encode()), *rules)
-    ledger.append_block(block, *rules)
+        DataBlock.decode(appended)
+    ledger.append_block(DataBlock.decode(encoded), *rules)
     assert ledger.blocks("B") == [block]
 
 
 def test_append_block_rejects_a_repeated_narration_token():
     ledger, block, rules = demo_finalized_block()
-    repeated = block.with_narration_entry(block.narration[0][0])
+    repeated = block.with_narration_entry(block.narration[0])
     assert len(repeated.narration) == len(block.narration) + 1
     with pytest.raises(IntegrityViolation, match="narration repeats a token"):
         ledger.append_block(DataBlock.decode(repeated.encode()), *rules)
@@ -540,6 +553,36 @@ def test_export_text_lists_all_records():
     assert block.header_digest.hex() in text
 
 
+def reference_encoding(block: DataBlock) -> bytes:
+    """A data block's bytes as the README's file formats lay them out: each
+    field prefixed with its 4-byte big-endian length, integers as 8 bytes
+    big-endian; the header fields (tag, tx root, chain arc, random arc,
+    timestamp), the header digest, the transaction count and transactions
+    (sender, tag, payload, timestamp, signature), then the narration count
+    and (TUID, digest) pairs, each digest SHA-256 of the one before it (32
+    zero bytes first) and the TUID."""
+    def field(value: bytes) -> bytes:
+        return struct.pack(">I", len(value)) + value
+
+    def integer(value: int) -> bytes:
+        return field(struct.pack(">Q", value))
+
+    out = [field(block.block_type_tag.encode()), field(block.tx_root),
+           field(block.prev_same_type), field(block.random_arc),
+           integer(block.timestamp), field(block.header_digest),
+           integer(len(block.transactions))]
+    for tx in block.transactions:
+        out.append(field(field(tx.sender) + field(tx.block_type_tag.encode())
+                         + field(tx.payload) + integer(tx.timestamp)
+                         + field(tx.signature)))
+    out.append(integer(len(block.narration)))
+    digest = bytes(32)
+    for tuid in block.narration:
+        digest = hashlib.sha256(digest + tuid.value).digest()
+        out.append(field(tuid.value) + field(digest))
+    return b"".join(out)
+
+
 NARRATORS = [TokenizedUid(material(f"dag/narrator/{i}", 32)) for i in range(6)]
 
 
@@ -551,7 +594,8 @@ def test_narrated_set_tracks_the_narration(narrators):
     assert block.narrated == frozenset()
     for tuid in narrators:
         block = block.with_narration_entry(tuid)
-        assert block.narrated == set(block.narration_tuids())
+        assert block.narrated == set(block.narration)
+    assert block.encode() == reference_encoding(block)
     decoded = DataBlock.decode(block.encode())
     assert decoded == block and decoded.encode() == block.encode()
-    assert decoded.narrated == set(block.narration_tuids()) == set(narrators)
+    assert decoded.narrated == set(block.narration) == set(narrators)

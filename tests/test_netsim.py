@@ -709,7 +709,7 @@ def test_majority_with_all_secrets_succeeds(mode):
     # The ledger accepted the fraud block: it is final on the real roster.
     (fraud,) = net.layer0.blocks("B")
     assert fraud.transactions[0].sender == net.nodes["bn"].public_id
-    assert fraud.narration_tuids() == tuple(net.roster())
+    assert fraud.narration == tuple(net.roster())
 
 
 def test_attack_on_an_unregistered_branch_is_refused_by_the_ledger():
