@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field, replace
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .consensus import FinalityMode, check_finality
 from .errors import (
@@ -217,17 +217,18 @@ class DataBlock:
 
 
 def build_candidate_block(
-    pool: list[Transaction],
+    pool: Iterable[Transaction],
     sender: bytes,
     tag: str,
     window: tuple[int, int],
 ) -> DataBlock:
     """Collect one sender's transactions of one type inside a time window.
 
-    The window is half-open: t_start <= timestamp < t_end. Transactions
-    are ordered canonically by (timestamp, digest) and committed under a
-    Merkle root. Arcs and narration are attached later; the candidate is
-    unsealed. The block timestamp is the window close.
+    The window is half-open: t_start <= timestamp < t_end. `pool` is read
+    once and left as it is. Transactions are ordered canonically by
+    (timestamp, digest) and committed under a Merkle root. Arcs and
+    narration are attached later; the candidate is unsealed. The block
+    timestamp is the window close.
     """
     t_start, t_end = window
     matching = [
@@ -315,11 +316,12 @@ class Layer0Ledger:
         self._by_tag[tag] = [record.digest]
         return tag
 
-    def same_type_ancestors(self, tag: str) -> list[bytes]:
-        """The branch's record digests, its genesis marker first."""
-        if tag not in self._by_tag:
+    def _branch(self, tag: str) -> list[bytes]:
+        """The branch's record digests, genesis marker first: the list itself."""
+        branch = self._by_tag.get(tag)
+        if branch is None:
             raise UnknownBranch(f"no branch registered for tag {tag!r}")
-        return list(self._by_tag[tag])
+        return branch
 
     def record(self, digest: bytes) -> LedgerRecord | None:
         return self._records.get(digest)
@@ -338,36 +340,34 @@ class Layer0Ledger:
         """Deterministic arc choice for a candidate block.
 
         The chain arc is the newest same-type record; the random arc is the
-        ancestor indexed by the candidate's tx_root reduced modulo the
-        ancestor count.
+        record indexed by the candidate's tx_root reduced modulo the branch's
+        record count, the genesis marker being index 0. Both are read from
+        the branch in place. An unregistered tag raises `UnknownBranch`.
         """
-        ancestors = self.same_type_ancestors(candidate.block_type_tag)
-        prev_same_type = ancestors[-1]
-        pick = int.from_bytes(candidate.tx_root, "big") % len(ancestors)
-        return prev_same_type, ancestors[pick]
+        branch = self._branch(candidate.block_type_tag)
+        pick = int.from_bytes(candidate.tx_root, "big") % len(branch)
+        return branch[-1], branch[pick]
 
     def append_block(self, block: DataBlock, roster: Sequence[TokenizedUid],
                      mode: FinalityMode, latest_count: int = 1) -> None:
         """Store a final block after arc and commitment checks: the one way
         a data block enters the ledger, honest or adversarial.
 
-        The header digest must verify, which refuses an unsealed candidate's
-        all-zero one. The transactions must be strictly increasing by
-        (timestamp, digest): the canonical order, with no transaction
-        repeated. The Merkle rule pairs an odd last leaf with itself, so a
-        repeated last transaction would otherwise keep the block's tx_root
-        (CVE-2012-2459). Every transaction must carry the block's tag and
-        come from one sender, as `build_candidate_block` collects them. A
-        transaction that an earlier block already finalized is refused.
-        The narration must list distinct tokens, every one on the `roster`,
-        and `check_finality` must hold. Signatures were checked where each
-        transaction entered its block, narration digests where the block's
-        bytes did (`DataBlock.decode`).
+        The tag must name a registered branch (else `UnknownBranch`), and
+        the block joins the end of that branch. The header digest must
+        verify, which refuses an unsealed candidate's all-zero one. The
+        transactions must be strictly increasing by (timestamp, digest): the
+        canonical order, with no transaction repeated. The Merkle rule pairs
+        an odd last leaf with itself, so a repeated last transaction would
+        otherwise keep the block's tx_root (CVE-2012-2459). Every
+        transaction must carry the block's tag and come from one sender, as
+        `build_candidate_block` collects them. A transaction that an earlier
+        block already finalized is refused. The narration must list distinct
+        tokens, every one on the `roster`, and `check_finality` must hold.
+        Signatures were checked where each transaction entered its block,
+        narration digests where the block's bytes did (`DataBlock.decode`).
         """
-        if block.block_type_tag not in self._by_tag:
-            raise UnknownBranch(
-                f"no branch registered for tag {block.block_type_tag!r}"
-            )
+        branch = self._branch(block.block_type_tag)
         txs = block.transactions
         if not txs or any(
             tx.block_type_tag != block.block_type_tag or tx.sender != txs[0].sender
@@ -403,7 +403,7 @@ class Layer0Ledger:
         record = LedgerRecord(block.header_digest, block.block_type_tag,
                               block.timestamp, block)
         self._records[record.digest] = record
-        self._by_tag[block.block_type_tag].append(record.digest)
+        branch.append(record.digest)
         self._tx_digests.update(tx_digests)
 
     def topological_order(self) -> list[bytes]:

@@ -330,7 +330,6 @@ EVENTS = {
     "disable": _event_rows(node=(_node_ref, REQUIRED)),
     "genesis": _event_rows(),
 }
-EVENT_KINDS = frozenset(EVENTS)
 
 
 def _event(value, path, scope):
@@ -543,11 +542,10 @@ class Network:
         self._admit(self.backup, genesis_block)
 
         self.layer0 = dag.Layer0Ledger(genesis_block.header_digest)
-        self.tx_pool: list[dag.Transaction] = []
+        self.tx_pool: dict[dag.Transaction, None] = {}  # in arrival order
         self.pending_blocks: dict[bytes, dag.DataBlock] = {}
         self.latest_pending: bytes | None = None
         self._fraud_counter = 0
-        self._tx_counter = 0
 
         self.record(self.backup.name, "genesis", genesis_block.encode())
 
@@ -710,12 +708,11 @@ class Network:
             self.reject(node.name, "transactions", Unauthorized("node not enrolled or offline"))
             return
         for _ in range(ev["count"]):
-            payload = _material(self.config.seed, "tx", node.name, self._tx_counter)
-            self._tx_counter += 1
+            payload = _material(self.config.seed, "tx", node.name, self.metrics["transactions"])
             tx = dag.Transaction.signed(
                 node.signing_key, node.public_id, tag, payload, self.clock
             )
-            self.tx_pool.append(tx)
+            self.tx_pool[tx] = None
             self.metrics["transactions"] += 1
             self.record(node.name, "tx", tx.encode())
 
@@ -766,7 +763,7 @@ class Network:
                 raise Unauthorized("offline node cannot attest")
             ves_index = self.local_ves_index(node)
             attested = consensus.authenticate_block(
-                node, block, ves_index, self.nodechain.ves.index, self.config.token_salt
+                node, block, ves_index, len(self.nodechain), self.config.token_salt
             )
             message = AuthenticationMessage(
                 block_digest=block_digest,
@@ -811,8 +808,9 @@ class Network:
             self.reject("network", "finalize", exc)
             return
         del self.pending_blocks[block_digest]
-        finalized = set(block.transactions)
-        self.tx_pool = [tx for tx in self.tx_pool if tx not in finalized]
+        # All pooled: the block was built from the pool; append_block refuses finalized txs.
+        for tx in block.transactions:
+            del self.tx_pool[tx]
         if self.latest_pending == block_digest:
             self.latest_pending = None
         self.metrics["blocks_finalized"] += 1

@@ -175,7 +175,8 @@ def test_transaction_ordering_is_canonical():
 def test_reserved_virtual_branch_and_sequential_tags():
     ledger = Layer0Ledger(VIRTUAL_GENESIS)
     assert ledger.branches == {"virtual-existence": "A"}
-    assert ledger.same_type_ancestors("A") == [VIRTUAL_GENESIS]
+    assert ledger.topological_order() == [VIRTUAL_GENESIS]
+    assert ledger.record(VIRTUAL_GENESIS).tag == "A"
     first = ledger.register_branch("telemetry", material("dag/b", 32), timestamp=1)
     assert first == "B"
     second = ledger.register_branch("firmware", material("dag/c", 32), timestamp=1)
@@ -190,7 +191,8 @@ def test_duplicate_branch_rejected():
         ledger.register_branch("telemetry", material("dag/c", 32), timestamp=2)
     with pytest.raises(DuplicateBranch):
         ledger.register_branch("virtual-existence", material("dag/d", 32), timestamp=2)
-    assert ledger.same_type_ancestors("B") == [material("dag/b", 32)]
+    assert ledger.record(material("dag/b", 32)).tag == "B"
+    assert len(ledger.topological_order()) == 2  # no marker for dag/c or dag/d
     assert len(ledger.branches) == 2
 
 
@@ -199,12 +201,6 @@ def test_registry_size_counts_reserved_tag():
     for i in range(5):
         ledger.register_branch(f"branch-{i}", material(f"dag/g{i}", 32), timestamp=1)
     assert len(ledger.branches) == 6
-
-
-def test_unknown_branch_lookup():
-    ledger = Layer0Ledger(VIRTUAL_GENESIS)
-    with pytest.raises(UnknownBranch):
-        ledger.same_type_ancestors("Z")
 
 
 # ---------------------------------------------------------------------------
@@ -226,26 +222,33 @@ def test_select_parents_deterministic():
     assert ledger.select_parents(candidate) == ledger.select_parents(candidate)
 
 
-def test_select_parents_unregistered_tag():
+@pytest.mark.parametrize("use", [
+    lambda ledger, block: ledger.select_parents(block),
+    lambda ledger, block: ledger.append_block(block, ROSTER, EXHAUSTIVE),
+], ids=["select_parents", "append_block"])
+def test_select_parents_unregistered_tag(use):
     ledger, _ = ledger_with_branch()
-    candidate = build_candidate_block(
-        [signed_tx("alice", "Z", 10)], signed_tx("alice", "Z", 10).sender, "Z", (9, 11)
-    )
+    tx = signed_tx("alice", "Z", 10)
+    block = build_candidate_block([tx], tx.sender, "Z", (9, 11)).with_parents(
+        material("dag/branch-b", 32), material("dag/branch-b", 32)
+    ).with_narration_entry(NARRATOR)
     with pytest.raises(UnknownBranch):
-        ledger.select_parents(candidate)
+        use(ledger, block)
+    assert ledger.blocks() == []
 
 
-def test_random_arc_uses_tx_root_modular_index():
+@pytest.mark.parametrize("data_blocks", [0, 1, 4, 17])
+def test_random_arc_uses_tx_root_modular_index(data_blocks):
     ledger, tag = ledger_with_branch()
-    for i in range(4):
+    for i in range(data_blocks):
         ledger.append_block(sealed_block(ledger, f"n{i}", tag, 10 + 2 * i), ROSTER, EXHAUSTIVE)
-    ancestors = ledger.same_type_ancestors(tag)
-    assert len(ancestors) == 5
+    ancestors = [material("dag/branch-b", 32)] + [b.header_digest for b in ledger.blocks(tag)]
+    assert len(ancestors) == data_blocks + 1
     candidate = build_candidate_block(
         [signed_tx("probe", tag, 100)], signed_tx("probe", tag, 100).sender, tag,
         (99, 101),
     )
-    expected_index = int.from_bytes(candidate.tx_root, "big") % 5
+    expected_index = int.from_bytes(candidate.tx_root, "big") % len(ancestors)
     prev, rand = ledger.select_parents(candidate)
     assert prev == ancestors[-1]
     assert rand == ancestors[expected_index]

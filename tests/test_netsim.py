@@ -235,7 +235,7 @@ def _schema_fields():
     first = {}
     for i, ev in enumerate(demo["script"]):
         first.setdefault(ev["event"], i)
-    assert set(first) == netsim.EVENT_KINDS
+    assert set(first) == set(netsim.EVENTS)
 
     def at(*keys):
         def put(data, value):
@@ -546,7 +546,7 @@ def test_transaction_is_finalized_at_most_once():
     net = result.network
     assert result.metrics["blocks_finalized"] == 1
     assert [len(b.transactions) for b in net.layer0.blocks("B")] == [3]
-    assert net.tx_pool == []
+    assert net.tx_pool == {}
 
 
 def test_reattestation_by_a_member_is_a_duplicate():

@@ -255,8 +255,9 @@ def reappended_layer0(net: Network) -> dag.Layer0Ledger:
     Each block is checked against the roster it finalized on: the roster cut
     after the newest token its narration names.
     """
-    markers = [(branch, net.layer0.record(net.layer0.same_type_ancestors(tag)[0]))
-               for branch, tag in net.layer0.branches.items()]
+    records = map(net.layer0.record, net.layer0.topological_order())
+    genesis = {r.tag: r for r in records if r.is_genesis}
+    markers = [(branch, genesis[tag]) for branch, tag in net.layer0.branches.items()]
     (_, virtual), *registered = markers
     fresh = dag.Layer0Ledger(virtual.digest)
     for branch, marker in registered:
@@ -282,6 +283,47 @@ def test_finalized_blocks_reappend_from_their_bytes(config, finalized):
     fresh = reappended_layer0(net)
     assert len(fresh.blocks()) == finalized
     assert fresh.export_text() == net.layer0.export_text()
+
+
+def demo_with_bystanders() -> dict:
+    """The demo with e1 and s1 sending before and after c1's block is
+    built, so the pool holds transactions of two times across its
+    finalization."""
+    with open(DEMO) as fh:
+        data = json.load(fh)
+    send = {"event": "transactions", "branch": "telemetry", "count": 2}
+    data["script"][4:4] = [{"at": 45, "node": "e1", **send}]
+    data["script"][7:7] = [{"at": 65, "node": "s1", **send}]
+    return data
+
+
+@pytest.mark.parametrize(
+    "config",
+    [lambda: ScenarioConfig.from_file(DEMO), lambda: ScenarioConfig.from_dict(scale_64()),
+     lambda: ScenarioConfig.from_dict(demo_with_bystanders())],
+    ids=["demo", "scale_64", "demo_with_bystanders"],
+)
+def test_pool_holds_exactly_the_unfinalized_transactions(config):
+    """Stepped one event at a time, as the benchmark drives the network:
+    the pool never holds a finalized transaction, shrinks by exactly each
+    finalized honest block, and keeps arrival order."""
+    config = config()
+    net = Network(config)
+    built: set[bytes] = set()  # every honest block; fraud blocks skip the pool
+    for ev in config.script:
+        net.clock = ev["at"]
+        getattr(net, f"_handle_{ev['event']}")(ev)
+        built.update(net.pending_blocks)
+        finalized = net.layer0.blocks()
+        honest = [b for b in finalized if b.header_digest in built]
+        assert len(honest) == net.metrics["blocks_finalized"]
+        assert {tx for b in finalized for tx in b.transactions}.isdisjoint(net.tx_pool)
+        assert len(net.tx_pool) == net.metrics["transactions"] - sum(
+            len(b.transactions) for b in honest
+        )
+        stamps = [tx.timestamp for tx in net.tx_pool]
+        assert stamps == sorted(stamps)
+    assert net.metrics["blocks_finalized"] > 0
 
 
 def test_montecarlo_stdout_is_pinned(capsys):
