@@ -288,7 +288,7 @@ class LedgerRecord:
 
 
 class Layer0Ledger:
-    """Immutable-snapshot DAG of finalized blocks across all branches.
+    """Append-only DAG of finalized blocks across all branches.
 
     The ledger owns the branch table. `branches` maps each branch id to its
     tag, in registration order: the virtual-existence branch holds tag A

@@ -11,11 +11,11 @@ come from the script, so a scenario replays to a byte-identical trace.
 
 The NodeChain, the layer-0 ledger (which owns the branch table) and the
 module registry are network state, passed to `consensus` as arguments; a
-node holds only its own facts. The network reads a node's VES cursor, which
-the NNS gate checks, from the chain: an online member is at the head, and a
-node that goes offline keeps the version it held. The vault follows the same
-pattern: one log, which every online full node holds and an offline one
-keeps a snapshot of, and every vault read carries its provenance.
+node holds only its own facts. An online member reads the shared chain, so
+the VES it presents at the NNS gate is the network's; a node that goes
+offline is refused before that gate, and no event brings it back. The vault
+is one log, which every full node member holds, and every vault read
+carries its provenance.
 
 Adversaries are modeled by an explicit capability lattice. An attack event
 holds a subset of {constructed_keys, module_key, vault_access, tuids} and
@@ -48,6 +48,7 @@ from .errors import (
     BlockNotPending,
     ConfigError,
     DomainError,
+    IdentityMismatch,
     OfflineViolation,
     ProtocolError,
     Unauthorized,
@@ -424,16 +425,12 @@ class NodeState:
     via: str | None = None
     tuid: TokenizedUid | None = None
     hardware_uid: Uid | None = None  # real UID held in the node's secure hardware
-    vault: Vault | None = None  # full nodes: the log while online, then a snapshot
-    ves_at_disable: int | None = None  # None while the node is online
+    vault: Vault | None = None  # full nodes: the network's log, from admission on
+    online: bool = True  # until a `disable` event
 
     @property
     def public_id(self) -> bytes:
         return self.params.constructed_public_id
-
-    @property
-    def online(self) -> bool:
-        return self.ves_at_disable is None
 
     @property
     def enrolled(self) -> bool:
@@ -616,17 +613,6 @@ class Network:
         self._roster.append(block.tuid)
         self.metrics["enrollments"] += 1
 
-    def local_ves_index(self, node: NodeState) -> int:
-        """The NodeChain version `node` holds.
-
-        An online member reads the shared chain, so it is at the head; an
-        offline node holds the version it had when it went down; a node
-        not yet admitted holds 0.
-        """
-        if node.ves_at_disable is not None:
-            return node.ves_at_disable
-        return len(self.nodechain) if node.enrolled else 0
-
     def roster(self) -> list[TokenizedUid]:
         """A copy of the on-chain identity roster in enrollment order."""
         return list(self._roster)
@@ -651,10 +637,12 @@ class Network:
 
     def run_script(self) -> None:
         for ev in self.config.script:
-            self.clock = ev["at"]
-            kind = ev["event"]
-            handler = getattr(self, f"_handle_{kind}")
-            handler(ev)
+            self.step(ev)
+
+    def step(self, ev: dict) -> None:
+        """Handle one parsed script event at its time."""
+        self.clock = ev["at"]
+        getattr(self, f"_handle_{ev['event']}")(ev)
 
     def _handle_genesis(self, ev: dict) -> None:
         raise AlreadyInitialized("network already has a genesis chain")
@@ -680,7 +668,7 @@ class Network:
         # already holds the vault.
         provisioned = self.vault.lookup(response.virtual_block.tuid, CallOrigin.LOCAL)
         node.hardware_uid = provisioned.real_uid
-        self.record(node.name, "sync", encode_fields(self.local_ves_index(node)))
+        self.record(node.name, "sync", encode_fields(len(self.nodechain)))
 
     def _route_responder(self, node: NodeState) -> NodeState:
         if node.role is NodeRole.SUBSCRIBER and node.via:
@@ -750,8 +738,10 @@ class Network:
         """One node's signed attestation over a pending block.
 
         The authenticator gates itself first (enrollment, NNS handshake,
-        match layer); receivers then verify the broadcast attestation
-        against the node's on-chain constructed key.
+        match layer, then its extrinsic parameters against the header of its
+        on-chain block); receivers then verify the broadcast attestation
+        against the node's on-chain constructed key. An online member reads
+        the shared chain, so the VES index it presents is the network's.
         """
         block = self.pending_blocks.get(block_digest)
         if block is None:
@@ -761,10 +751,13 @@ class Network:
         try:
             if not node.online:
                 raise Unauthorized("offline node cannot attest")
-            ves_index = self.local_ves_index(node)
+            ves_index = len(self.nodechain)
             attested = consensus.authenticate_block(
-                node, block, ves_index, len(self.nodechain), self.config.token_salt
+                node, block, ves_index, ves_index, self.config.token_salt
             )
+            on_chain = self._members[node.tuid][1]
+            if nodechain.detect_header_change(self.nodechain, on_chain.nns_index, node.params):
+                raise IdentityMismatch("header check: extrinsic parameters differ from the chain")
             message = AuthenticationMessage(
                 block_digest=block_digest,
                 tuid=node.tuid,
@@ -817,13 +810,9 @@ class Network:
         self.record("network", "finalized", block.encode())
 
     def _handle_disable(self, ev: dict) -> None:
-        """Take the node offline: its VES cursor and its vault stop here,
-        so a second disable keeps the first version."""
+        """Take the node offline for the rest of the run."""
         node = self.nodes[ev["node"]]
-        if node.online:
-            node.ves_at_disable = self.local_ves_index(node)
-            if node.vault is not None:
-                node.vault = node.vault.snapshot()
+        node.online = False
         self.record(node.name, "disable", b"")
 
     def _handle_attack(self, ev: dict) -> None:
@@ -836,12 +825,8 @@ class Network:
     # -- summary ------------------------------------------------------------
 
     def vault_audit(self) -> dict[str, int]:
-        """Read counters summed over the log and each offline node's snapshot."""
-        totals = {"local_reads": 0, "remote_reads": 0, "remote_rejections": 0}
-        for vault in (self.vault, *(n.vault for n in self.full_nodes() if not n.online)):
-            for key, value in vault.audit().items():
-                totals[key] += value
-        return totals
+        """The read counters of the network's vault log, the only one read."""
+        return self.vault.audit()
 
     def summary(self) -> dict:
         roles = {}

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -24,7 +25,7 @@ from flexichain.netsim import (
     run_scenario,
 )
 from flexichain.nodechain import verify_chain
-from flexichain.wire import sha256
+from flexichain.wire import encode_fields, sha256
 
 from conftest import material
 
@@ -440,7 +441,7 @@ def test_spf_edge_takes_over_after_backup_disabled():
 
 def test_offline_node_that_missed_a_join_is_unauthorized():
     """An offline node is refused before the NNS gate: `Network.authenticate`
-    rejects it as `Unauthorized`, so its stale VES cursor is never compared."""
+    rejects it as `Unauthorized`, so no VES index of it is ever compared."""
     nodes = [
         {"name": "bn", "role": "backup", "module": "tm-1"},
         {"name": "e1", "role": "edge", "module": "tm-2"},
@@ -459,8 +460,6 @@ def test_offline_node_that_missed_a_join_is_unauthorized():
     result = run_scenario(ScenarioConfig.from_dict(scenario(nodes=nodes, script=script)))
     reason = sha256(b"authenticate:Unauthorized").hex()
     assert result.trace[-1] == f"t=50 actor=e1 event=reject payload={reason}"
-    net = result.network
-    assert net.local_ves_index(net.nodes["e1"]) == 2  # missed index 3
 
 
 def demo_through(last_at: int, extra: list[dict]):
@@ -472,7 +471,7 @@ def demo_through(last_at: int, extra: list[dict]):
     return run_scenario(ScenarioConfig.from_dict(data))
 
 
-def test_ves_cursor_is_read_from_the_chain_and_frozen_by_disable():
+def test_sync_reports_the_chain_length_at_each_join():
     nodes = [
         {"name": "bn", "role": "backup", "module": "tm-1"},
         {"name": "e1", "role": "edge", "module": "tm-2"},
@@ -487,32 +486,33 @@ def test_ves_cursor_is_read_from_the_chain_and_frozen_by_disable():
         {"at": 40, "event": "disable", "node": "e1"},  # a second disable
         {"at": 50, "event": "join", "node": "c2"},
     ]
-    net = run_scenario(
-        ScenarioConfig.from_dict(scenario(nodes=nodes, script=script))
-    ).network
+    result = run_scenario(ScenarioConfig.from_dict(scenario(nodes=nodes, script=script)))
+    net = result.network
     assert len(net.nodechain) == 3
-    cursors = {name: net.local_ves_index(node) for name, node in net.nodes.items()}
-    assert cursors == {"bn": 3, "e1": 2, "c1": 3, "c2": 0}
     assert not net.nodes["c2"].enrolled and net.metrics["rejected_enrollments"] == 1
-    # The vault stops with the cursor: e1 keeps the log as it stood.
-    assert net.nodes["bn"].vault is net.vault and len(net.vault) == 3
-    assert net.nodes["e1"].vault is not net.vault
-    assert net.nodes["e1"].vault.entries == net.vault.entries[:2]
+    # Each joining node syncs to the chain its own block just extended.
+    syncs = [line for line in result.trace if " event=sync " in line]
+    assert syncs == [
+        f"t={at} actor={name} event=sync payload={sha256(encode_fields(length)).hex()}"
+        for at, name, length in ((10, "e1", 2), (30, "c1", 3))
+    ]
 
 
-def test_a_second_disable_keeps_the_first_snapshot():
+def test_a_second_disable_only_records_another_disable():
     nodes = [
         {"name": "bn", "role": "backup", "module": "tm-1"},
         {"name": "e1", "role": "edge", "module": "tm-2"},
     ]
-    net = run_scenario(ScenarioConfig.from_dict(scenario(
-        nodes=nodes, script=[{"at": 10, "event": "join", "node": "e1"}]
-    ))).network
+    net = run_scenario(ScenarioConfig.from_dict(scenario(nodes=nodes, script=[
+        {"at": 10, "event": "join", "node": "e1"},
+        {"at": 20, "event": "disable", "node": "e1"},
+    ]))).network
     e1 = net.nodes["e1"]
-    net._handle_disable({"node": "e1"})
-    snapshot = e1.vault
-    net._handle_disable({"node": "e1"})
-    assert e1.vault is snapshot and net.local_ves_index(e1) == 2
+    trace, metrics = list(net.trace), dict(net.metrics)
+    net.step({"at": 30, "event": "disable", "node": "e1"})
+    assert net.trace == trace + [f"t=30 actor=e1 event=disable payload={sha256(b'').hex()}"]
+    assert net.metrics == metrics
+    assert not e1.online and e1.vault is net.vault
 
 
 def test_fraud_block_never_takes_the_virtual_existence_tag():
@@ -535,6 +535,23 @@ def test_offline_node_cannot_attest():
     assert result.metrics["rejections"] == 1
     rejects = [line for line in result.trace if "event=reject" in line]
     assert len(rejects) == 1 and "actor=bn" in rejects[0]
+
+
+def test_attester_whose_hardware_changed_is_refused_at_the_header_check():
+    """A joined node that reports other hardware than its on-chain block
+    commits to is refused before it signs; its own hardware attests."""
+    net = demo_through(60, []).network
+    e1 = net.nodes["e1"]
+    honest = e1.params
+    e1.params = replace(honest, firmware_digest=material("netsim/new-firmware", 32))
+    net.step({"at": 70, "event": "authenticate", "block": "latest", "nodes": ["e1"]})
+    reason = sha256(b"authenticate:IdentityMismatch").hex()
+    assert net.trace[-1] == f"t=70 actor=e1 event=reject payload={reason}"
+    assert net.metrics["authentications"] == 0
+    e1.params = honest
+    net.step({"at": 75, "event": "authenticate", "block": "latest", "nodes": ["e1"]})
+    assert " actor=e1 event=auth " in net.trace[-1]
+    assert net.metrics["authentications"] == 1
 
 
 def test_transaction_is_finalized_at_most_once():

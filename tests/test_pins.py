@@ -12,16 +12,16 @@ from importlib import resources
 import pytest
 
 from flexichain import dag, netsim
-from flexichain.cli import _replayed_artifacts, main
-from flexichain.netsim import Network, ScenarioConfig, run_scenario
+from flexichain.cli import _replayed_artifacts, _write_artifacts, main
+from flexichain.netsim import Network, ScenarioConfig, SimulationResult, run_scenario
 
 DEMO = str(resources.files("flexichain") / "scenarios" / "demo.json")
 
 # SHA-256 of the files `flexichain run` writes for the bundled demo.
 # `verify` compares only the first four. summary.json is pinned too: its
-# `vault_audit` sums the read counters of the vault log and of each offline
-# node's snapshot, so it moves when the simulator reads a different vault,
-# which no other pin shows. ROADMAP item 5 will add fields to it and so
+# `vault_audit` holds the read counters of the network's vault log, so it
+# moves when the simulator reads the vault more or less often, which no
+# other pin shows. ROADMAP item 5 will add fields to it and so
 # change this pin on purpose.
 DEMO_ARTIFACTS = {
     "trace.txt": "477217c004237251fd611da9d13b8e490609b0accc8a18640bc716bb21ed664f",
@@ -196,9 +196,8 @@ def test_scale_64_is_pinned():
     }
     assert edge_vaults == {SCALE_64_EDGE_VAULT}
     assert all(n.vault is net.vault for n in net.full_nodes() if n.online)
-    # The backup went offline after join 32 and missed every later delta.
-    assert len(net.backup.vault) == net.local_ves_index(net.backup) == 33
-    assert {net.local_ves_index(n) for n in net.nodes.values() if n.online} == {65}
+    # The backup went offline after join 32.
+    assert not net.backup.online
     assert net.vault_audit() == {"local_reads": 88, "remote_reads": 0, "remote_rejections": 0}
 
 
@@ -215,8 +214,8 @@ def test_nodes_hold_no_shared_state():
 
 
 def test_scale_64_runs_then_verifies_after_the_backup_failover(tmp_path):
-    """The backup is offline at the end, so vault.bin and the chain check
-    use the network's vault log, not the backup's stale snapshot."""
+    """The backup is offline at the end; vault.bin and the chain check use
+    the network's vault log, which no node going offline changes."""
     scenario = tmp_path / "scale_64.json"
     scenario.write_text(json.dumps(scale_64()))
     out = tmp_path / "out"
@@ -311,8 +310,7 @@ def test_pool_holds_exactly_the_unfinalized_transactions(config):
     net = Network(config)
     built: set[bytes] = set()  # every honest block; fraud blocks skip the pool
     for ev in config.script:
-        net.clock = ev["at"]
-        getattr(net, f"_handle_{ev['event']}")(ev)
+        net.step(ev)
         built.update(net.pending_blocks)
         finalized = net.layer0.blocks()
         honest = [b for b in finalized if b.header_digest in built]
@@ -324,6 +322,45 @@ def test_pool_holds_exactly_the_unfinalized_transactions(config):
         stamps = [tx.timestamp for tx in net.tx_pool]
         assert stamps == sorted(stamps)
     assert net.metrics["blocks_finalized"] > 0
+
+
+class Unreadable:
+    """Stands in for a vault that no code may touch."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"read .{name} of an offline node's vault")
+
+
+def run_with_offline_vaults_unreadable(config: ScenarioConfig):
+    """`config` stepped one event at a time, each full node's vault made
+    `Unreadable` once it is disabled; the result and the vaults replaced."""
+    net = Network(config)
+    replaced = 0
+    for ev in config.script:
+        net.step(ev)
+        if ev["event"] == "disable" and net.nodes[ev["node"]].vault is not None:
+            net.nodes[ev["node"]].vault = Unreadable()
+            replaced += 1
+    result = SimulationResult(net, tuple(net.trace), net.metrics, net.trace_digest())
+    return result, replaced
+
+
+def test_no_run_reads_an_offline_nodes_vault(tmp_path):
+    demo, replaced = run_with_offline_vaults_unreadable(ScenarioConfig.from_file(DEMO))
+    assert replaced == 0
+    _write_artifacts(demo, str(tmp_path))
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in DEMO_ARTIFACTS
+    }
+    assert digests == DEMO_ARTIFACTS
+    scale, replaced = run_with_offline_vaults_unreadable(ScenarioConfig.from_dict(scale_64()))
+    assert replaced == 1  # the backup
+    assert scale.trace_digest.hex() == SCALE_64_TRACE
+    assert ledger_digests(scale) == SCALE_64_LEDGERS
+    assert scale.network.summary()["vault_audit"] == {
+        "local_reads": 88, "remote_reads": 0, "remote_rejections": 0,
+    }
 
 
 def test_montecarlo_stdout_is_pinned(capsys):

@@ -127,22 +127,6 @@ def test_replica_serialization_equality():
     assert len(a.serialize()) > 0
 
 
-def test_snapshot_keeps_the_entries_and_none_of_the_reads():
-    vault = Vault(TOKEN_SALT)
-    first = entry_for(1, "a")
-    vault.append(first, NodeRole.BACKUP)
-    vault.lookup(first.tuid, CallOrigin.LOCAL)
-    copy = vault.snapshot()
-    vault.append(entry_for(2, "b"), NodeRole.BACKUP)
-    assert copy.entries == (first,) and len(vault) == 2
-    assert copy.audit()["local_reads"] == 0 and vault.audit()["local_reads"] == 1
-    assert copy.lookup(first.tuid, CallOrigin.LOCAL) == first
-    assert copy.holds_extrinsic(first.extrinsic_digest)
-    with pytest.raises(DuplicateIdentity):
-        copy.append(VaultEntry(2, first.real_uid, first.tuid, first.extrinsic_digest, "tm-1"),
-                    NodeRole.EDGE)
-
-
 def test_bijection_over_many_entries():
     vault = Vault(TOKEN_SALT)
     for i in range(1, 33):
