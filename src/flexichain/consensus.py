@@ -158,10 +158,13 @@ def _bind(
     container1: bytes, container2: bytes, module_id: str,
     kdf: KdfParameters, token_salt: bytes, timestamp: int,
 ) -> tuple[VirtualExistenceBlock, Uid]:
-    """Derive the next UID, append its virtual block, and bind it in the vault.
+    """Derive the next UID, bind it in the vault, and append its virtual block.
 
     The previous UID feeding the generator is the last vault entry's real
-    UID, or the all-zero UID for genesis.
+    UID, or the all-zero UID for genesis. The vault entry goes first: the
+    vault may refuse it, but not a block built on the chain's own head, so
+    a refused join leaves neither behind and the chain and vault keep the
+    same length.
     """
     prev_uid = vault.entry_at(len(vault)).real_uid if len(vault) else zero_uid(kdf.output_length)
     uid = derive_uid(container1, prev_uid, kdf)
@@ -174,8 +177,8 @@ def _bind(
         timestamp=timestamp,
         extrinsic_digest=container1,
     )
-    append_virtual_block(ledger, block)
     vault.append(VaultEntry(block.nns_index, uid, block.tuid, container1, module_id), role)
+    append_virtual_block(ledger, block)
     return block, uid
 
 

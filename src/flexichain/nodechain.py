@@ -118,14 +118,6 @@ class Violation:
     kind: ViolationKind
 
 
-@dataclass(frozen=True)
-class HeaderAlert:
-    """Reported extrinsic parameters no longer match the stored digest."""
-
-    index: int
-    new_digest: bytes
-
-
 class NodeChainLedger:
     """Append-only chain of virtual existence blocks.
 
@@ -228,14 +220,14 @@ def detect_header_change(
     ledger: NodeChainLedger,
     enrollment_index: int,
     reported: ExtrinsicParameters,
-) -> HeaderAlert | None:
+) -> bytes | None:
     """Compare freshly reported parameters against the stored digest.
 
-    Returns None when nothing changed, otherwise an alert carrying the new
-    digest so observers can see exactly what the node now claims to be.
+    Returns None when nothing changed, otherwise the new container-1 digest,
+    so observers can see exactly what the node now claims to be.
     """
     block = ledger.block_at(enrollment_index)
     new_digest, _ = hash_extrinsic(reported)
     if new_digest == block.extrinsic_digest:
         return None
-    return HeaderAlert(index=enrollment_index, new_digest=new_digest)
+    return new_digest

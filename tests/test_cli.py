@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from flexichain import netsim, secmodel
 from flexichain.cli import MAX_TRIALS, build_parser, main
 
-from test_pins import reappended_layer0
+from test_pins import full_mode_violation, reappended_layer0
 
 DEMO = str(resources.files("flexichain") / "scenarios" / "demo.json")
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -469,11 +469,14 @@ def test_any_single_field_mutation_exits_cleanly(capsys, slot_value):
         code = main(["run", "--scenario", path, "--out", out])
         assert code in (0, 1, 2)
         if code == 0:
-            # verify replays the run and checks that the vault was never
-            # read remotely; each finalized block must also re-append from
-            # its bytes on the roster it finalized on.
+            # verify replays the run, compares the artifacts byte for byte
+            # and checks that the vault was never read remotely. The re-run
+            # chain must also pass full-mode verification, and each
+            # finalized block must re-append from its bytes on the roster it
+            # finalized on.
             assert main(["verify", "--scenario", path, "--out", out]) == 0
             net = netsim.run_scenario(netsim.ScenarioConfig.from_file(path)).network
+            assert full_mode_violation(net) is None
             assert reappended_layer0(net).export_text() == net.layer0.export_text()
     assert "Traceback" not in capsys.readouterr().err
 

@@ -1,7 +1,8 @@
 """Static checks on the package source.
 
-Every name a package module imports is used in it or exported, and scrypt
-runs on one kernel, from one function.
+Every name a package module imports is used in it or exported, scrypt
+runs on one kernel, from one function, and a UID is derived only where an
+identity is bound or the chain is checked in full.
 """
 
 import ast
@@ -65,3 +66,24 @@ def test_one_scrypt_kernel_from_one_function():
     # The docstrings compare against hashlib.scrypt; no code calls it.
     for text in sources.values():
         assert not re.search(r"hashlib\.scrypt\(|from hashlib import .*\bscrypt\b", text)
+
+
+def derive_uid_callers(path: Path) -> list[str]:
+    """`module.name` for each call of `derive_uid` in `path`, named by the
+    top-level function or class that holds it, or `<module>` if none does."""
+    callers = []
+    for top in ast.parse(path.read_text()).body:
+        name = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and "derive_uid" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                callers.append(f"{path.stem}.{name}")
+    return callers
+
+
+def test_uids_are_derived_only_at_binding_and_full_verification():
+    # One derivation per identity: `consensus._bind` derives each UID once,
+    # and only full-mode `verify_chain` derives it again.
+    calls = [c for path in sorted(PACKAGE.glob("*.py")) for c in derive_uid_callers(path)]
+    assert calls == ["consensus._bind", "nodechain.verify_chain"]

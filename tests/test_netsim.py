@@ -12,10 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flexichain.consensus import AuthenticationMessage
-from flexichain.errors import AlreadyInitialized, ConfigError, DomainError, Unauthorized
+from flexichain.errors import (
+    AlreadyInitialized,
+    ConfigError,
+    DomainError,
+    DuplicateIdentity,
+    Unauthorized,
+)
 from flexichain.identity import TokenizedUid
 from flexichain.keys import public_bytes, sign_message, signing_key_from_seed
-from flexichain import netsim
+from flexichain import netsim, vault
 from flexichain.netsim import (
     AttackEvent,
     Network,
@@ -350,6 +356,36 @@ def test_four_node_join_script():
     assert verify_chain(
         net.nodechain, kdf=config.kdf, vault=net.backup.vault,
         token_salt=config.token_salt,
+    ) is None
+
+
+def test_refused_vault_write_keeps_chain_and_vault_in_lockstep(monkeypatch):
+    nodes = [{"name": "bn", "role": "backup", "module": "tm-1"},
+             {"name": "e1", "role": "edge", "module": "tm-2"}]
+    nodes += [{"name": f"c{i}", "role": "cps", "module": "tm-2"} for i in range(1, 7)]
+    script = [{"at": 10 * i, "event": "join", "node": node["name"]}
+              for i, node in enumerate(nodes[1:], start=1)]
+    config = ScenarioConfig.from_dict(scenario(nodes=nodes, script=script))
+    writes = []
+    append = vault.Vault.append
+
+    def refuse_third_write(self, entry, caller_role):
+        # Write 1 is genesis, so write 3 is the second join's.
+        writes.append(entry.enrollment_index)
+        if len(writes) == 3:
+            raise DuplicateIdentity("injected refusal")
+        return append(self, entry, caller_role)
+
+    monkeypatch.setattr(vault.Vault, "append", refuse_third_write)
+    net = run_scenario(config).network
+    assert net.metrics["rejected_enrollments"] == 1
+    assert len(net.nodechain) == len(net.vault) == 7
+    assert not net.nodes["c1"].enrolled
+    # The join after the refused one binds the index the refusal left free.
+    assert net.nodes["c2"].enrolled
+    assert net.vault.entry_at(3).tuid == net.nodes["c2"].tuid
+    assert verify_chain(
+        net.nodechain, kdf=config.kdf, vault=net.vault, token_salt=config.token_salt,
     ) is None
 
 

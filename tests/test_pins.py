@@ -11,9 +11,10 @@ from importlib import resources
 
 import pytest
 
-from flexichain import dag, netsim
+from flexichain import dag, identity, netsim
 from flexichain.cli import _replayed_artifacts, _write_artifacts, main
 from flexichain.netsim import Network, ScenarioConfig, SimulationResult, run_scenario
+from flexichain.nodechain import verify_chain
 
 DEMO = str(resources.files("flexichain") / "scenarios" / "demo.json")
 
@@ -76,6 +77,17 @@ def ledger_digests(result) -> dict[str, str]:
         name: hashlib.sha256(data).hexdigest()
         for name, data in _replayed_artifacts(result).items() if name != "trace.txt"
     }
+
+
+def full_mode_violation(net: Network):
+    """Full-mode `verify_chain` of `net`'s chain against its vault log.
+
+    `verify` does not run it: its replay derives each UID once, and
+    deriving the same inputs again could fail only if `derive_uid` were
+    not deterministic. The tests keep the check on the chains they build.
+    """
+    return verify_chain(net.nodechain, kdf=net.config.kdf, vault=net.vault,
+                        token_salt=net.config.token_salt)
 
 
 def scale_64() -> dict:
@@ -171,6 +183,7 @@ def test_demo_artifacts_are_pinned(tmp_path):
         for name in DEMO_ARTIFACTS
     }
     assert digests == DEMO_ARTIFACTS
+    assert full_mode_violation(run_scenario(ScenarioConfig.from_file(DEMO)).network) is None
 
 
 def test_tables_are_pinned(tmp_path, capsys):
@@ -199,6 +212,7 @@ def test_scale_64_is_pinned():
     # The backup went offline after join 32.
     assert not net.backup.online
     assert net.vault_audit() == {"local_reads": 88, "remote_reads": 0, "remote_rejections": 0}
+    assert full_mode_violation(net) is None
 
 
 def test_nodes_hold_no_shared_state():
@@ -214,8 +228,9 @@ def test_nodes_hold_no_shared_state():
 
 
 def test_scale_64_runs_then_verifies_after_the_backup_failover(tmp_path):
-    """The backup is offline at the end; vault.bin and the chain check use
-    the network's vault log, which no node going offline changes."""
+    """The backup is offline at the end; vault.bin is the network's vault
+    log, which no node going offline changes, so `verify`'s replay writes
+    the same bytes."""
     scenario = tmp_path / "scale_64.json"
     scenario.write_text(json.dumps(scale_64()))
     out = tmp_path / "out"
@@ -245,6 +260,7 @@ def test_exhaustive_64_is_pinned():
     assert summary["rejections"] == 0
     assert result.trace_digest.hex() == EXHAUSTIVE_64_TRACE
     assert ledger_digests(result) == EXHAUSTIVE_64_LEDGERS
+    assert full_mode_violation(result.network) is None
 
 
 def reappended_layer0(net: Network) -> dag.Layer0Ledger:
@@ -383,6 +399,25 @@ def test_network_build_derives_each_key_once(monkeypatch):
     Network(config)
     # One key per node and one per trusted module.
     assert len(calls) == len(config.nodes) + len(config.modules) == 66
+
+
+def test_verify_derives_each_identity_once(monkeypatch, tmp_path):
+    scenario = tmp_path / "scale_64.json"
+    scenario.write_text(json.dumps(scale_64()))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    calls = []
+    kdf = identity.scrypt_kdf
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kdf(*args, **kwargs)
+
+    monkeypatch.setattr(identity, "scrypt_kdf", counted)
+    assert main(["verify", "--scenario", str(scenario), "--out", str(out)]) == 0
+    # The replay binds 65 identities (backup, 63 joins, one Sybil), one
+    # derivation each; no second pass re-derives them.
+    assert len(calls) == 65
 
 
 def test_each_finalized_transaction_is_verified_once(monkeypatch):
