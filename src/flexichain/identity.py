@@ -10,7 +10,11 @@ without revealing anything about other UIDs.
 
 scrypt runs on `cryptography`'s kernel (the OpenSSL it bundles), in
 `scrypt_kdf` only: every join, genesis and full-mode verification derives
-through it. Before anything is allocated, `scrypt_kdf` refuses what
+through it, the last in worker processes when its derivations hold at
+least 32 MiB of scrypt memory in all and more than one CPU is usable
+(`nodechain`). The kernel holds the GIL, so only processes run it in
+parallel; no more of them run at once than `MAX_SCRYPT_MEMORY`, one join's
+cap, holds. Before anything is allocated, `scrypt_kdf` refuses what
 `hashlib.scrypt` refused: an allocation of 128 * r * (N + p + 2) bytes
 beyond a budget of scrypt's memory plus 32 MiB, a budget beyond
 2^31 - 1, and an output length outside [1, 2^31 - 1]. On 2 vCPUs
@@ -39,6 +43,11 @@ UID_LENGTH = 128
 TUID_LENGTH = 32
 MAC_LENGTH = 6
 FIRMWARE_DIGEST_LENGTH = 32
+# Every join runs scrypt, whose memory `scrypt_memory` counts. `scrypt_kdf`
+# allows up to about 2 GiB per derivation; a scenario stops at 256 MiB, 16
+# times the default (cost 2^14, block_size 8, parallelism 1), and a full
+# verification's derivations together never hold more at once.
+MAX_SCRYPT_MEMORY = 2**28
 
 
 @dataclass(frozen=True)

@@ -113,11 +113,6 @@ MAX_TX_COUNT = 4096
 # Genesis allocates a zero UID of this size and the vault keeps UIDs
 # of it: 1024 bytes is eight times the default.
 MAX_UID_LENGTH = 1024
-# Every join runs scrypt, whose memory `identity.scrypt_memory` counts.
-# `identity.scrypt_kdf` allows up to about 2 GiB per derivation; the schema
-# stops at 256 MiB, 16 times the default (cost 2^14, block_size 8,
-# parallelism 1).
-MAX_SCRYPT_MEMORY = 2**28
 # Scope keys of the names declared so far; no scenario key has a space.
 _NODE_NAMES, _BRANCH_NAMES = "node names", "branch names"
 
@@ -385,7 +380,8 @@ class ScenarioConfig:
         config = cls(**{key: scope[key] for key in SCENARIO})
         # The checks no single field can make.
         kdf = config.kdf
-        if identity.scrypt_memory(kdf.cost, kdf.block_size, kdf.parallelism) > MAX_SCRYPT_MEMORY:
+        memory = identity.scrypt_memory(kdf.cost, kdf.block_size, kdf.parallelism)
+        if memory > identity.MAX_SCRYPT_MEMORY:
             raise ConfigError("kdf: 128 * cost * block_size * parallelism must be at most "
                               "2^28 (256 MiB of scrypt memory per join)")
         if [s.role for s in config.nodes].count(NodeRole.BACKUP) != 1:

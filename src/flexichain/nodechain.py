@@ -10,11 +10,23 @@ header mismatch that every ledger holder can observe.
 
 Every block, genesis included, enters through `append_virtual_block`, called
 by the binding step in `consensus`; `verify_chain` replays its derivation.
+
+Full-mode `verify_chain` costs one scrypt derivation per block. Each takes
+the block's extrinsic digest and the previous vault entry's UID, both known
+before any derivation runs, so the derivations are independent: under 32
+MiB of scrypt memory in all, or with one usable CPU, they run in this
+process; from 32 MiB on, in processes forked for the call, one contiguous
+range each. The choice rests on the work and the CPUs alone: forking costs
+about 15 ms, and all workers together hold no more scrypt memory than one
+join may. Threads would not help, since `cryptography`'s scrypt holds the
+GIL, and `spawn` workers would import the package again, about 0.35 s on
+2 CPUs.
 """
 
 from __future__ import annotations
 
 import enum
+import os
 from dataclasses import dataclass, replace
 
 from .errors import (
@@ -24,11 +36,14 @@ from .errors import (
     UnknownNode,
 )
 from .identity import (
+    MAX_SCRYPT_MEMORY,
     ExtrinsicParameters,
     KdfParameters,
     TokenizedUid,
+    Uid,
     derive_uid,
     hash_extrinsic,
+    scrypt_memory,
     tokenize_uid,
     zero_uid,
 )
@@ -185,6 +200,11 @@ def verify_chain(
     block's TUID to tokenize from the vault's real UID and recomputes the
     whole UID derivation chain entry by entry. Any other mix of the three
     is a TypeError.
+
+    The cheap checks run first, in chain order, up to the first failure;
+    the derivations of the blocks before it run after them, serially or on
+    every CPU (`_pool_workers`). The violation at the lowest index wins, so
+    the result is the one a single block-by-block walk would return.
     """
     given = [arg is not None for arg in (kdf, vault, token_salt)]
     if any(given) != all(given):
@@ -194,25 +214,88 @@ def verify_chain(
         raise EmptyChain("cannot verify an empty chain")
     prev_digest = ZERO32
     prev_uid = zero_uid(kdf.output_length) if full_mode else None
+    jobs: list[tuple[bytes, Uid, Uid]] = []
+    found = None
     for i, block in enumerate(ledger.blocks, start=1):
         if block.nns_index != i:
-            return Violation(i, ViolationKind.INDEX_GAP)
-        if block.prev_link != prev_digest:
-            return Violation(i, ViolationKind.LINK_BREAK)
-        if block.recomputed_header() != block.header_digest:
-            return Violation(i, ViolationKind.HEADER_MISMATCH)
-        if full_mode:
+            found = Violation(i, ViolationKind.INDEX_GAP)
+        elif block.prev_link != prev_digest:
+            found = Violation(i, ViolationKind.LINK_BREAK)
+        elif block.recomputed_header() != block.header_digest:
+            found = Violation(i, ViolationKind.HEADER_MISMATCH)
+        elif full_mode:
             entry = vault.entry_at(i)
-            if entry is None:
-                return Violation(i, ViolationKind.TOKEN_MISMATCH)
-            if tokenize_uid(entry.real_uid, token_salt) != block.tuid:
-                return Violation(i, ViolationKind.TOKEN_MISMATCH)
-            if entry.extrinsic_digest != block.extrinsic_digest:
-                return Violation(i, ViolationKind.TOKEN_MISMATCH)
-            if derive_uid(block.extrinsic_digest, prev_uid, kdf) != entry.real_uid:
-                return Violation(i, ViolationKind.TOKEN_MISMATCH)
-            prev_uid = entry.real_uid
+            if (entry is None
+                    or tokenize_uid(entry.real_uid, token_salt) != block.tuid
+                    or entry.extrinsic_digest != block.extrinsic_digest):
+                found = Violation(i, ViolationKind.TOKEN_MISMATCH)
+            else:
+                jobs.append((block.extrinsic_digest, prev_uid, entry.real_uid))
+                prev_uid = entry.real_uid
+        if found is not None:
+            break
         prev_digest = block.header_digest
+    if not jobs:
+        return found
+    memory = scrypt_memory(kdf.cost, kdf.block_size, kdf.parallelism)
+    workers = _pool_workers(len(jobs), memory, _usable_cpus())
+    if workers == 1:
+        mismatch = _first_mismatch(jobs, kdf)
+    else:
+        # Imported here: loading them would add about 20 ms to every
+        # `import flexichain`.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        bounds = [len(jobs) * w // workers for w in range(workers + 1)]
+        chunks = [jobs[a:b] for a, b in zip(bounds, bounds[1:])]
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            results = pool.map(_first_mismatch, chunks, [kdf] * workers)
+            mismatch = next((start + k for start, k in zip(bounds, results)
+                             if k is not None), None)
+    if mismatch is not None:
+        return Violation(mismatch + 1, ViolationKind.TOKEN_MISMATCH)
+    return found
+
+
+# Total scrypt memory (derivations times `scrypt_memory`) below which a full
+# verification derives serially: under it, forking the workers costs more
+# than they save. Measured on 2 CPUs (ROADMAP.md, Baseline).
+POOL_SCRYPT_WORK = 32 << 20
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool_workers(jobs: int, memory: int, cpus: int) -> int:
+    """Processes for `jobs` derivations of `memory` scrypt bytes each; 1 is serial.
+
+    One per CPU and per job, and no more than fit in one join's memory cap
+    together, so a verification never asks for more scrypt memory at once
+    than a scenario may ask of one join.
+    """
+    if jobs * memory < POOL_SCRYPT_WORK:
+        return 1
+    return max(1, min(cpus, jobs, MAX_SCRYPT_MEMORY // memory))
+
+
+def _first_mismatch(jobs: list[tuple[bytes, Uid, Uid]], kdf: KdfParameters) -> int | None:
+    """Position of the first (extrinsic digest, previous UID, expected UID)
+    whose derivation differs, or None.
+
+    Module-level, and calling `derive_uid` by its global name, so that a
+    pool can send it by reference even while `derive_uid` is wrapped.
+    """
+    for k, (digest, prev_uid, expected) in enumerate(jobs):
+        if derive_uid(digest, prev_uid, kdf) != expected:
+            return k
     return None
 
 

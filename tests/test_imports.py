@@ -1,12 +1,16 @@
-"""Static checks on the package source.
+"""Checks on the package source and on what importing it loads.
 
 Every name a package module imports is used in it or exported, scrypt
-runs on one kernel, from one function, and a UID is derived only where an
-identity is bound or the chain is checked in full.
+runs on one kernel, from one function, a UID is derived only where an
+identity is bound or the chain is checked in full, and importing the CLI
+loads no process pool.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,22 +72,39 @@ def test_one_scrypt_kernel_from_one_function():
         assert not re.search(r"hashlib\.scrypt\(|from hashlib import .*\bscrypt\b", text)
 
 
-def derive_uid_callers(path: Path) -> list[str]:
-    """`module.name` for each call of `derive_uid` in `path`, named by the
-    top-level function or class that holds it, or `<module>` if none does."""
-    callers = []
+def references(path: Path, name: str) -> list[str]:
+    """`module.holder` for each read of `name` in `path`, as a bare name or
+    an attribute, called or not, where the holder is the top-level function
+    or class that holds the read, or `<module>` if none does."""
+    refs = []
     for top in ast.parse(path.read_text()).body:
-        name = getattr(top, "name", "<module>")
+        holder = getattr(top, "name", "<module>")
         for node in ast.walk(top):
-            if isinstance(node, ast.Call) and "derive_uid" in (
-                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)) and name in (
+                getattr(node, "id", None), getattr(node, "attr", None)
             ):
-                callers.append(f"{path.stem}.{name}")
-    return callers
+                refs.append(f"{path.stem}.{holder}")
+    return refs
+
+
+def package_references(name: str) -> list[str]:
+    return [r for path in sorted(PACKAGE.glob("*.py")) for r in references(path, name)]
 
 
 def test_uids_are_derived_only_at_binding_and_full_verification():
     # One derivation per identity: `consensus._bind` derives each UID once,
-    # and only full-mode `verify_chain` derives it again.
-    calls = [c for path in sorted(PACKAGE.glob("*.py")) for c in derive_uid_callers(path)]
-    assert calls == ["consensus._bind", "nodechain.verify_chain"]
+    # and only full-mode `verify_chain` derives it again, through
+    # `nodechain._first_mismatch`, in this process or in its workers.
+    assert package_references("derive_uid") == ["consensus._bind", "nodechain._first_mismatch"]
+    assert set(package_references("_first_mismatch")) == {"nodechain.verify_chain"}
+
+
+def test_cli_import_loads_no_process_pool():
+    # `verify_chain` imports them only when it starts workers.
+    code = ("import sys, flexichain.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -2,11 +2,16 @@
 
 import dataclasses
 import hashlib
+import multiprocessing
+import os
 import random
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flexichain import identity, nodechain
 from flexichain.consensus import ModuleRegistry, enroll_request, enroll_respond, genesis
 from flexichain.errors import (
     EmptyChain,
@@ -15,6 +20,8 @@ from flexichain.errors import (
     UnknownNode,
 )
 from flexichain.identity import (
+    MAX_SCRYPT_MEMORY,
+    TokenizedUid,
     TrustedModuleCredential,
     Uid,
     derive_uid,
@@ -25,6 +32,7 @@ from flexichain.identity import (
 from flexichain.keys import public_bytes, signing_key_from_seed
 from flexichain.nodechain import (
     NodeChainLedger,
+    Violation,
     ViolationKind,
     VirtualExistenceBlock,
     VesState,
@@ -32,8 +40,8 @@ from flexichain.nodechain import (
     detect_header_change,
     verify_chain,
 )
-from flexichain.vault import NodeRole, VaultEntry
-from flexichain.wire import lp
+from flexichain.vault import NodeRole, Vault, VaultEntry
+from flexichain.wire import ZERO32, lp
 
 from conftest import CHEAP_KDF, TOKEN_SALT, make_params, material
 
@@ -268,6 +276,140 @@ def test_replay_yields_identical_serialization():
     decoded = NodeChainLedger.deserialize(first.serialize())
     assert decoded.serialize() == first.serialize()
     assert verify_chain(decoded) is None
+
+
+# ---------------------------------------------------------------------------
+# Full-mode derivations in worker processes
+# ---------------------------------------------------------------------------
+
+def force_pool(monkeypatch, cpus: int = 2) -> None:
+    """Send full-mode derivations to a pool of up to `cpus` workers.
+
+    `derive_uid` becomes a closure at both of its bindings, as the
+    benchmark's tracer makes it: pickle cannot send one, and this one
+    fails if it runs in this process instead of a worker.
+    """
+    parent, derive = os.getpid(), identity.derive_uid
+
+    def derive_in_worker(*args):
+        assert os.getpid() != parent, "derived in the calling process"
+        return derive(*args)
+
+    monkeypatch.setattr(nodechain, "POOL_SCRYPT_WORK", 0)
+    monkeypatch.setattr(nodechain, "_usable_cpus", lambda: cpus)
+    for module in (identity, nodechain):
+        monkeypatch.setattr(module, "derive_uid", derive_in_worker)
+
+
+def test_pool_derives_while_derive_uid_is_wrapped(monkeypatch):
+    ledger, vault, _ = build_chain(5)
+    force_pool(monkeypatch)
+    assert verify_chain(ledger, kdf=CHEAP_KDF, vault=vault, token_salt=TOKEN_SALT) is None
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "jobs,memory,cpus,workers",
+    [
+        (12, 8 << 20, 2, 2),   # ingest-kdf: 96 MiB of scrypt work
+        (384, 256, 2, 1),      # enroll-384: far below the threshold
+        (12, 8 << 20, 1, 1),   # one CPU
+        (64, MAX_SCRYPT_MEMORY, 8, 1),  # one derivation fills a join's cap
+        (64, MAX_SCRYPT_MEMORY // 4, 8, 4),
+        (3, 16 << 20, 8, 3),   # no more workers than derivations
+        (3, 8 << 20, 2, 1),    # 24 MiB: forking costs more than it saves
+    ],
+)
+def test_pool_size(jobs, memory, cpus, workers):
+    assert nodechain._pool_workers(jobs, memory, cpus) == workers
+
+
+def walk_chain(ledger, kdf, vault, token_salt):
+    """Full-mode verification block by block, each derivation in turn."""
+    prev_digest, prev_uid = ZERO32, zero_uid(kdf.output_length)
+    for i, block in enumerate(ledger.blocks, start=1):
+        if block.nns_index != i:
+            return Violation(i, ViolationKind.INDEX_GAP)
+        if block.prev_link != prev_digest:
+            return Violation(i, ViolationKind.LINK_BREAK)
+        if block.recomputed_header() != block.header_digest:
+            return Violation(i, ViolationKind.HEADER_MISMATCH)
+        entry = vault.entry_at(i)
+        if (entry is None or tokenize_uid(entry.real_uid, token_salt) != block.tuid
+                or entry.extrinsic_digest != block.extrinsic_digest
+                or derive_uid(block.extrinsic_digest, prev_uid, kdf) != entry.real_uid):
+            return Violation(i, ViolationKind.TOKEN_MISMATCH)
+        prev_uid, prev_digest = entry.real_uid, block.header_digest
+    return None
+
+
+def relinked(blocks: list, start: int) -> list:
+    """`blocks` with those from position `start` on rebuilt onto the ones before."""
+    out = blocks[:start]
+    for b in blocks[start:]:
+        out.append(VirtualExistenceBlock.create(
+            b.tuid, b.constructed_public_key, out[-1].header_digest if out else ZERO32,
+            b.nns_index, b.timestamp, b.extrinsic_digest))
+    return out
+
+
+def mutated(n: int, mutations: list[tuple[str, int]]):
+    """An n-block chain and its vault, with each (kind, 0-based position) applied."""
+    ledger, vault, _ = build_chain(n)
+    blocks, entries = list(ledger.blocks), list(vault.entries)
+    forged = Uid(b"\x55" * 128)
+    # Mutations that rebuild the blocks after theirs go first, so that the
+    # rebuild does not repair the others; dropped entries go last.
+    order = ("uid", "token", "vault_uid", "extrinsic", "header", "link", "drop")
+    for kind, j in sorted(mutations, key=lambda m: (order.index(m[0]), m[1])):
+        if kind == "uid":  # a consistent forgery: only the derivation differs
+            entries[j] = dataclasses.replace(
+                entries[j], real_uid=forged, tuid=tokenize_uid(forged, TOKEN_SALT))
+            blocks[j] = dataclasses.replace(blocks[j], tuid=entries[j].tuid)
+            blocks = relinked(blocks, j)
+        elif kind == "token":
+            blocks[j] = dataclasses.replace(blocks[j], tuid=TokenizedUid(b"\x77" * 32))
+            blocks = relinked(blocks, j)
+        elif kind == "vault_uid":
+            entries[j] = dataclasses.replace(entries[j], real_uid=forged)
+        elif kind == "extrinsic":
+            entries[j] = dataclasses.replace(entries[j], extrinsic_digest=b"\x13" * 32)
+        elif kind == "header":
+            blocks[j] = dataclasses.replace(blocks[j], header_digest=b"\x01" * 32)
+        elif kind == "link":
+            blocks[j] = dataclasses.replace(blocks[j], prev_link=b"\x02" * 32)
+        elif j < len(entries):
+            del entries[j]
+    chain = NodeChainLedger.deserialize(b"".join(lp(b.encode()) for b in blocks))
+    log = Vault(TOKEN_SALT)
+    log._entries = entries
+    return chain, log
+
+
+@st.composite
+def mutated_chains(draw):
+    n = draw(st.integers(3, 8))
+    # A forgery passes every check but the derivation, at any position. The
+    # others fail a check before it, from the third block on, so that at
+    # least two derivations always reach the pool.
+    forgeries = draw(st.lists(st.tuples(st.just("uid"), st.integers(0, n - 1)), max_size=2))
+    cheap = draw(st.lists(st.tuples(
+        st.sampled_from(("token", "vault_uid", "extrinsic", "header", "link", "drop")),
+        st.integers(2, n - 1)), max_size=2))
+    return n, forgeries + cheap
+
+
+@settings(max_examples=40, deadline=None)
+@given(chain=mutated_chains(), cpus=st.integers(2, 4))
+def test_pool_returns_the_serial_violation(chain, cpus):
+    ledger, vault = mutated(*chain)
+    full = {"kdf": CHEAP_KDF, "vault": vault, "token_salt": TOKEN_SALT}
+    serial = verify_chain(ledger, **full)
+    assert serial == walk_chain(ledger, **full)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        force_pool(monkeypatch, cpus)
+        assert verify_chain(ledger, **full) == serial
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
