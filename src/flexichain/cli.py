@@ -69,7 +69,6 @@ def _simulate(args):
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return None, 2
     except ConfigError as exc:
-        # Extrinsic overrides are applied, and checked, at network build time.
         print(f"error: {exc}", file=sys.stderr)
         return None, 2
     except ProtocolError as exc:

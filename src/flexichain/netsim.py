@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -230,7 +230,7 @@ def _either(word: str, rule):
 
 _bool = _rule("true or false", lambda v, s: type(v) is bool)
 _text = _rule("a non-empty string", lambda v, s: type(v) is str and v != "")
-_object = _rule("an object", lambda v, s: type(v) is dict, dict)  # its reader walks it
+_object = _rule("an object", lambda v, s: type(v) is dict, dict)  # walked by _event or from_dict
 _node_ref = _rule("a declared node name", lambda v, s: type(v) is str and v in s[_NODE_NAMES])
 _branch_ref = _rule("a branch registered earlier in the script",
                     lambda v, s: type(v) is str and v in s[_BRANCH_NAMES])
@@ -270,8 +270,8 @@ class NodeSpec:
     name: str
     role: NodeRole
     module: str
-    via: str | None = None
-    extrinsic: dict = field(default_factory=dict)  # overrides, see EXTRINSIC
+    via: str | None
+    extrinsic: dict  # the EXTRINSIC fields, parsed last by ScenarioConfig.from_dict
 
 
 NODE = {
@@ -347,17 +347,6 @@ SCENARIO = {
 }
 
 
-def make_extrinsic(
-    seed: int, name: str, public_id: bytes, overrides: dict | None = None,
-    path: str = "extrinsic",
-) -> ExtrinsicParameters:
-    """Synthetic extrinsic fixture for one node (PUF readout stand-in) with
-    constructed public key `public_id`, and with the scenario's `extrinsic`
-    overrides, found at `path`, applied."""
-    parsed = _walk(EXTRINSIC, overrides or {}, path, {"seed": seed, "name": name})
-    return ExtrinsicParameters(constructed_public_id=public_id, **parsed)
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     seed: int
@@ -392,7 +381,13 @@ class ScenarioConfig:
         for i in range(1, len(config.script)):
             if config.script[i]["at"] < config.script[i - 1]["at"]:
                 raise ConfigError(f"script[{i}].at: events must be time-ordered")
-        return config
+        # Each node's extrinsic fixture (a PUF readout stand-in) with its
+        # overrides, walked after every check above, whose errors come first.
+        return replace(config, nodes=tuple(
+            replace(spec, extrinsic=_walk(EXTRINSIC, spec.extrinsic, f"nodes[{i}].extrinsic",
+                                          {"seed": config.seed, "name": spec.name}))
+            for i, spec in enumerate(config.nodes)
+        ))
 
     @classmethod
     def from_file(cls, path: str, seed_override: int | None = None) -> "ScenarioConfig":
@@ -510,11 +505,8 @@ class Network:
         )
 
         self.nodes: dict[str, NodeState] = {
-            spec.name: self._new_node(
-                spec, _material(config.seed, "constructed-key", spec.name),
-                f"nodes[{i}].extrinsic",
-            )
-            for i, spec in enumerate(config.nodes)
+            spec.name: self._new_node(spec, _material(config.seed, "constructed-key", spec.name))
+            for spec in config.nodes
         }
         self.backup = next(n for n in self.nodes.values() if n.role is NodeRole.BACKUP)
 
@@ -557,19 +549,15 @@ class Network:
     def trace_digest(self) -> bytes:
         return sha256(("\n".join(self.trace) + "\n").encode())
 
-    def _new_node(
-        self, spec: NodeSpec, signing_seed: bytes, path: str = "extrinsic"
-    ) -> NodeState:
-        """An actor whose constructed key and extrinsic fixture derive from
-        `signing_seed`; `path` names its overrides in errors."""
+    def _new_node(self, spec: NodeSpec, signing_seed: bytes) -> NodeState:
+        """An actor with `spec`'s extrinsic fields and a constructed key
+        derived from `signing_seed`."""
         key = signing_key_from_seed(signing_seed)
         return NodeState(
             name=spec.name,
             role=spec.role,
             module_id=spec.module,
-            params=make_extrinsic(
-                self.config.seed, spec.name, public_bytes(key), spec.extrinsic, path
-            ),
+            params=ExtrinsicParameters(constructed_public_id=public_bytes(key), **spec.extrinsic),
             signing_key=key,
             via=spec.via,
         )
@@ -923,17 +911,13 @@ def inject_attack(net: Network, event: AttackEvent) -> AttackOutcome:
             return blocked("vault access", "no full node is online")
         if "vault_access" in event.secrets:
             # Compromised full-node endpoint: reads carry local provenance.
-            entry = net.vault.lookup(actor.tuid, CallOrigin.LOCAL)
-            uid = entry.real_uid if entry else None
+            uid = net.vault.lookup(actor.tuid, CallOrigin.LOCAL).real_uid
         elif event.tries_remote_vault:
             try:
-                net.vault.lookup(actor.tuid, CallOrigin.REMOTE)
+                uid = net.vault.lookup(actor.tuid, CallOrigin.REMOTE).real_uid
             except OfflineViolation:
                 return blocked("offline gate", "remote vault lookup rejected")
-            uid = None
         else:
-            uid = None
-        if uid is None:
             return blocked("match layer", f"no real UID for {actor.name}")
         if not match_layer(actor.tuid, uid, net.config.token_salt):
             return blocked("match layer", f"token mismatch for {actor.name}")
@@ -953,8 +937,9 @@ def _enroll_fabricated_identity(net: Network) -> NodeState | None:
     """Enroll a Sybil identity with a stolen (real) module key."""
     net._fraud_counter += 1
     name = f"{SYBIL_PREFIX}{net._fraud_counter}"
+    extrinsic = _walk(EXTRINSIC, {}, "", {"seed": net.config.seed, "name": name})
     fake = net._new_node(
-        NodeSpec(name, NodeRole.CPS_IOT, net.config.modules[0]),
+        NodeSpec(name, NodeRole.CPS_IOT, net.config.modules[0], None, extrinsic),
         _material(net.config.seed, "sybil-key", net._fraud_counter),
     )
     try:

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from flexichain import netsim, secmodel
 from flexichain.cli import MAX_TRIALS, build_parser, main
+from flexichain.errors import ConfigError
 
 from test_pins import full_mode_violation, reappended_layer0
 
@@ -296,8 +298,8 @@ def _demo_mutated(tmp_path, mutate):
         # 288 MiB budget although scrypt's memory is 2^28.
         (lambda d: d["kdf"].update(cost=2**16, block_size=1), 2, "error: kdf: "),
         (lambda d: d["kdf"].update(cost=2, block_size=2**20), 2, "error: kdf: "),
-        # Extrinsic overrides are checked when the network is built, and the
-        # error names the node.
+        # Extrinsic overrides are checked at parse time too, and the error
+        # names the node.
         (lambda d: d["nodes"][3].update(extrinsic={"process_power_class": 1.7}), 2,
          "error: nodes[3].extrinsic.process_power_class: "),
         (lambda d: d["nodes"][3].update(extrinsic={"process_power_class": "3"}), 2,
@@ -468,6 +470,12 @@ def test_any_single_field_mutation_exits_cleanly(capsys, slot_value):
         out = os.path.join(tmp, "out")
         code = main(["run", "--scenario", path, "--out", out])
         assert code in (0, 1, 2)
+        try:
+            netsim.ScenarioConfig.from_file(path)
+        except ConfigError:
+            assert code == 2
+        else:
+            assert code != 2  # a parsed file builds and runs
         if code == 0:
             # verify replays the run, compares the artifacts byte for byte
             # and checks that the vault was never read remotely. The re-run
@@ -544,3 +552,42 @@ def _parser_options() -> dict[str, set[str]]:
 
 def test_readme_synopsis_names_every_option():
     assert _synopsis_options() == _parser_options()
+
+
+def _backticked(cell: str) -> set[str]:
+    return set(re.findall(r"`([^`]+)`", cell))
+
+
+def _readme_schema_keys() -> dict[str, set[str]]:
+    """The keys README's "Scenario files" tables name: by table for the
+    top level, `kdf`, a node and `extrinsic`, and by event kind besides
+    `at` and `event`, which every event has."""
+    section = README.read_text().split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    tables, rows = [], None
+    for line in section.splitlines():
+        if not line.startswith("|"):
+            rows = None
+            continue
+        if rows is None:
+            rows = []
+            tables.append(rows)
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    # Each table's rows past its header and rule.
+    *objects, events = [rows[2:] for rows in tables]
+    keys = {
+        label: {key for row in rows for key in _backticked(row[0])}
+        for label, rows in zip(("SCENARIO", "KDF", "NODE", "EXTRINSIC"), objects, strict=True)
+    }
+    kinds: set[str] = set()
+    for row in events:
+        kinds = _backticked(row[0]) or kinds  # a blank first cell continues the kinds above
+        for kind in kinds:
+            keys.setdefault(kind, set()).update(_backticked(row[1]) - {"at", "event"})
+    return keys
+
+
+def test_readme_schema_tables_name_every_key():
+    expected = {"SCENARIO": set(netsim.SCENARIO), "KDF": set(netsim.KDF),
+                "NODE": set(netsim.NODE), "EXTRINSIC": set(netsim.EXTRINSIC)}
+    expected |= {kind: set(table) - {"at", "event"} for kind, table in netsim.EVENTS.items()}
+    assert _readme_schema_keys() == expected

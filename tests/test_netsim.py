@@ -20,13 +20,12 @@ from flexichain.errors import (
     Unauthorized,
 )
 from flexichain.identity import TokenizedUid
-from flexichain.keys import public_bytes, sign_message, signing_key_from_seed
+from flexichain.keys import sign_message
 from flexichain import netsim, vault
 from flexichain.netsim import (
     AttackEvent,
     Network,
     ScenarioConfig,
-    make_extrinsic,
     monte_carlo_attack,
     run_scenario,
 )
@@ -36,8 +35,6 @@ from flexichain.wire import encode_fields, sha256
 from conftest import material
 
 CHEAP_KDF_JSON = {"cost": 16, "block_size": 1, "parallelism": 1, "output_length": 128}
-# A node's constructed public key, as make_extrinsic takes it.
-PUBLIC_ID = public_bytes(signing_key_from_seed(material("k1", 32)))
 
 
 def scenario(nodes=None, script=None, mode="exhaustive", seed=7, extra=None):
@@ -259,7 +256,7 @@ def _schema_fields():
     for key, row in netsim.NODE.items():
         yield f"nodes[3].{key}", row, at("nodes", 3, key)
     for key, row in netsim.EXTRINSIC.items():
-        # Overrides are applied, and checked, when the network is built.
+        # Overrides are walked after the rest of the file.
         yield f"nodes.extrinsic.{key}", row, at("nodes", 3, "extrinsic", key)
     for kind, table in netsim.EVENTS.items():
         for key, row in table.items():
@@ -279,11 +276,11 @@ def test_every_schema_field_refuses_wrong_shapes(path, row, put, shape):
     data = _demo_with_every_event()
     put(data, value)
     with pytest.raises(ConfigError) as excinfo:
-        Network(ScenarioConfig.from_dict(data))
-    # The overrides sit on node 3, and the build-time error names it.
+        ScenarioConfig.from_dict(data)
+    # The overrides sit on node 3, and the error names it.
     expected = path.replace("nodes.extrinsic.", "nodes[3].extrinsic.")
     if path == "nodes[3].extrinsic" and shape == "object":
-        expected = "nodes[3].extrinsic.?"  # an unknown override, refused at build
+        expected = "nodes[3].extrinsic.?"  # an unknown override
     assert str(excinfo.value).startswith(expected), str(excinfo.value)
 
 
@@ -294,25 +291,40 @@ def test_seed_override_wins():
         ScenarioConfig.from_dict(scenario(seed=5), seed_override=-1)
 
 
+def _with_extrinsic(seed: int, overrides: dict | None = None) -> ScenarioConfig:
+    """`scenario(seed=seed)` parsed, with `overrides` on node 2 (`s1`)."""
+    data = scenario(seed=seed)
+    if overrides is not None:
+        data["nodes"][2]["extrinsic"] = overrides
+    return ScenarioConfig.from_dict(data)
+
+
 def test_fixture_derivation_is_seed_deterministic():
-    seed_a = make_extrinsic(1, "n", PUBLIC_ID)
-    seed_a2 = make_extrinsic(1, "n", PUBLIC_ID)
-    seed_b = make_extrinsic(2, "n", PUBLIC_ID)
+    seed_a = _with_extrinsic(1).nodes[2].extrinsic
+    seed_a2 = _with_extrinsic(1).nodes[2].extrinsic
+    seed_b = _with_extrinsic(2).nodes[2].extrinsic
     assert seed_a == seed_a2
-    assert seed_a.mac_address != seed_b.mac_address
+    assert seed_a["mac_address"] != seed_b["mac_address"]
+    # Bound to the node's name, not its place in `nodes`.
+    data = scenario(seed=1)
+    data["nodes"].reverse()
+    reordered = {spec.name: spec.extrinsic for spec in ScenarioConfig.from_dict(data).nodes}
+    assert reordered["s1"] == seed_a
+    assert reordered["c1"] != seed_a
 
 
 def test_extrinsic_overrides_apply():
-    fixture = make_extrinsic(
-        1, "n", PUBLIC_ID,
-        overrides={"mac_address": "0a0b0c0d0e0f", "process_power_class": 3},
-    )
-    assert fixture.mac_address == bytes.fromhex("0a0b0c0d0e0f")
-    assert fixture.process_power_class == 3
+    config = _with_extrinsic(1, {"mac_address": "0a0b0c0d0e0f", "process_power_class": 3})
+    fixture = config.nodes[2].extrinsic
+    assert fixture["mac_address"] == bytes.fromhex("0a0b0c0d0e0f")
+    assert fixture["process_power_class"] == 3
+    assert fixture["firmware_digest"] == _with_extrinsic(1).nodes[2].extrinsic["firmware_digest"]
+    params = Network(config).nodes["s1"].params
+    assert (params.mac_address, params.process_power_class) == (fixture["mac_address"], 3)
     with pytest.raises(ConfigError):
-        make_extrinsic(1, "n", PUBLIC_ID, overrides={"mac_address": "zz"})
+        _with_extrinsic(1, {"mac_address": "zz"})
     with pytest.raises(ConfigError):
-        make_extrinsic(1, "n", PUBLIC_ID, overrides={"serial": "00"})
+        _with_extrinsic(1, {"serial": "00"})
 
 
 @pytest.mark.parametrize(
@@ -327,8 +339,7 @@ def test_extrinsic_overrides_apply():
 )
 def test_extrinsic_override_of_the_wrong_shape_names_its_field(field, value):
     with pytest.raises(ConfigError, match=rf"^nodes\[2\]\.extrinsic\.{field}: "):
-        make_extrinsic(1, "n", PUBLIC_ID, overrides={field: value},
-                       path="nodes[2].extrinsic")
+        _with_extrinsic(1, {field: value})
 
 
 # ---------------------------------------------------------------------------
