@@ -292,16 +292,21 @@ class Layer0Ledger:
 
     The ledger owns the branch table. `branches` maps each branch id to its
     tag, in registration order: the virtual-existence branch holds tag A
-    from creation, and every registered branch takes the next tag.
+    from creation, and every registered branch takes the next tag. The
+    ledger holds only plain containers, so `copy.deepcopy` copies it, alone
+    or inside a `netsim.Network`.
     """
 
     def __init__(self, virtual_genesis_digest: bytes):
         self._records: dict[bytes, LedgerRecord] = {}
         self._by_tag: dict[str, list[bytes]] = {}  # genesis marker first
         self._tags: dict[str, str] = {}
-        self.branches: Mapping[str, str] = MappingProxyType(self._tags)
         self._tx_digests: set[bytes] = set()  # of every finalized transaction
         self.register_branch(VIRTUAL_BRANCH_ID, virtual_genesis_digest, timestamp=0)
+
+    @property
+    def branches(self) -> Mapping[str, str]:
+        return MappingProxyType(self._tags)
 
     def register_branch(
         self, branch_id: str, genesis_digest: bytes, timestamp: int

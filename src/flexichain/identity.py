@@ -11,10 +11,10 @@ without revealing anything about other UIDs.
 scrypt runs on `cryptography`'s kernel (the OpenSSL it bundles), in
 `scrypt_kdf` only: every join, genesis and full-mode verification derives
 through it, the last in worker processes when its derivations hold at
-least 32 MiB of scrypt memory in all and more than one CPU is usable
-(`nodechain`). The kernel holds the GIL, so only processes run it in
-parallel; no more of them run at once than `MAX_SCRYPT_MEMORY`, one join's
-cap, holds. Before anything is allocated, `scrypt_kdf` refuses what
+least 32 MiB of scrypt memory in all, more than one CPU is usable and the
+process runs no other thread (`nodechain`). The kernel holds the GIL, so
+only processes run it in parallel; no more of them run at once than
+`MAX_SCRYPT_MEMORY`, one join's cap, holds. Before anything is allocated, `scrypt_kdf` refuses what
 `hashlib.scrypt` refused: an allocation of 128 * r * (N + p + 2) bytes
 beyond a budget of scrypt's memory plus 32 MiB, a budget beyond
 2^31 - 1, and an output length outside [1, 2^31 - 1]. On 2 vCPUs

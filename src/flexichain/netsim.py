@@ -15,11 +15,14 @@ node holds only its own facts. An online member reads the shared chain, so
 the VES it presents at the NNS gate is the network's; a node that goes
 offline is refused before that gate, and no event brings it back. The vault
 is one log, which every full node member holds, and every vault read
-carries its provenance.
+carries its provenance. A network holds only plain data, so
+`copy.deepcopy(net)` branches a run: the copy shares no mutable state with
+the original and steps on to the same bytes.
 
-Adversaries are modeled by an explicit capability lattice. An attack event
-holds a subset of {constructed_keys, module_key, vault_access, tuids} and
-attempts its category's protocol actions with exactly those secrets; the
+Adversaries are modeled by an explicit capability lattice. An attack event,
+handled as its parsed dict like every other event, holds a subset of
+{constructed_keys, module_key, vault_access, tuids} and attempts its
+category's protocol actions with exactly those secrets; the
 outcome records the first check that blocked it (module registry,
 signature, ledger validation, NNS gate, vault access, offline gate, match
 layer, or finality quorum). A final fraud block must pass
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -71,6 +74,8 @@ from .wire import encode_fields, encode_u64, lp, sha256
 # extrinsic fixture.
 SYBIL_PREFIX = "sybil-"
 SECRET_KINDS = frozenset({"constructed_keys", "module_key", "vault_access", "tuids"})
+# Key brute force: the one attack category that looks the vault up remotely.
+REMOTE_VAULT_CATEGORY = 4
 
 
 # ---------------------------------------------------------------------------
@@ -429,35 +434,6 @@ class NodeState:
 
 
 @dataclass(frozen=True)
-class AttackEvent:
-    category: int
-    targets: tuple[str, ...] = ()
-    secrets: frozenset[str] = frozenset()
-    stale_ledger: bool = False
-    branch: str | None = None
-
-    @classmethod
-    def from_dict(cls, ev: dict) -> "AttackEvent":
-        """The attack of a parsed script event; its keys are these fields."""
-        return cls(**{f.name: ev[f.name] for f in fields(cls)})
-
-    @property
-    def tries_remote_vault(self) -> bool:
-        """Only key brute force looks the vault up over the network."""
-        return self.category == 4
-
-    def encode(self) -> bytes:
-        return encode_fields(
-            self.category,
-            ",".join(self.targets).encode(),
-            ",".join(sorted(self.secrets)).encode(),
-            b"\x01" if self.stale_ledger else b"\x00",
-            b"\x01" if self.tries_remote_vault else b"\x00",
-            (self.branch or "").encode(),
-        )
-
-
-@dataclass(frozen=True)
 class AttackOutcome:
     category: int
     succeeded: bool
@@ -739,8 +715,7 @@ class Network:
             attested = consensus.authenticate_block(
                 node, block, ves_index, ves_index, self.config.token_salt
             )
-            on_chain = self._members[node.tuid][1]
-            if nodechain.detect_header_change(self.nodechain, on_chain.nns_index, node.params):
+            if nodechain.detect_header_change(self._members[node.tuid][1], node.params):
                 raise IdentityMismatch("header check: extrinsic parameters differ from the chain")
             message = AuthenticationMessage(
                 block_digest=block_digest,
@@ -800,9 +775,8 @@ class Network:
         self.record(node.name, "disable", b"")
 
     def _handle_attack(self, ev: dict) -> None:
-        event = AttackEvent.from_dict(ev)
-        self.record("adversary", "attack", event.encode())
-        outcome = inject_attack(self, event)
+        self.record("adversary", "attack", _attack_bytes(ev))
+        outcome = inject_attack(self, ev)
         self.metrics["attacks"].append(asdict(outcome))
         self.record("adversary", "attack_outcome", outcome.encode())
 
@@ -851,8 +825,20 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
 # Adversary model
 # ---------------------------------------------------------------------------
 
-def inject_attack(net: Network, event: AttackEvent) -> AttackOutcome:
-    """Attempt one attack category with exactly the event's secrets.
+def _attack_bytes(ev: dict) -> bytes:
+    """The trace payload of a parsed attack event."""
+    return encode_fields(
+        ev["category"],
+        ",".join(ev["targets"]).encode(),
+        ",".join(sorted(ev["secrets"])).encode(),
+        b"\x01" if ev["stale_ledger"] else b"\x00",
+        b"\x01" if ev["category"] == REMOTE_VAULT_CATEGORY else b"\x00",
+        (ev["branch"] or "").encode(),
+    )
+
+
+def inject_attack(net: Network, ev: dict) -> AttackOutcome:
+    """Attempt one attack category with exactly the parsed event's secrets.
 
     The adversary walks the protocol in its category's natural order and
     the outcome records the first check that stopped it. Nothing here
@@ -864,15 +850,17 @@ def inject_attack(net: Network, event: AttackEvent) -> AttackOutcome:
     NNS gate, vault access, offline gate, match layer, finality quorum, and
     ledger validation (`append_block`, which keeps a block it accepts).
     """
+    category, targets, secrets = ev["category"], ev["targets"], ev["secrets"]
+
     def blocked(stage: str, detail: str = "") -> AttackOutcome:
-        return AttackOutcome(event.category, False, stage, detail)
+        return AttackOutcome(category, False, stage, detail)
 
     # Fabricated-identity enrollment. Mandatory for Sybil; any category
     # holding a registered module key may strengthen itself the same way.
     fake: NodeState | None = None
-    if event.category == 1 and "module_key" not in event.secrets:
+    if category == 1 and "module_key" not in secrets:
         return blocked("module registry", "no registered module key")
-    if "module_key" in event.secrets:
+    if "module_key" in secrets:
         fake = _enroll_fabricated_identity(net)
         if fake is None:
             return blocked("module registry", "no responder accepted enrollment")
@@ -880,39 +868,40 @@ def inject_attack(net: Network, event: AttackEvent) -> AttackOutcome:
     # Author the fraudulent block.
     if fake is not None:
         author = fake
-    elif "constructed_keys" in event.secrets and event.targets:
-        author = net.nodes[event.targets[0]]
+    elif "constructed_keys" in secrets and targets:
+        author = net.nodes[targets[0]]
     else:
         return blocked("signature", "no usable signing identity")
     try:
-        block = _craft_fraud_block(net, author, event)
+        block = _craft_fraud_block(net, author, ev["branch"])
     except UnknownBranch as exc:  # the ledger has no arcs to offer
         return blocked("ledger validation", str(exc))
 
     # NNS gate: an adversary replaying against a stale ledger view.
-    if event.stale_ledger:
+    if ev["stale_ledger"]:
         return blocked("NNS gate", "ledger version cursor lags the network")
 
     # Authentication: the adversary attests as every identity it can sign
     # for, acquiring each real UID through the only channels that exist.
     attempt_order: list[NodeState] = []
-    if "constructed_keys" in event.secrets:
-        attempt_order.extend(net.nodes[name] for name in event.targets)
+    if "constructed_keys" in secrets:
+        attempt_order.extend(net.nodes[name] for name in targets)
     if fake is not None:
         attempt_order.append(fake)
 
     # No vault lookup changes whether a node is online: one scan serves all.
-    reads_vault = "vault_access" in event.secrets or event.tries_remote_vault
+    remote = category == REMOTE_VAULT_CATEGORY
+    reads_vault = "vault_access" in secrets or remote
     vault_offline = reads_vault and not any(n.online for n in net.full_nodes())
     for actor in attempt_order:
         if not actor.enrolled:
             continue
         if vault_offline:
             return blocked("vault access", "no full node is online")
-        if "vault_access" in event.secrets:
+        if "vault_access" in secrets:
             # Compromised full-node endpoint: reads carry local provenance.
             uid = net.vault.lookup(actor.tuid, CallOrigin.LOCAL).real_uid
-        elif event.tries_remote_vault:
+        elif remote:
             try:
                 uid = net.vault.lookup(actor.tuid, CallOrigin.REMOTE).real_uid
             except OfflineViolation:
@@ -930,7 +919,7 @@ def inject_attack(net: Network, event: AttackEvent) -> AttackOutcome:
     except ProtocolError as exc:
         return blocked("ledger validation", str(exc))
     net.record("adversary", "fraud_finalized", block.encode())
-    return AttackOutcome(event.category, True, None, "fraudulent block finalized")
+    return AttackOutcome(category, True, None, "fraudulent block finalized")
 
 
 def _enroll_fabricated_identity(net: Network) -> NodeState | None:
@@ -954,9 +943,9 @@ def _enroll_fabricated_identity(net: Network) -> NodeState | None:
     return fake
 
 
-def _craft_fraud_block(net: Network, author: NodeState, event: AttackEvent) -> dag.DataBlock:
-    """A block of forged payload signed with whatever key the adversary holds."""
-    tag = "B" if event.branch is None else net.layer0.branches[event.branch]
+def _craft_fraud_block(net: Network, author: NodeState, branch: str | None) -> dag.DataBlock:
+    """A forged block on `branch` (None: tag "B"), signed by `author`."""
+    tag = "B" if branch is None else net.layer0.branches[branch]
     payload = _material(net.config.seed, "fraud", net._fraud_counter, author.name)
     tx = dag.Transaction.signed(
         author.signing_key, author.public_id, tag, payload, net.clock

@@ -14,19 +14,20 @@ by the binding step in `consensus`; `verify_chain` replays its derivation.
 Full-mode `verify_chain` costs one scrypt derivation per block. Each takes
 the block's extrinsic digest and the previous vault entry's UID, both known
 before any derivation runs, so the derivations are independent: under 32
-MiB of scrypt memory in all, or with one usable CPU, they run in this
-process; from 32 MiB on, in processes forked for the call, one contiguous
-range each. The choice rests on the work and the CPUs alone: forking costs
-about 15 ms, and all workers together hold no more scrypt memory than one
-join may. Threads would not help, since `cryptography`'s scrypt holds the
-GIL, and `spawn` workers would import the package again, about 0.35 s on
-2 CPUs.
+MiB of scrypt memory in all, with one usable CPU, or beside another thread,
+they run in this process; otherwise in processes forked for the call, one
+contiguous range each. Forking costs about 15 ms, all workers together hold
+no more scrypt memory than one join may, and a fork copies only the calling
+thread, so a lock another thread held would stay held in every worker.
+Threads would not help, since `cryptography`'s scrypt holds the GIL, and
+`spawn` workers would import the package again, about 0.35 s on 2 CPUs.
 """
 
 from __future__ import annotations
 
 import enum
 import os
+import threading
 from dataclasses import dataclass, replace
 
 from .errors import (
@@ -202,9 +203,10 @@ def verify_chain(
     is a TypeError.
 
     The cheap checks run first, in chain order, up to the first failure;
-    the derivations of the blocks before it run after them, serially or on
-    every CPU (`_pool_workers`). The violation at the lowest index wins, so
-    the result is the one a single block-by-block walk would return.
+    the derivations of the blocks before it run after them, serially (always
+    beside another thread) or on every CPU (`_pool_workers`). The violation
+    at the lowest index wins, so the result is the one a single
+    block-by-block walk would return.
     """
     given = [arg is not None for arg in (kdf, vault, token_salt)]
     if any(given) != all(given):
@@ -239,7 +241,7 @@ def verify_chain(
         return found
     memory = scrypt_memory(kdf.cost, kdf.block_size, kdf.parallelism)
     workers = _pool_workers(len(jobs), memory, _usable_cpus())
-    if workers == 1:
+    if workers == 1 or threading.active_count() > 1:
         mismatch = _first_mismatch(jobs, kdf)
     else:
         # Imported here: loading them would add about 20 ms to every
@@ -300,16 +302,14 @@ def _first_mismatch(jobs: list[tuple[bytes, Uid, Uid]], kdf: KdfParameters) -> i
 
 
 def detect_header_change(
-    ledger: NodeChainLedger,
-    enrollment_index: int,
-    reported: ExtrinsicParameters,
+    block: VirtualExistenceBlock, reported: ExtrinsicParameters
 ) -> bytes | None:
-    """Compare freshly reported parameters against the stored digest.
+    """Compare freshly reported parameters against `block`, the node's
+    on-chain block.
 
     Returns None when nothing changed, otherwise the new container-1 digest,
     so observers can see exactly what the node now claims to be.
     """
-    block = ledger.block_at(enrollment_index)
     new_digest, _ = hash_extrinsic(reported)
     if new_digest == block.extrinsic_digest:
         return None

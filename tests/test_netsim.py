@@ -23,7 +23,6 @@ from flexichain.identity import TokenizedUid
 from flexichain.keys import sign_message
 from flexichain import netsim, vault
 from flexichain.netsim import (
-    AttackEvent,
     Network,
     ScenarioConfig,
     monte_carlo_attack,
@@ -212,7 +211,8 @@ def test_parsed_events_carry_every_default():
     assert script[1]["count"] == 1
     assert script[2]["window"] == (0, 30)
     assert (script[3]["block"], script[3]["nodes"]) == ("latest", "all")
-    assert AttackEvent.from_dict(script[4]) == AttackEvent(category=4)
+    assert script[4] == {"at": 50, "event": "attack", "category": 4, "targets": (),
+                         "secrets": frozenset(), "stale_ledger": False, "branch": None}
 
 
 # Wrong shapes substituted into every field of every table. A field is
@@ -567,8 +567,7 @@ def test_fraud_block_never_takes_the_virtual_existence_tag():
     author = net.nodes["sybil-1"]
     net.layer0.register_branch("firmware", material("netsim/firmware", 32), net.clock)
     for branch, tag in ((None, "B"), ("telemetry", "B"), ("firmware", "C")):
-        event = AttackEvent(category=1, branch=branch)
-        assert netsim._craft_fraud_block(net, author, event).block_type_tag == tag
+        assert netsim._craft_fraud_block(net, author, branch).block_type_tag == tag
 
 
 def test_offline_node_cannot_attest():

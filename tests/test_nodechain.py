@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import random
 import struct
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -308,6 +309,32 @@ def test_pool_derives_while_derive_uid_is_wrapped(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_a_second_thread_keeps_the_derivations_in_this_process(monkeypatch):
+    ledger, vault = mutated(5, [("uid", 3)])
+    full = {"kdf": CHEAP_KDF, "vault": vault, "token_salt": TOKEN_SALT}
+    serial = verify_chain(ledger, **full)
+    assert serial == Violation(4, ViolationKind.TOKEN_MISMATCH)
+
+    def no_pool(method):
+        raise RuntimeError(f"asked for a {method!r} context")
+
+    monkeypatch.setattr(nodechain, "POOL_SCRYPT_WORK", 0)
+    monkeypatch.setattr(nodechain, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert verify_chain(ledger, **full) == serial
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    # Alone again, the same call takes the pool.
+    with pytest.raises(RuntimeError, match="'fork' context"):
+        verify_chain(ledger, **full)
+
+
 @pytest.mark.parametrize(
     "jobs,memory,cpus,workers",
     [
@@ -418,7 +445,7 @@ def test_pool_returns_the_serial_violation(chain, cpus):
 
 def test_identical_report_is_no_change():
     ledger, _, params = build_chain(3)
-    assert detect_header_change(ledger, 2, params[1]) is None
+    assert detect_header_change(ledger.block_at(2), params[1]) is None
 
 
 def test_changed_mac_raises_alert_with_new_digest():
@@ -426,7 +453,7 @@ def test_changed_mac_raises_alert_with_new_digest():
     mac = bytearray(params[1].mac_address)
     mac[0] ^= 0x01
     changed = dataclasses.replace(params[1], mac_address=bytes(mac))
-    new_digest = detect_header_change(ledger, 2, changed)
+    new_digest = detect_header_change(ledger.block_at(2), changed)
     assert new_digest == hash_extrinsic(changed)[0]
     assert new_digest != ledger.blocks[1].extrinsic_digest
 
@@ -434,6 +461,6 @@ def test_changed_mac_raises_alert_with_new_digest():
 def test_unknown_index_rejected():
     ledger, _, params = build_chain(2)
     with pytest.raises(UnknownNode):
-        detect_header_change(ledger, 5, params[0])
+        detect_header_change(ledger.block_at(5), params[0])
     with pytest.raises(UnknownNode):
-        detect_header_change(ledger, 0, params[0])
+        detect_header_change(ledger.block_at(0), params[0])

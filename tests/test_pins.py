@@ -4,6 +4,7 @@ A refactor that keeps behaviour keeps these digests. A change that moves
 one of them changes behaviour, and must say so and re-record the pin.
 """
 
+import copy
 import hashlib
 import json
 from dataclasses import fields
@@ -433,3 +434,68 @@ def test_each_finalized_transaction_is_verified_once(monkeypatch):
     finalized = [tx.digest() for b in result.network.layer0.blocks() for tx in b.transactions]
     # Four rounds of four transactions, each checked where it enters its block.
     assert sorted(calls) == sorted(finalized) and len(calls) == 16
+
+
+def plain_bytes(net: Network) -> dict[str, bytes]:
+    """The four artifacts `verify` compares, and the summary, for `net`."""
+    result = SimulationResult(net, tuple(net.trace), net.metrics, net.trace_digest())
+    summary = json.dumps(net.summary(), sort_keys=True).encode()
+    return {**_replayed_artifacts(result), "summary.json": summary}
+
+
+def branch_points(config: ScenarioConfig, every: int):
+    """(network, copy, cut): a `copy.deepcopy` of the network before each
+    `every`th event of the script, and after the last; the network steps
+    on after each copy."""
+    net = Network(config)
+    for cut in range(len(config.script) + 1):
+        if cut % every == 0 or cut == len(config.script):
+            yield net, copy.deepcopy(net), cut
+        if cut < len(config.script):
+            net.step(config.script[cut])
+
+
+# The demo copied after every event; scale_64 after every 8th, which puts
+# copies on both sides of the backup's failover and of the attack.
+BRANCHED = pytest.mark.parametrize(
+    "config,every",
+    [(lambda: ScenarioConfig.from_file(DEMO), 1),
+     (lambda: ScenarioConfig.from_dict(scale_64()), 8)],
+    ids=["demo", "scale_64"],
+)
+
+
+@BRANCHED
+def test_a_copied_run_steps_on_to_the_same_bytes(config, every):
+    config = config()
+    plain = plain_bytes(run_scenario(config).network)
+    for _, branch, cut in branch_points(config, every):
+        for ev in config.script[cut:]:
+            branch.step(ev)
+        assert plain_bytes(branch) == plain, cut
+
+
+@BRANCHED
+def test_stepping_a_copy_leaves_the_original_unchanged(config, every):
+    config = config()
+    def seen(net):
+        return net.trace_digest(), net.roster(), len(net.vault), list(net.tx_pool)
+
+    for net, branch, cut in branch_points(config, every):
+        before = seen(net)
+        for ev in config.script[cut:]:
+            branch.step(ev)
+        assert seen(net) == before, cut
+        assert branch.vault is not net.vault and branch.layer0 is not net.layer0
+
+
+@BRANCHED
+def test_a_copy_keeps_its_own_aliases(config, every):
+    """Within one copy, the vault log, the roster and each actor stay one
+    object, however many places hold them."""
+    for _, branch, cut in branch_points(config(), every):
+        full = branch.full_nodes()
+        assert full and all(n.vault is branch.vault for n in full), cut
+        assert branch._finality[0] is branch._roster
+        assert branch.backup is branch.nodes[branch.backup.name]
+        assert all(node is branch.nodes[node.name] for node, _ in branch._members.values())
