@@ -35,7 +35,6 @@ from .identity import (
     ExtrinsicParameters,
     KdfParameters,
     TokenizedUid,
-    TrustedModuleCredential,
     Uid,
     derive_uid,
     hash_extrinsic,
@@ -43,7 +42,7 @@ from .identity import (
     tokenize_uid,
     zero_uid,
 )
-from .keys import is_valid_public_key, sign_message, verify_signature
+from .keys import is_valid_public_key, public_bytes, sign_message, verify_signature
 from .nodechain import NodeChainLedger, VirtualExistenceBlock, append_virtual_block
 from .vault import CallOrigin, FULL_NODE_ROLES, NodeRole, Vault, VaultEntry
 from .wire import encode_fields, lp
@@ -86,13 +85,15 @@ class EnrollmentRequest:
         return lp(container1) + lp(container2)
 
     def encode(self) -> bytes:
-        return encode_fields(
-            self.container1,
-            self.container2,
-            self.module_id.encode(),
-            self.module_signature,
-            self.nonce,
+        return self._signed_bytes() + encode_fields(
+            self.module_id.encode(), self.module_signature, self.nonce
         )
+
+    def verify(self, public_key: bytes) -> bool:
+        return verify_signature(public_key, self.module_signature, self._signed_bytes())
+
+    def _signed_bytes(self) -> bytes:
+        return self.signing_bytes(self.container1, self.container2)
 
 
 @dataclass(frozen=True)
@@ -124,33 +125,32 @@ class AuthenticationMessage:
         return encode_fields(block_digest, tuid.value, ves_index)
 
     def encode(self) -> bytes:
-        return encode_fields(
-            self.block_digest, self.tuid.value, self.local_ves_index, self.signature
-        )
+        return self._signed_bytes() + lp(self.signature)
+
+    def verify(self, public_key: bytes) -> bool:
+        return verify_signature(public_key, self.signature, self._signed_bytes())
+
+    def _signed_bytes(self) -> bytes:
+        return self.signing_bytes(self.block_digest, self.tuid, self.local_ves_index)
 
 
 def enroll_request(
     params: ExtrinsicParameters,
-    credential: TrustedModuleCredential,
+    module_id: str,
+    module_key,
     registry: ModuleRegistry,
     nonce: bytes,
 ) -> EnrollmentRequest:
-    """Build the two-container request, attested by the trusted module."""
-    if registry.public_key(credential.module_id) != credential.public_key:
-        raise UnknownModule("credential public key does not match the registry")
+    """Build the two-container request, signed with `module_key`, trusted
+    module `module_id`'s private key. UnknownModule unless the registry
+    holds `module_id` with that key's public half."""
+    if registry.public_key(module_id) != public_bytes(module_key):
+        raise UnknownModule("module key does not match the registry")
     if len(nonce) != NONCE_LENGTH:
         raise InvalidParameters(f"nonce must be {NONCE_LENGTH} bytes")
     container1, container2 = hash_extrinsic(params)
-    signature = sign_message(
-        credential.private_key, EnrollmentRequest.signing_bytes(container1, container2)
-    )
-    return EnrollmentRequest(
-        container1=container1,
-        container2=container2,
-        module_id=credential.module_id,
-        module_signature=signature,
-        nonce=nonce,
-    )
+    signature = sign_message(module_key, EnrollmentRequest.signing_bytes(container1, container2))
+    return EnrollmentRequest(container1, container2, module_id, signature, nonce)
 
 
 def _bind(
@@ -215,9 +215,7 @@ def enroll_respond(
     """
     if role not in FULL_NODE_ROLES:
         raise Unauthorized(f"role {role.value} cannot respond to enrollment")
-    module_key = registry.public_key(request.module_id)
-    message = EnrollmentRequest.signing_bytes(request.container1, request.container2)
-    if not verify_signature(module_key, request.module_signature, message):
+    if not request.verify(registry.public_key(request.module_id)):
         raise BadSignature("module signature does not verify")
     if not is_valid_public_key(request.container2):
         raise InvalidParameters("container2 is not a valid public key")

@@ -61,22 +61,25 @@ class Transaction:
         return cls(sender, tag, payload, timestamp, sign_message(key, message))
 
     def encode(self) -> bytes:
-        return encode_fields(
-            self.sender,
-            self.block_type_tag.encode(),
-            self.payload,
-            self.timestamp,
-            self.signature,
-        )
+        return self._signed_bytes() + lp(self.signature)
+
+    @classmethod
+    def decode(cls, data: bytes) -> "Transaction":
+        r = Reader(data)
+        tx = cls(r.read_field(), r.read_field().decode(), r.read_field(), r.read_u64(),
+                 r.read_field())
+        if not r.exhausted():
+            raise ValueError("trailing bytes after transaction")
+        return tx
 
     def digest(self) -> bytes:
         return sha256(self.encode())
 
     def verify(self) -> bool:
-        message = self.signing_bytes(
-            self.sender, self.block_type_tag, self.payload, self.timestamp
-        )
-        return verify_signature(self.sender, self.signature, message)
+        return verify_signature(self.sender, self.signature, self._signed_bytes())
+
+    def _signed_bytes(self) -> bytes:
+        return self.signing_bytes(self.sender, self.block_type_tag, self.payload, self.timestamp)
 
 
 def merkle_root(leaves: list[bytes]) -> bytes:
@@ -183,16 +186,7 @@ class DataBlock:
         header_digest = r.read_field()
         txs = []
         for _ in range(r.read_u64()):
-            tr = Reader(r.read_field())
-            tx = Transaction(
-                sender=tr.read_field(),
-                block_type_tag=tr.read_field().decode(),
-                payload=tr.read_field(),
-                timestamp=tr.read_u64(),
-                signature=tr.read_field(),
-            )
-            if not tr.exhausted():
-                raise ValueError("trailing bytes after transaction")
+            tx = Transaction.decode(r.read_field())
             if not tx.verify():
                 raise BadSignature("transaction signature does not verify")
             txs.append(tx)

@@ -10,11 +10,8 @@ without revealing anything about other UIDs.
 
 scrypt runs on `cryptography`'s kernel (the OpenSSL it bundles), in
 `scrypt_kdf` only: every join, genesis and full-mode verification derives
-through it, the last in worker processes when its derivations hold at
-least 32 MiB of scrypt memory in all, more than one CPU is usable and the
-process runs no other thread (`nodechain`). The kernel holds the GIL, so
-only processes run it in parallel; no more of them run at once than
-`MAX_SCRYPT_MEMORY`, one join's cap, holds. Before anything is allocated, `scrypt_kdf` refuses what
+through it, the last sometimes in worker processes (`nodechain` says
+when). Before anything is allocated, `scrypt_kdf` refuses what
 `hashlib.scrypt` refused: an allocation of 128 * r * (N + p + 2) bytes
 beyond a budget of scrypt's memory plus 32 MiB, a budget beyond
 2^31 - 1, and an output length outside [1, 2^31 - 1]. On 2 vCPUs
@@ -137,15 +134,6 @@ class KdfParameters:
         if self.output_length < 1:
             raise InvalidKdf("output_length must be positive")
         scrypt_budget(self.cost, self.block_size, self.parallelism)
-
-
-@dataclass(frozen=True)
-class TrustedModuleCredential:
-    """Trusted hardware module identity; private key present on the holder side."""
-
-    module_id: str
-    public_key: bytes
-    private_key: object | None = None  # Ed25519PrivateKey on the holder side
 
 
 def zero_uid(length: int = UID_LENGTH) -> Uid:

@@ -61,11 +61,10 @@ from .identity import (
     ExtrinsicParameters,
     KdfParameters,
     TokenizedUid,
-    TrustedModuleCredential,
     Uid,
     match_layer,
 )
-from .keys import public_bytes, sign_message, signing_key_from_seed, verify_signature
+from .keys import public_bytes, sign_message, signing_key_from_seed
 from .vault import CallOrigin, FULL_NODE_ROLES, NodeRole, Vault
 from .wire import encode_fields, encode_u64, lp, sha256
 
@@ -539,12 +538,11 @@ class Network:
         )
 
     def _request(self, node: NodeState, nonce: bytes) -> consensus.EnrollmentRequest:
-        """`node`'s request; an unregistered module's credential is empty."""
-        key = self._module_keys.get(node.module_id)
-        public_key = public_bytes(key) if key else b""
-        credential = TrustedModuleCredential(node.module_id, public_key, key)
+        """`node`'s request, signed by its trusted module; an unregistered
+        module holds no key, and the registry refuses it first."""
         return consensus.enroll_request(
-            node.params, credential, self.module_registry, nonce[:NONCE_LENGTH]
+            node.params, node.module_id, self._module_keys.get(node.module_id),
+            self.module_registry, nonce[:NONCE_LENGTH],
         )
 
     def _respond(
@@ -744,10 +742,7 @@ class Network:
         member = self._members.get(message.tuid)
         if member is None:
             raise Unauthorized("attestation from an identity not on chain")
-        payload = AuthenticationMessage.signing_bytes(
-            message.block_digest, message.tuid, message.local_ves_index
-        )
-        if not verify_signature(member[1].constructed_public_key, message.signature, payload):
+        if not message.verify(member[1].constructed_public_key):
             raise Unauthorized("attestation signature does not verify")
 
     def _check_block_finality(self, block_digest: bytes) -> None:

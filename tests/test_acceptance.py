@@ -18,13 +18,12 @@ from flexichain import secmodel
 from flexichain.consensus import FinalityMode, check_finality, enroll_request
 from flexichain.errors import ProtocolError, UnknownModule
 from flexichain.identity import (
-    TrustedModuleCredential,
     Uid,
     derive_uid,
     scrypt_kdf,
     tokenize_uid,
 )
-from flexichain.keys import public_bytes, signing_key_from_seed
+from flexichain.keys import signing_key_from_seed
 from flexichain.netsim import ScenarioConfig, monte_carlo_attack, run_scenario
 from flexichain.nodechain import NodeChainLedger, verify_chain
 
@@ -242,12 +241,11 @@ def test_criterion_6c_unregistered_module_always_fails():
         assert result.metrics["rejected_enrollments"] == 1
         assert len(result.network.nodechain) == 1
 
-        # Direct surface: self-made module credentials are refused outright.
+        # Direct surface: a self-made module key is refused outright.
         registry = result.network.module_registry
         key = signing_key_from_seed(material("acceptance/rogue-module", 32))
-        rogue = TrustedModuleCredential("tm-x", public_bytes(key), key)
         with pytest.raises(UnknownModule):
-            enroll_request(make_params("rogue"), rogue, registry, nonce=b"\x00" * 8)
+            enroll_request(make_params("rogue"), "tm-x", key, registry, nonce=b"\x00" * 8)
 
 
 def test_criterion_6d_exhaustive_implies_narrated():

@@ -1,5 +1,6 @@
 """Consensus tests: enrollment exchange, attestation, finality rules."""
 
+import dataclasses
 import itertools
 from types import SimpleNamespace
 
@@ -30,7 +31,6 @@ from flexichain.errors import (
 )
 from flexichain.identity import (
     TokenizedUid,
-    TrustedModuleCredential,
     Uid,
     derive_uid,
     tokenize_uid,
@@ -43,16 +43,14 @@ from flexichain.wire import lp
 from conftest import CHEAP_KDF, TOKEN_SALT, make_params, make_signing_key, material
 
 
-def module_credential(module_id: str) -> TrustedModuleCredential:
-    key = signing_key_from_seed(material(f"module/{module_id}", 32))
-    return TrustedModuleCredential(module_id, public_bytes(key), key)
+def module_key(module_id: str):
+    """Trusted module `module_id`'s private key."""
+    return signing_key_from_seed(material(f"module/{module_id}", 32))
 
 
 @pytest.fixture
 def registry() -> ModuleRegistry:
-    return ModuleRegistry(
-        {mid: module_credential(mid).public_key for mid in ("tm-1", "tm-2")}
-    )
+    return ModuleRegistry({mid: public_bytes(module_key(mid)) for mid in ("tm-1", "tm-2")})
 
 
 @pytest.fixture
@@ -87,7 +85,7 @@ def data_block(label: str = "payload") -> DataBlock:
 
 def enrolled_participant(responder, label: str):
     request = enroll_request(
-        make_params(label), module_credential("tm-2"), responder.module_registry,
+        make_params(label), "tm-2", module_key("tm-2"), responder.module_registry,
         nonce=material(f"nonce/{label}", 8),
     )
     response = respond(responder, request, timestamp=50)
@@ -100,38 +98,35 @@ def enrolled_participant(responder, label: str):
 # ---------------------------------------------------------------------------
 
 def test_request_signature_verifies(registry):
-    credential = module_credential("tm-1")
-    request = enroll_request(
-        make_params("n1"), credential, registry, nonce=b"\x00" * 8
-    )
+    key = module_key("tm-1")
+    request = enroll_request(make_params("n1"), "tm-1", key, registry, nonce=b"\x00" * 8)
     from flexichain.keys import verify_signature
 
     assert verify_signature(
-        credential.public_key,
+        public_bytes(key),
         request.module_signature,
         request.signing_bytes(request.container1, request.container2),
     )
 
 
 def test_request_unknown_module(registry):
-    rogue = module_credential("tm-9")
     with pytest.raises(UnknownModule):
-        enroll_request(make_params("n1"), rogue, registry, nonce=b"\x00" * 8)
+        enroll_request(make_params("n1"), "tm-9", module_key("tm-9"), registry,
+                       nonce=b"\x00" * 8)
 
 
 def test_request_mismatched_module_key(registry):
-    forged = TrustedModuleCredential(
-        "tm-1", module_credential("tm-2").public_key, module_credential("tm-2").private_key
-    )
+    # Module id tm-1 presented with tm-2's key.
     with pytest.raises(UnknownModule):
-        enroll_request(make_params("n1"), forged, registry, nonce=b"\x00" * 8)
+        enroll_request(make_params("n1"), "tm-1", module_key("tm-2"), registry,
+                       nonce=b"\x00" * 8)
 
 
 def test_request_replay_is_byte_identical(registry):
-    credential = module_credential("tm-1")
+    key = module_key("tm-1")
     nonce = material("nonce/replay", 8)
-    first = enroll_request(make_params("n1"), credential, registry, nonce)
-    second = enroll_request(make_params("n1"), credential, registry, nonce)
+    first = enroll_request(make_params("n1"), "tm-1", key, registry, nonce)
+    second = enroll_request(make_params("n1"), "tm-1", key, registry, nonce)
     assert first.encode() == second.encode()
 
 
@@ -141,7 +136,7 @@ def test_request_replay_is_byte_identical(registry):
 
 def test_respond_creates_matching_vault_entry(responder):
     request = enroll_request(
-        make_params("n1"), module_credential("tm-2"), responder.module_registry,
+        make_params("n1"), "tm-2", module_key("tm-2"), responder.module_registry,
         nonce=b"\x01" * 8,
     )
     response = respond(responder, request, timestamp=10)
@@ -156,7 +151,7 @@ def test_respond_creates_matching_vault_entry(responder):
 
 def test_respond_duplicate_enrollment(responder):
     request = enroll_request(
-        make_params("n1"), module_credential("tm-2"), responder.module_registry,
+        make_params("n1"), "tm-2", module_key("tm-2"), responder.module_registry,
         nonce=b"\x01" * 8,
     )
     respond(responder, request, timestamp=10)
@@ -166,7 +161,7 @@ def test_respond_duplicate_enrollment(responder):
 
 def test_respond_requires_full_node_role(responder):
     request = enroll_request(
-        make_params("n1"), module_credential("tm-2"), responder.module_registry,
+        make_params("n1"), "tm-2", module_key("tm-2"), responder.module_registry,
         nonce=b"\x01" * 8,
     )
     with pytest.raises(Unauthorized):
@@ -180,7 +175,7 @@ def test_respond_without_genesis_state_mints_nothing(responder):
     # Without the EmptyChain check the binding step would bind this request
     # against the all-zero UID: a second genesis.
     request = enroll_request(
-        make_params("n1"), module_credential("tm-2"), responder.module_registry,
+        make_params("n1"), "tm-2", module_key("tm-2"), responder.module_registry,
         nonce=b"\x01" * 8,
     )
     ledger, vault = NodeChainLedger(), Vault(TOKEN_SALT)
@@ -192,7 +187,7 @@ def test_respond_without_genesis_state_mints_nothing(responder):
 
 def test_respond_rejects_forged_signature(responder):
     request = enroll_request(
-        make_params("n1"), module_credential("tm-2"), responder.module_registry,
+        make_params("n1"), "tm-2", module_key("tm-2"), responder.module_registry,
         nonce=b"\x01" * 8,
     )
     forged = type(request)(
@@ -210,7 +205,7 @@ def test_real_uid_never_in_message_encodings(responder):
     # The vault binding travels on the provisioning channel only; no network
     # message encoding may carry real UID bytes.
     request = enroll_request(
-        make_params("n1"), module_credential("tm-2"), responder.module_registry,
+        make_params("n1"), "tm-2", module_key("tm-2"), responder.module_registry,
         nonce=b"\x01" * 8,
     )
     response = respond(responder, request, timestamp=10)
@@ -223,7 +218,7 @@ def test_real_uid_never_in_message_encodings(responder):
 def test_enrollment_chain_recomputes(responder):
     for i in range(5):
         request = enroll_request(
-            make_params(f"chain-{i}"), module_credential("tm-2"),
+            make_params(f"chain-{i}"), "tm-2", module_key("tm-2"),
             responder.module_registry, nonce=material(f"nonce/{i}", 8),
         )
         respond(responder, request, timestamp=10 + i)
@@ -325,6 +320,25 @@ def test_authentication_message_encoding_round_trips(responder):
     message = AuthenticationMessage(digest, node.tuid, ves, sign_message(key, payload))
     clone = AuthenticationMessage(digest, node.tuid, ves, sign_message(key, payload))
     assert message.encode() == clone.encode()
+
+
+def test_each_message_verifies_its_own_signing_bytes(registry):
+    node_key, tm_key = make_signing_key("auth-1"), module_key("tm-1")
+    tuid = TokenizedUid(material("consensus/tuid", 32))
+    payload = AuthenticationMessage.signing_bytes(b"\x07" * 32, tuid, 3)
+    message = AuthenticationMessage(b"\x07" * 32, tuid, 3, sign_message(node_key, payload))
+    assert message.encode() == payload + lp(message.signature)
+    assert message.verify(public_bytes(node_key))
+    assert not message.verify(public_bytes(tm_key))
+    assert not dataclasses.replace(message, local_ves_index=4).verify(public_bytes(node_key))
+
+    request = enroll_request(make_params("n1"), "tm-1", tm_key, registry, nonce=b"\x00" * 8)
+    assert request.encode().startswith(
+        request.signing_bytes(request.container1, request.container2)
+    )
+    assert request.verify(public_bytes(tm_key))
+    assert not request.verify(public_bytes(module_key("tm-2")))
+    assert not dataclasses.replace(request, container1=b"\x00" * 32).verify(public_bytes(tm_key))
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,20 @@ def test_transaction_signature_round_trip():
     assert not tampered.verify()
 
 
+def test_transaction_encode_decode_round_trip():
+    tx = signed_tx("alice")
+    # The signed fields in wire order, then the signature.
+    assert tx.encode() == encode_fields(tx.sender, b"B", tx.payload, 100, tx.signature)
+    decoded = Transaction.decode(tx.encode())
+    assert decoded == tx and decoded.verify()
+
+
+def test_transaction_decode_refuses_trailing_bytes():
+    tx = signed_tx("alice")
+    with pytest.raises(ValueError, match="trailing bytes after transaction"):
+        Transaction.decode(tx.encode() + lp(b"Z"))
+
+
 def test_candidate_block_commits_matching_transactions():
     txs = [signed_tx("alice", timestamp=t) for t in (100, 101, 102)]
     sender = txs[0].sender

@@ -99,6 +99,21 @@ def test_uids_are_derived_only_at_binding_and_full_verification():
     assert set(package_references("_first_mismatch")) == {"nodechain.verify_chain"}
 
 
+def test_each_signed_message_verifies_itself():
+    # Every signature check goes through the message that was signed, which
+    # builds its own signing bytes; no caller assembles them to verify.
+    assert set(package_references("verify_signature")) == {
+        "dag.Transaction", "consensus.EnrollmentRequest", "consensus.AuthenticationMessage"
+    }
+
+
+def test_trusted_module_key_is_its_own_credential():
+    # A module is named by its id and signs with its private key, which fixes
+    # the public key the registry checks; no credential type restates it.
+    assert not [path.name for path in sorted(PACKAGE.glob("*.py"))
+                if "TrustedModuleCredential" in path.read_text()]
+
+
 def test_cli_import_loads_no_process_pool():
     # `verify_chain` imports them only when it starts workers.
     code = ("import sys, flexichain.cli; print(sorted(m for m in sys.modules "

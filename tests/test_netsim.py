@@ -222,6 +222,8 @@ WRONG_SHAPES = {
     "negative": -1, "2^64": 2**64, "empty-string": "",
 }
 HEX_ANY_LENGTH = {"kdf.salt", "token_salt"}
+# The value that makes a `_schema_fields` setter delete its key instead.
+MISSING = object()
 
 
 def _demo_with_every_event():
@@ -246,7 +248,10 @@ def _schema_fields():
             target = data
             for key in keys[:-1]:
                 target = target.setdefault(key, {}) if isinstance(target, dict) else target[key]
-            target[keys[-1]] = value
+            if value is MISSING:
+                target.pop(keys[-1], None)
+            else:
+                target[keys[-1]] = value
         return put
 
     for key, row in netsim.SCENARIO.items():
@@ -282,6 +287,23 @@ def test_every_schema_field_refuses_wrong_shapes(path, row, put, shape):
     if path == "nodes[3].extrinsic" and shape == "object":
         expected = "nodes[3].extrinsic.?"  # an unknown override
     assert str(excinfo.value).startswith(expected), str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "path,row,put", list(_schema_fields()), ids=[p for p, _, _ in _schema_fields()]
+)
+def test_every_schema_field_without_its_key(path, row, put):
+    data = _demo_with_every_event()
+    put(data, MISSING)
+    if row[1] is not netsim.REQUIRED:
+        ScenarioConfig.from_dict(data)  # the default stands in
+        return
+    with pytest.raises(ConfigError) as excinfo:
+        ScenarioConfig.from_dict(data)
+    # An event's kind picks its table before the walk, so its absence is
+    # refused by listing the kinds.
+    expected = "must be one of" if path.endswith(".event") else "required"
+    assert str(excinfo.value).startswith(f"{path}: {expected}"), str(excinfo.value)
 
 
 def test_seed_override_wins():
@@ -543,6 +565,47 @@ def test_sync_reports_the_chain_length_at_each_join():
         f"t={at} actor={name} event=sync payload={sha256(encode_fields(length)).hex()}"
         for at, name, length in ((10, "e1", 2), (30, "c1", 3))
     ]
+
+
+def test_transactions_from_a_node_before_it_joins_are_refused():
+    result = demo_through(20, [
+        {"at": 25, "event": "register_branch", "branch": "telemetry"},
+        {"at": 30, "event": "transactions", "node": "c1", "branch": "telemetry", "count": 3},
+    ])
+    reason = sha256(b"transactions:Unauthorized").hex()
+    assert result.trace[-1] == f"t=30 actor=c1 event=reject payload={reason}"
+    assert result.metrics["transactions"] == 0 and result.network.tx_pool == {}
+
+
+def test_join_with_no_responder_online_is_refused_after_its_request():
+    # The backup node is down and no edge node has joined to take over.
+    result = demo_through(0, [
+        {"at": 5, "event": "disable", "node": "bn"},
+        {"at": 10, "event": "join", "node": "c1"},
+    ])
+    assert result.metrics["rejected_enrollments"] == 1
+    reason = sha256(b"join:Unauthorized").hex()
+    assert result.trace[-2].startswith("t=10 actor=c1 event=request ")
+    assert result.trace[-1] == f"t=10 actor=c1 event=reject payload={reason}"
+    assert len(result.network.nodechain) == 1
+
+
+def test_a_final_block_whose_transactions_are_already_final_stays_pending():
+    # Two pending blocks hold the same three transactions; the second
+    # finalizes, and the first, once final on the roster, is refused.
+    net = demo_through(60, [
+        {"at": 65, "event": "build_block", "node": "c1", "branch": "telemetry",
+         "window": [45, 61]},
+    ]).network
+    first, second = net.pending_blocks
+    net.step({"at": 70, "event": "authenticate", "block": "latest", "nodes": "all"})
+    assert second not in net.pending_blocks
+    net.step({"at": 75, "event": "authenticate", "block": first, "nodes": "all"})
+    assert net.metrics["blocks_finalized"] == 1
+    reason = sha256(b"finalize:IntegrityViolation").hex()
+    assert net.trace[-1] == f"t=75 actor=network event=reject payload={reason}"
+    assert first in net.pending_blocks
+    assert [len(b.transactions) for b in net.layer0.blocks("B")] == [3]
 
 
 def test_a_second_disable_only_records_another_disable():
@@ -825,6 +888,50 @@ def test_stale_adversary_blocked_at_nns_gate():
     )
     assert not outcome["succeeded"]
     assert outcome["blocked_at"] == "NNS gate"
+
+
+def demo_attack(attack: dict, before=(), last_at: int = 70) -> tuple[dict, Network]:
+    """The one outcome of `attack` at t=80 on the demo cut after `last_at`,
+    then `before`."""
+    result = demo_through(last_at, [*before, dict(attack, at=80, event="attack")])
+    (outcome,) = result.metrics["attacks"]
+    return outcome, result.network
+
+
+def test_attack_with_no_signing_identity_is_blocked_at_the_signature():
+    # Tokens are public on chain: they sign nothing.
+    outcome, _ = demo_attack({"category": 2, "targets": ["e1"], "secrets": ["tuids"]})
+    assert outcome == {"category": 2, "succeeded": False, "blocked_at": "signature",
+                       "detail": "no usable signing identity"}
+
+
+def test_sybil_with_no_responder_online_is_blocked_at_the_registry():
+    outcome, net = demo_attack({"category": 1, "secrets": ["module_key"]}, before=[
+        {"at": 72, "event": "disable", "node": "bn"},
+        {"at": 74, "event": "disable", "node": "e1"},
+    ])
+    assert outcome == {"category": 1, "succeeded": False, "blocked_at": "module registry",
+                       "detail": "no responder accepted enrollment"}
+    assert net.metrics["enrollments"] == 4 and len(net.nodechain) == 4
+
+
+def test_fraud_block_older_than_its_branch_head_is_refused_by_the_ledger():
+    # The honest block closes its window at t=1000, after the attack at t=80,
+    # so a fraud block's chain arc cannot point at an earlier record.
+    honest = [
+        {"at": 60, "event": "build_block", "node": "c1", "branch": "telemetry",
+         "window": [45, 1000]},
+        {"at": 70, "event": "authenticate", "block": "latest", "nodes": "all"},
+    ]
+    outcome, net = demo_attack({
+        "category": 2, "targets": ["bn", "e1", "s1", "c1"], "branch": "telemetry",
+        "secrets": ["constructed_keys", "vault_access"],
+    }, before=honest, last_at=50)
+    assert net.metrics["blocks_finalized"] == 1
+    assert outcome == {"category": 2, "succeeded": False, "blocked_at": "ledger validation",
+                       "detail": "arc must reference a strictly earlier record"}
+    assert [b.timestamp for b in net.layer0.blocks("B")] == [1000]
+    assert not any("event=fraud_finalized" in line for line in net.trace)
 
 
 @pytest.mark.parametrize(

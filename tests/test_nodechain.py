@@ -23,7 +23,6 @@ from flexichain.errors import (
 from flexichain.identity import (
     MAX_SCRYPT_MEMORY,
     TokenizedUid,
-    TrustedModuleCredential,
     Uid,
     derive_uid,
     hash_extrinsic,
@@ -108,11 +107,10 @@ def test_genesis_and_enrollments_equal_the_hand_built_chain():
     # build_chain's hand-built loop.
     ledger, vault, params = build_chain(5)
     key = signing_key_from_seed(material("module/tm-1", 32))
-    credential = TrustedModuleCredential("tm-1", public_bytes(key), key)
-    registry = ModuleRegistry({"tm-1": credential.public_key})
+    registry = ModuleRegistry({"tm-1": public_bytes(key)})
     chain, log, _ = genesis(params[0], "tm-1", CHEAP_KDF, TOKEN_SALT)
     for i in range(1, 5):
-        request = enroll_request(params[i], credential, registry, material(f"nonce/{i}", 8))
+        request = enroll_request(params[i], "tm-1", key, registry, material(f"nonce/{i}", 8))
         enroll_respond(NodeRole.BACKUP, registry, chain, log, request, CHEAP_KDF, TOKEN_SALT,
                        timestamp=i * 10)
     assert chain.serialize() == ledger.serialize()
