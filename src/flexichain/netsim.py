@@ -4,10 +4,11 @@ A scenario is a JSON document executed on a virtual clock. One table per
 object (`SCENARIO`, `KDF`, `NODE`, `EXTRINSIC`, and `EVENTS` for the script
 events `join`, `register_branch`, `transactions`, `build_block`,
 `authenticate`, `attack`, `disable`, `genesis`) gives every field's rule and
-default; see "Scenario schema" below and README.md. Every value the simulation
-consumes -- extrinsic fixtures, signing keys, nonces, payloads -- is
-derived from the scenario seed by counter-mode SHA-256, and all timestamps
-come from the script, so a scenario replays to a byte-identical trace.
+default; see "Scenario schema" below and README.md. The simulator reads each
+node and each event as the plain dict its table's walk produced. Every value
+it consumes (extrinsic fixtures, signing keys, nonces, payloads) is derived
+from the scenario seed by counter-mode SHA-256, and all timestamps come from
+the script, so a scenario replays to a byte-identical trace.
 
 The NodeChain, the layer-0 ledger (which owns the branch table) and the
 module registry are network state, passed to `consensus` as arguments; a
@@ -19,11 +20,11 @@ carries its provenance. A network holds only plain data, so
 `copy.deepcopy(net)` branches a run: the copy shares no mutable state with
 the original and steps on to the same bytes.
 
-Adversaries are modeled by an explicit capability lattice. An attack event,
-handled as its parsed dict like every other event, holds a subset of
-{constructed_keys, module_key, vault_access, tuids} and attempts its
-category's protocol actions with exactly those secrets; the
-outcome records the first check that blocked it (module registry,
+Adversaries are modeled by an explicit capability lattice. An attack event
+holds a subset of {constructed_keys, module_key, vault_access, tuids} and
+attempts its category's protocol actions with exactly those secrets. Its
+outcome is the dict `summary.json` lists under `attacks`: the category,
+whether it succeeded, and the first check that blocked it (module registry,
 signature, ledger validation, NNS gate, vault access, offline gate, match
 layer, or finality quorum). A final fraud block must pass
 `Layer0Ledger.append_block`, as an honest one does. Knowing TUIDs grants
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,8 +88,6 @@ def _material(seed: int, *labels: object) -> bytes:
     for label in labels:
         if isinstance(label, int):
             blob += lp(encode_u64(label))
-        elif isinstance(label, bytes):
-            blob += lp(label)
         else:
             blob += lp(str(label).encode())
     return sha256(blob)
@@ -269,15 +268,6 @@ EXTRINSIC = {
 }
 
 
-@dataclass(frozen=True)
-class NodeSpec:
-    name: str
-    role: NodeRole
-    module: str
-    via: str | None
-    extrinsic: dict  # the EXTRINSIC fields, parsed last by ScenarioConfig.from_dict
-
-
 NODE = {
     "name": (_declare_node, REQUIRED),
     "role": (_choice({r.value: r for r in NodeRole}), REQUIRED),
@@ -285,7 +275,7 @@ NODE = {
     # must be rejected at runtime, not at parse time.
     "module": (_text, REQUIRED),
     "via": (_text, None),  # a node declared anywhere; checked after the walk
-    "extrinsic": (_object, {}),
+    "extrinsic": (_object, {}),  # walked by EXTRINSIC last, in ScenarioConfig.from_dict
 }
 
 KDF = {
@@ -333,7 +323,9 @@ EVENTS = {
 
 
 def _event(value, path, scope):
-    kind = _object(value, path, scope).get("event")
+    kind = _object(value, path, scope).get("event", REQUIRED)
+    if kind is REQUIRED:
+        raise ConfigError(f"{path}.event: required")
     if type(kind) is not str or kind not in EVENTS:
         _fail(f"{path}.event", "one of " + ", ".join(EVENTS), kind)
     return _walk(EVENTS[kind], value, path, scope)
@@ -346,7 +338,7 @@ SCENARIO = {
     "token_salt": (_hex("a hex string"), lambda s: _material(s["seed"], "token-salt")[:16]),
     "latest_count": (_integer(1), 1),
     "modules": (_list(_text, "a non-empty list", 1), REQUIRED),
-    "nodes": (_list(_fields(NODE, NodeSpec), "a non-empty list", 1), REQUIRED),
+    "nodes": (_list(_fields(NODE, dict), "a non-empty list", 1), REQUIRED),
     "script": (_list(_event), []),
 }
 
@@ -359,7 +351,7 @@ class ScenarioConfig:
     finality_mode: FinalityMode
     latest_count: int
     modules: tuple[str, ...]
-    nodes: tuple[NodeSpec, ...]
+    nodes: tuple[dict, ...]
     script: tuple[dict, ...]
 
     @classmethod
@@ -377,19 +369,19 @@ class ScenarioConfig:
         if memory > identity.MAX_SCRYPT_MEMORY:
             raise ConfigError("kdf: 128 * cost * block_size * parallelism must be at most "
                               "2^28 (256 MiB of scrypt memory per join)")
-        if [s.role for s in config.nodes].count(NodeRole.BACKUP) != 1:
+        if [s["role"] for s in config.nodes].count(NodeRole.BACKUP) != 1:
             raise ConfigError("nodes: exactly one backup node is required")
         for i, spec in enumerate(config.nodes):
-            if spec.via is not None and spec.via not in scope[_NODE_NAMES]:
-                raise ConfigError(f"nodes[{i}].via: unknown node {spec.via!r}")
+            if spec["via"] is not None and spec["via"] not in scope[_NODE_NAMES]:
+                raise ConfigError(f"nodes[{i}].via: unknown node {spec['via']!r}")
         for i in range(1, len(config.script)):
             if config.script[i]["at"] < config.script[i - 1]["at"]:
                 raise ConfigError(f"script[{i}].at: events must be time-ordered")
         # Each node's extrinsic fixture (a PUF readout stand-in) with its
         # overrides, walked after every check above, whose errors come first.
         return replace(config, nodes=tuple(
-            replace(spec, extrinsic=_walk(EXTRINSIC, spec.extrinsic, f"nodes[{i}].extrinsic",
-                                          {"seed": config.seed, "name": spec.name}))
+            {**spec, "extrinsic": _walk(EXTRINSIC, spec["extrinsic"], f"nodes[{i}].extrinsic",
+                                        {"seed": config.seed, "name": spec["name"]})}
             for i, spec in enumerate(config.nodes)
         ))
 
@@ -432,22 +424,6 @@ class NodeState:
         return self.tuid is not None
 
 
-@dataclass(frozen=True)
-class AttackOutcome:
-    category: int
-    succeeded: bool
-    blocked_at: str | None
-    detail: str = ""
-
-    def encode(self) -> bytes:
-        return encode_fields(
-            self.category,
-            b"\x01" if self.succeeded else b"\x00",
-            (self.blocked_at or "").encode(),
-            self.detail.encode(),
-        )
-
-
 # ---------------------------------------------------------------------------
 # The network
 # ---------------------------------------------------------------------------
@@ -479,10 +455,10 @@ class Network:
             {mid: public_bytes(key) for mid, key in self._module_keys.items()}
         )
 
-        self.nodes: dict[str, NodeState] = {
-            spec.name: self._new_node(spec, _material(config.seed, "constructed-key", spec.name))
-            for spec in config.nodes
-        }
+        self.nodes: dict[str, NodeState] = {}
+        for spec in config.nodes:
+            signing_seed = _material(config.seed, "constructed-key", spec["name"])
+            self.nodes[spec["name"]] = self._new_node(spec, signing_seed)
         self.backup = next(n for n in self.nodes.values() if n.role is NodeRole.BACKUP)
 
         # Members in enrollment (= chain) order: tuid -> (node, on-chain block),
@@ -524,17 +500,18 @@ class Network:
     def trace_digest(self) -> bytes:
         return sha256(("\n".join(self.trace) + "\n").encode())
 
-    def _new_node(self, spec: NodeSpec, signing_seed: bytes) -> NodeState:
-        """An actor with `spec`'s extrinsic fields and a constructed key
+    def _new_node(self, spec: dict, signing_seed: bytes) -> NodeState:
+        """An actor built from a parsed `nodes` record, with a constructed key
         derived from `signing_seed`."""
         key = signing_key_from_seed(signing_seed)
         return NodeState(
-            name=spec.name,
-            role=spec.role,
-            module_id=spec.module,
-            params=ExtrinsicParameters(constructed_public_id=public_bytes(key), **spec.extrinsic),
+            name=spec["name"],
+            role=spec["role"],
+            module_id=spec["module"],
+            params=ExtrinsicParameters(constructed_public_id=public_bytes(key),
+                                       **spec["extrinsic"]),
             signing_key=key,
-            via=spec.via,
+            via=spec["via"],
         )
 
     def _request(self, node: NodeState, nonce: bytes) -> consensus.EnrollmentRequest:
@@ -772,8 +749,11 @@ class Network:
     def _handle_attack(self, ev: dict) -> None:
         self.record("adversary", "attack", _attack_bytes(ev))
         outcome = inject_attack(self, ev)
-        self.metrics["attacks"].append(asdict(outcome))
-        self.record("adversary", "attack_outcome", outcome.encode())
+        self.metrics["attacks"].append(outcome)
+        self.record("adversary", "attack_outcome", encode_fields(
+            outcome["category"], b"\x01" if outcome["succeeded"] else b"\x00",
+            (outcome["blocked_at"] or "").encode(), outcome["detail"].encode(),
+        ))
 
     # -- summary ------------------------------------------------------------
 
@@ -832,7 +812,7 @@ def _attack_bytes(ev: dict) -> bytes:
     )
 
 
-def inject_attack(net: Network, ev: dict) -> AttackOutcome:
+def inject_attack(net: Network, ev: dict) -> dict:
     """Attempt one attack category with exactly the parsed event's secrets.
 
     The adversary walks the protocol in its category's natural order and
@@ -847,8 +827,9 @@ def inject_attack(net: Network, ev: dict) -> AttackOutcome:
     """
     category, targets, secrets = ev["category"], ev["targets"], ev["secrets"]
 
-    def blocked(stage: str, detail: str = "") -> AttackOutcome:
-        return AttackOutcome(category, False, stage, detail)
+    def blocked(stage: str | None, detail: str) -> dict:
+        return {"category": category, "succeeded": stage is None,
+                "blocked_at": stage, "detail": detail}
 
     # Fabricated-identity enrollment. Mandatory for Sybil; any category
     # holding a registered module key may strengthen itself the same way.
@@ -914,16 +895,16 @@ def inject_attack(net: Network, ev: dict) -> AttackOutcome:
     except ProtocolError as exc:
         return blocked("ledger validation", str(exc))
     net.record("adversary", "fraud_finalized", block.encode())
-    return AttackOutcome(category, True, None, "fraudulent block finalized")
+    return blocked(None, "fraudulent block finalized")
 
 
 def _enroll_fabricated_identity(net: Network) -> NodeState | None:
     """Enroll a Sybil identity with a stolen (real) module key."""
     net._fraud_counter += 1
     name = f"{SYBIL_PREFIX}{net._fraud_counter}"
-    extrinsic = _walk(EXTRINSIC, {}, "", {"seed": net.config.seed, "name": name})
     fake = net._new_node(
-        NodeSpec(name, NodeRole.CPS_IOT, net.config.modules[0], None, extrinsic),
+        {"name": name, "role": NodeRole.CPS_IOT, "module": net.config.modules[0], "via": None,
+         "extrinsic": _walk(EXTRINSIC, {}, "", {"seed": net.config.seed, "name": name})},
         _material(net.config.seed, "sybil-key", net._fraud_counter),
     )
     try:

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flexichain.consensus import (
+    NONCE_LENGTH,
     AuthenticationMessage,
+    EnrollmentRequest,
     FinalityMode,
     ModuleRegistry,
     authenticate_block,
@@ -25,6 +27,7 @@ from flexichain.errors import (
     EmptyChain,
     EmptyRoster,
     IdentityMismatch,
+    InvalidParameters,
     StaleState,
     Unauthorized,
     UnknownModule,
@@ -122,6 +125,12 @@ def test_request_mismatched_module_key(registry):
                        nonce=b"\x00" * 8)
 
 
+def test_request_nonce_must_have_its_length(registry):
+    with pytest.raises(InvalidParameters, match=f"nonce must be {NONCE_LENGTH} bytes"):
+        enroll_request(make_params("n1"), "tm-1", module_key("tm-1"), registry,
+                       nonce=b"\x00" * (NONCE_LENGTH - 1))
+
+
 def test_request_replay_is_byte_identical(registry):
     key = module_key("tm-1")
     nonce = material("nonce/replay", 8)
@@ -199,6 +208,18 @@ def test_respond_rejects_forged_signature(responder):
     )
     with pytest.raises(BadSignature):
         respond(responder, forged, timestamp=10)
+
+
+def test_respond_refuses_a_container2_that_is_no_public_key(responder):
+    # Validly signed by tm-2, but 31 bytes are no Ed25519 public key.
+    key = module_key("tm-2")
+    container1, container2 = material("consensus/c1", 32), material("consensus/c2", 31)
+    signature = sign_message(key, EnrollmentRequest.signing_bytes(container1, container2))
+    request = EnrollmentRequest(container1, container2, "tm-2", signature, b"\x01" * 8)
+    assert request.verify(public_bytes(key))
+    with pytest.raises(InvalidParameters, match="container2 is not a valid public key"):
+        respond(responder, request, timestamp=50)
+    assert (len(responder.ledger), len(responder.vault)) == (1, 1)
 
 
 def test_real_uid_never_in_message_encodings(responder):
@@ -309,6 +330,16 @@ def test_full_node_authenticates_against_its_vault(responder):
     ves = responder.ledger.ves.index
     with pytest.raises(IdentityMismatch):
         authenticate_block(node2, data_block(), ves, ves, TOKEN_SALT)
+
+
+def test_full_node_whose_vault_lacks_its_token_cannot_authenticate(responder):
+    node = enrolled_participant(responder, "auth-1")
+    # Another genesis's vault holds only that network's backup node.
+    _, node.vault, _ = genesis(make_params("other-bn"), "tm-1", CHEAP_KDF, TOKEN_SALT)
+    assert node.vault.lookup(node.tuid, CallOrigin.LOCAL) is None
+    ves = responder.ledger.ves.index
+    with pytest.raises(IdentityMismatch, match="vault entry does not match hardware identity"):
+        authenticate_block(node, data_block(), ves, ves, TOKEN_SALT)
 
 
 def test_authentication_message_encoding_round_trips(responder):

@@ -276,14 +276,35 @@ def test_append_block_validations():
     ledger, tag = ledger_with_branch()
     block = sealed_block(ledger, "alice", tag, 10)
     unsealed = dataclasses.replace(block, header_digest=b"\x00" * 32)
-    with pytest.raises(IntegrityViolation):
+    with pytest.raises(IntegrityViolation, match="header digest does not verify"):
         ledger.append_block(unsealed, ROSTER, EXHAUSTIVE)
     wrong_root = dataclasses.replace(block, tx_root=b"\x11" * 32)
-    with pytest.raises(IntegrityViolation):
+    with pytest.raises(IntegrityViolation, match="header digest does not verify"):
         ledger.append_block(wrong_root, ROSTER, EXHAUSTIVE)
+    # Sealed over the wrong root, the header verifies and the Merkle check refuses it.
+    resealed = wrong_root.with_parents(block.prev_same_type, block.random_arc)
+    assert resealed.recomputed_header() == resealed.header_digest
+    with pytest.raises(IntegrityViolation, match="tx_root does not match transactions"):
+        ledger.append_block(resealed, ROSTER, EXHAUSTIVE)
     ledger.append_block(block, ROSTER, EXHAUSTIVE)
-    with pytest.raises(IntegrityViolation):
-        ledger.append_block(block, ROSTER, EXHAUSTIVE)  # duplicate digest
+    # The same block again: its transactions are final, which refuses it first.
+    with pytest.raises(IntegrityViolation, match="transaction already finalized"):
+        ledger.append_block(block, ROSTER, EXHAUSTIVE)
+    assert ledger.blocks(tag) == [block]
+
+
+def test_append_block_refuses_an_arc_outside_its_branch():
+    ledger, tag = ledger_with_branch()
+    firmware_genesis = material("dag/firm", 32)
+    ledger.register_branch("firmware", firmware_genesis, timestamp=1)
+    block = sealed_block(ledger, "alice", tag, 10)
+    prev, rand = block.prev_same_type, block.random_arc
+    # Another branch's genesis marker, and a digest the ledger never stored.
+    for arcs in ((firmware_genesis, rand), (prev, firmware_genesis), (b"\x33" * 32, rand)):
+        with pytest.raises(IntegrityViolation, match="arc does not reference a same-type record"):
+            ledger.append_block(block.with_parents(*arcs), ROSTER, EXHAUSTIVE)
+    assert ledger.blocks() == []
+    ledger.append_block(block, ROSTER, EXHAUSTIVE)
 
 
 def test_append_block_rejects_an_already_finalized_transaction():

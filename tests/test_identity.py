@@ -26,6 +26,8 @@ from flexichain.identity import (
     tokenize_uid,
     zero_uid,
 )
+from flexichain.keys import signing_key_from_seed
+from flexichain.wire import encode_u64
 
 from conftest import CHEAP_KDF, make_params
 
@@ -187,6 +189,20 @@ def test_derive_uid_chain_sensitivity_random_sample():
         uid = derive_uid(c1, prev, CHEAP_KDF)
         assert uid.value not in seen
         seen.add(uid.value)
+
+
+@pytest.mark.parametrize(
+    "make,error,message",
+    [
+        (lambda: Uid(b""), InvalidParameters, "uid must be non-empty"),
+        (lambda: encode_u64(-1), ValueError, "canonical integers are unsigned"),
+        (lambda: signing_key_from_seed(b"\x00" * 31), ValueError, "seed must be 32 bytes"),
+    ],
+    ids=["empty-uid", "negative-integer", "short-key-seed"],
+)
+def test_primitives_refuse_malformed_input(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
 
 
 def test_derive_uid_rejects_bad_inputs():

@@ -2,8 +2,9 @@
 
 Every name a package module imports is used in it or exported, scrypt
 runs on one kernel, from one function, a UID is derived only where an
-identity is bound or the chain is checked in full, and importing the CLI
-loads no process pool.
+identity is bound or the chain is checked in full, netsim's scenario
+nodes and attack outcomes are plain dicts, and importing the CLI loads no
+process pool.
 """
 
 import ast
@@ -112,6 +113,16 @@ def test_trusted_module_key_is_its_own_credential():
     # the public key the registry checks; no credential type restates it.
     assert not [path.name for path in sorted(PACKAGE.glob("*.py"))
                 if "TrustedModuleCredential" in path.read_text()]
+
+
+def test_scenario_nodes_and_attack_outcomes_are_plain_records():
+    # netsim reads a node as the dict its table's walk produced, like an
+    # event, and an attack's outcome is the dict `summary.json` lists.
+    assert not [path.name for path in sorted(PACKAGE.glob("*.py"))
+                if re.search(r"\b(NodeSpec|AttackOutcome)\b", path.read_text())]
+    netsim = ast.parse((PACKAGE / "netsim.py").read_text())
+    assert "asdict" not in {alias.name for node in ast.walk(netsim)
+                            if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
 def test_cli_import_loads_no_process_pool():
