@@ -393,8 +393,6 @@ class Layer0Ledger:
                 raise IntegrityViolation("arc does not reference a same-type record")
             if target.timestamp >= block.timestamp:
                 raise IntegrityViolation("arc must reference a strictly earlier record")
-        if block.header_digest in self._records:
-            raise IntegrityViolation("block already present")
         if not block.narrated.issubset(roster):
             raise IntegrityViolation("narration names a token not on the roster")
         if not check_finality(block, roster, mode, latest_count):

@@ -14,21 +14,19 @@ by the binding step in `consensus`; `verify_chain` replays its derivation.
 Full-mode `verify_chain` costs one scrypt derivation per block. Each takes
 the block's extrinsic digest and the previous vault entry's UID, both known
 before any derivation runs, so the derivations are independent: under 32
-MiB of scrypt memory in all, with one usable CPU, or beside another thread,
-they run in this process; otherwise in processes forked for the call, one
-contiguous range each. Forking costs about 15 ms, all workers together hold
-no more scrypt memory than one join may, and a fork copies only the calling
-thread, so a lock another thread held would stay held in every worker.
-Threads would not help, since `cryptography`'s scrypt holds the GIL, and
-`spawn` workers would import the package again, about 0.35 s on 2 CPUs.
+MiB of scrypt memory in all, or with one usable CPU, they run in this
+process; otherwise `workers.fork_map` splits them into one contiguous range
+per process, the first derived here and each other in a child forked for
+the call (beside another thread, all of them here). All processes together
+hold no more scrypt memory than one join may. Threads would not help, since
+`cryptography`'s scrypt holds the GIL.
 """
 
 from __future__ import annotations
 
 import enum
-import os
-import threading
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .errors import (
     EmptyChain,
@@ -49,6 +47,7 @@ from .identity import (
     zero_uid,
 )
 from .wire import Reader, ZERO32, encode_fields, lp, sha256
+from .workers import fork_map, split, usable_cpus
 
 
 @dataclass(frozen=True)
@@ -203,10 +202,10 @@ def verify_chain(
     is a TypeError.
 
     The cheap checks run first, in chain order, up to the first failure;
-    the derivations of the blocks before it run after them, serially (always
-    beside another thread) or on every CPU (`_pool_workers`). The violation
-    at the lowest index wins, so the result is the one a single
-    block-by-block walk would return.
+    the derivations of the blocks before it run after them, serially or on
+    every CPU (`_pool_workers`, `workers.fork_map`). The violation at the
+    lowest index wins, so the result is the one a single block-by-block walk
+    would return.
     """
     given = [arg is not None for arg in (kdf, vault, token_salt)]
     if any(given) != all(given):
@@ -240,24 +239,12 @@ def verify_chain(
     if not jobs:
         return found
     memory = scrypt_memory(kdf.cost, kdf.block_size, kdf.parallelism)
-    workers = _pool_workers(len(jobs), memory, _usable_cpus())
-    if workers == 1 or threading.active_count() > 1:
-        mismatch = _first_mismatch(jobs, kdf)
-    else:
-        # Imported here: loading them would add about 20 ms to every
-        # `import flexichain`.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        bounds = [len(jobs) * w // workers for w in range(workers + 1)]
-        chunks = [jobs[a:b] for a, b in zip(bounds, bounds[1:])]
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            results = pool.map(_first_mismatch, chunks, [kdf] * workers)
-            mismatch = next((start + k for start, k in zip(bounds, results)
-                             if k is not None), None)
-    if mismatch is not None:
-        return Violation(mismatch + 1, ViolationKind.TOKEN_MISMATCH)
+    chunks = split(jobs, _pool_workers(len(jobs), memory, usable_cpus()))
+    start = 1
+    for chunk, k in zip(chunks, fork_map(partial(_first_mismatch, kdf=kdf), chunks)):
+        if k is not None:
+            return Violation(start + k, ViolationKind.TOKEN_MISMATCH)
+        start += len(chunk)
     return found
 
 
@@ -265,15 +252,6 @@ def verify_chain(
 # verification derives serially: under it, forking the workers costs more
 # than they save. Measured on 2 CPUs (ROADMAP.md, Baseline).
 POOL_SCRYPT_WORK = 32 << 20
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where the platform cannot fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _pool_workers(jobs: int, memory: int, cpus: int) -> int:
@@ -292,8 +270,9 @@ def _first_mismatch(jobs: list[tuple[bytes, Uid, Uid]], kdf: KdfParameters) -> i
     """Position of the first (extrinsic digest, previous UID, expected UID)
     whose derivation differs, or None.
 
-    Module-level, and calling `derive_uid` by its global name, so that a
-    pool can send it by reference even while `derive_uid` is wrapped.
+    It reads `derive_uid` by its global name when called, so a wrapper
+    patched in, as the benchmark's tracer does, runs here and in a forked
+    worker alike.
     """
     for k, (digest, prev_uid, expected) in enumerate(jobs):
         if derive_uid(digest, prev_uid, kdf) != expected:

@@ -1,6 +1,8 @@
-"""Shared fixtures: cheap KDF parameters and deterministic node fixtures."""
+"""Shared fixtures: cheap KDF parameters, deterministic node fixtures, and
+checks on forked workers."""
 
 import hashlib
+import os
 
 import pytest
 
@@ -55,3 +57,30 @@ def make_signing_key(label: str):
 @pytest.fixture
 def params_factory():
     return make_params
+
+
+def fork_every_round(monkeypatch, cpus: int = 2) -> list[int]:
+    """Make every attestation round of more than one online member sign and
+    verify over `cpus` processes, as a round of `PARALLEL_ATTESTATIONS`
+    does; the returned list collects the pid of each child forked from here
+    on."""
+    from flexichain import netsim
+
+    forked, fork = [], os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(netsim, "PARALLEL_ATTESTATIONS", 1)
+    monkeypatch.setattr(netsim, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", recorded)
+    return forked
+
+
+def assert_no_child_left() -> None:
+    """No child of this process is running or waiting to be reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -3,8 +3,8 @@
 Every name a package module imports is used in it or exported, scrypt
 runs on one kernel, from one function, a UID is derived only where an
 identity is bound or the chain is checked in full, netsim's scenario
-nodes and attack outcomes are plain dicts, and importing the CLI loads no
-process pool.
+nodes and attack outcomes are plain dicts, and no module imports a process
+pool.
 """
 
 import ast
@@ -126,7 +126,18 @@ def test_scenario_nodes_and_attack_outcomes_are_plain_records():
 
 
 def test_cli_import_loads_no_process_pool():
-    # `verify_chain` imports them only when it starts workers.
+    # Workers are forked by `workers.fork_map`; no package module imports a
+    # process pool, and importing the CLI loads none.
+    pools = ("multiprocessing", "concurrent")
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not [n for n in names if n.split(".")[0] in pools], path.name
     code = ("import sys, flexichain.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

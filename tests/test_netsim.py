@@ -1,7 +1,10 @@
 """Simulator tests: scenario parsing, protocol flows, adversary model."""
 
+import copy
 import json
 import math
+import os
+import threading
 import tracemalloc
 from dataclasses import replace
 from importlib import resources
@@ -17,7 +20,6 @@ from flexichain.errors import (
     ConfigError,
     DomainError,
     DuplicateIdentity,
-    Unauthorized,
 )
 from flexichain.identity import TokenizedUid
 from flexichain.keys import sign_message
@@ -31,7 +33,7 @@ from flexichain.netsim import (
 from flexichain.nodechain import verify_chain
 from flexichain.wire import encode_fields, sha256
 
-from conftest import material
+from conftest import assert_no_child_left, fork_every_round, material
 
 CHEAP_KDF_JSON = {"cost": 16, "block_size": 1, "parallelism": 1, "output_length": 128}
 
@@ -713,26 +715,103 @@ def test_roster_is_a_copy_of_the_chain_after_every_join():
     assert net.metrics["blocks_finalized"] == 1
 
 
-def signed_attestation(net, tuid: TokenizedUid, signer: str) -> AuthenticationMessage:
-    digest = b"\x42" * 32
-    key = net.nodes[signer].signing_key
-    signature = sign_message(key, AuthenticationMessage.signing_bytes(digest, tuid, 4))
-    return AuthenticationMessage(digest, tuid, 4, signature)
+# ---------------------------------------------------------------------------
+# Attestation rounds
+# ---------------------------------------------------------------------------
+
+def pending_round(joins=JOIN_ALL, builder="c1") -> Network:
+    """A network with `joins` done and `builder`'s block pending at t=60."""
+    return run_scenario(ScenarioConfig.from_dict(scenario(script=joins + [
+        {"at": 40, "event": "register_branch", "branch": "telemetry"},
+        {"at": 50, "event": "transactions", "node": builder, "branch": "telemetry"},
+        {"at": 60, "event": "build_block", "node": builder, "branch": "telemetry"},
+    ]))).network
 
 
-def test_attestation_is_checked_against_the_on_chain_key():
-    net = run_scenario(ScenarioConfig.from_dict(scenario(script=JOIN_ALL))).network
-    c1 = net.nodes["c1"].tuid
-    net._verify_auth_message(signed_attestation(net, c1, "c1"))
-    with pytest.raises(Unauthorized):
-        net._verify_auth_message(signed_attestation(net, c1, "e1"))
+ROUND = {"at": 70, "event": "authenticate", "block": "latest", "nodes": "all"}
 
 
-def test_attestation_from_an_identity_not_on_chain_is_rejected():
-    net = run_scenario(ScenarioConfig.from_dict(scenario(script=JOIN_ALL))).network
-    stranger = TokenizedUid(b"\x07" * 32)
-    with pytest.raises(Unauthorized):
-        net._verify_auth_message(signed_attestation(net, stranger, "c1"))
+def test_attestation_is_checked_against_the_on_chain_key(monkeypatch):
+    """c1's on-chain block is swapped for one holding e1's constructed key:
+    only c1 is refused, whether its attestation is checked here or, split
+    over two processes, in a forked worker."""
+    net = pending_round()
+    c1, e1 = net.nodes["c1"], net.nodes["e1"]
+    _, block = net._members[c1.tuid]
+    net._members[c1.tuid] = (c1, replace(block, constructed_public_key=e1.public_id))
+    serial, forked_net = copy.deepcopy(net), copy.deepcopy(net)
+    serial.step(ROUND)
+    forked = fork_every_round(monkeypatch)
+    forked_net.step(ROUND)
+    assert len(forked) == 1
+    assert_no_child_left()
+    assert forked_net.trace == serial.trace
+    reason = sha256(b"authenticate:Unauthorized").hex()
+    assert [line for line in serial.trace if "event=reject" in line] == [
+        f"t=70 actor=c1 event=reject payload={reason}"
+    ]
+    assert serial.metrics["authentications"] == 3
+
+
+def test_attestation_from_an_identity_not_on_chain_is_rejected(monkeypatch):
+    """c1 never joined: the round signs nothing for it and refuses it."""
+    net = pending_round(joins=JOIN_ALL[:2], builder="e1")
+    signed = []
+
+    def recorded(key, message):
+        signed.append(message)
+        return sign_message(key, message)
+
+    monkeypatch.setattr(netsim, "sign_message", recorded)
+    net.step({"at": 70, "event": "authenticate", "block": "latest", "nodes": ["c1", "e1"]})
+    e1 = net.nodes["e1"].tuid
+    assert signed == [AuthenticationMessage.signing_bytes(net.latest_pending, e1, 3)]
+    reason = sha256(b"authenticate:IdentityMismatch").hex()
+    assert net.trace[-2] == f"t=70 actor=c1 event=reject payload={reason}"
+    assert " actor=e1 event=auth " in net.trace[-1]
+
+
+def test_a_worker_that_raises_lands_no_attestation(monkeypatch):
+    net = pending_round()
+    trace, metrics, pending = list(net.trace), copy.deepcopy(net.metrics), dict(net.pending_blocks)
+    parent = os.getpid()
+
+    def sign_here_only(key, message):
+        if os.getpid() != parent:
+            raise RuntimeError("signed in a worker")
+        return sign_message(key, message)
+
+    fork_every_round(monkeypatch)
+    monkeypatch.setattr(netsim, "sign_message", sign_here_only)
+    with pytest.raises(RuntimeError, match="signed in a worker"):
+        net.step(ROUND)
+    assert_no_child_left()
+    assert (net.trace, net.metrics, net.pending_blocks) == (trace, metrics, pending)
+
+
+def test_a_second_thread_keeps_the_round_in_this_process(monkeypatch):
+    net = pending_round()
+    serial, alone_later = copy.deepcopy(net), copy.deepcopy(net)
+    serial.step(ROUND)
+    fork_every_round(monkeypatch)
+
+    def no_fork():
+        raise RuntimeError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        net.step(ROUND)
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert net.trace == serial.trace
+    # Alone again, the same round forks.
+    with pytest.raises(RuntimeError, match="forked"):
+        alone_later.step(ROUND)
 
 
 def test_genesis_event_raises_already_initialized():

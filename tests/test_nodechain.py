@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import multiprocessing
 import os
 import random
 import struct
@@ -43,7 +42,7 @@ from flexichain.nodechain import (
 from flexichain.vault import NodeRole, Vault, VaultEntry
 from flexichain.wire import ZERO32, lp
 
-from conftest import CHEAP_KDF, TOKEN_SALT, make_params, material
+from conftest import CHEAP_KDF, TOKEN_SALT, assert_no_child_left, make_params, material
 
 
 def build_chain(n: int):
@@ -281,30 +280,52 @@ def test_replay_yields_identical_serialization():
 # Full-mode derivations in worker processes
 # ---------------------------------------------------------------------------
 
-def force_pool(monkeypatch, cpus: int = 2) -> None:
-    """Send full-mode derivations to a pool of up to `cpus` workers.
+def force_pool(monkeypatch, cpus: int = 2) -> list[int]:
+    """Split full-mode derivations over up to `cpus` processes, and fail
+    unless they run where `workers.fork_map` places them.
 
     `derive_uid` becomes a closure at both of its bindings, as the
-    benchmark's tracer makes it: pickle cannot send one, and this one
-    fails if it runs in this process instead of a worker.
+    benchmark's tracer makes it. `fork_map`, at nodechain's binding, raises
+    unless the first range derives in this process and each other range in
+    a child of its own. Returns the pids of the children forked from here on.
     """
-    parent, derive = os.getpid(), identity.derive_uid
+    parent, derive, run = os.getpid(), identity.derive_uid, nodechain.fork_map
+    forked, fork = [], os.fork
 
-    def derive_in_worker(*args):
-        assert os.getpid() != parent, "derived in the calling process"
+    def derive_wrapped(*args):
         return derive(*args)
 
+    def fork_map_placed(fn, chunks):
+        def placed(numbered):
+            k, chunk = numbered
+            assert (os.getpid() == parent) == (k == 0), f"range {k} derived in the wrong process"
+            return os.getpid(), fn(chunk)
+
+        pids, results = zip(*run(placed, list(enumerate(chunks))))
+        assert len(set(pids)) == len(chunks), "two ranges shared a process"
+        return list(results)
+
+    def recorded():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
     monkeypatch.setattr(nodechain, "POOL_SCRYPT_WORK", 0)
-    monkeypatch.setattr(nodechain, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(nodechain, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(nodechain, "fork_map", fork_map_placed)
+    monkeypatch.setattr(os, "fork", recorded)
     for module in (identity, nodechain):
-        monkeypatch.setattr(module, "derive_uid", derive_in_worker)
+        monkeypatch.setattr(module, "derive_uid", derive_wrapped)
+    return forked
 
 
 def test_pool_derives_while_derive_uid_is_wrapped(monkeypatch):
     ledger, vault, _ = build_chain(5)
-    force_pool(monkeypatch)
+    forked = force_pool(monkeypatch)
     assert verify_chain(ledger, kdf=CHEAP_KDF, vault=vault, token_salt=TOKEN_SALT) is None
-    assert multiprocessing.active_children() == []
+    assert len(forked) == 1
+    assert_no_child_left()
 
 
 def test_a_second_thread_keeps_the_derivations_in_this_process(monkeypatch):
@@ -313,12 +334,12 @@ def test_a_second_thread_keeps_the_derivations_in_this_process(monkeypatch):
     serial = verify_chain(ledger, **full)
     assert serial == Violation(4, ViolationKind.TOKEN_MISMATCH)
 
-    def no_pool(method):
-        raise RuntimeError(f"asked for a {method!r} context")
+    def no_fork():
+        raise RuntimeError("forked")
 
     monkeypatch.setattr(nodechain, "POOL_SCRYPT_WORK", 0)
-    monkeypatch.setattr(nodechain, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    monkeypatch.setattr(nodechain, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
     release = threading.Event()
     waiter = threading.Thread(target=release.wait)
     waiter.start()
@@ -328,8 +349,8 @@ def test_a_second_thread_keeps_the_derivations_in_this_process(monkeypatch):
         release.set()
         waiter.join(timeout=10)
     assert not waiter.is_alive()
-    # Alone again, the same call takes the pool.
-    with pytest.raises(RuntimeError, match="'fork' context"):
+    # Alone again, the same call forks.
+    with pytest.raises(RuntimeError, match="forked"):
         verify_chain(ledger, **full)
 
 
@@ -432,9 +453,10 @@ def test_pool_returns_the_serial_violation(chain, cpus):
     serial = verify_chain(ledger, **full)
     assert serial == walk_chain(ledger, **full)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        force_pool(monkeypatch, cpus)
+        forked = force_pool(monkeypatch, cpus)
         assert verify_chain(ledger, **full) == serial
-    assert multiprocessing.active_children() == []
+    assert forked, "no range was derived in a child"
+    assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------

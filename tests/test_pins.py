@@ -17,6 +17,8 @@ from flexichain.cli import _replayed_artifacts, _write_artifacts, main
 from flexichain.netsim import Network, ScenarioConfig, SimulationResult, run_scenario
 from flexichain.nodechain import verify_chain
 
+from conftest import assert_no_child_left, fork_every_round
+
 DEMO = str(resources.files("flexichain") / "scenarios" / "demo.json")
 
 # SHA-256 of the files `flexichain run` writes for the bundled demo.
@@ -262,6 +264,47 @@ def test_exhaustive_64_is_pinned():
     assert result.trace_digest.hex() == EXHAUSTIVE_64_TRACE
     assert ledger_digests(result) == EXHAUSTIVE_64_LEDGERS
     assert full_mode_violation(result.network) is None
+
+
+def test_forked_rounds_keep_every_pin(monkeypatch, tmp_path):
+    """Every attestation round split over two processes, as a round of
+    `PARALLEL_ATTESTATIONS` members is: the same bytes as in one process."""
+    forked = fork_every_round(monkeypatch)
+    assert main(["run", "--scenario", DEMO, "--out", str(tmp_path)]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in DEMO_ARTIFACTS
+    }
+    assert digests == DEMO_ARTIFACTS
+    assert len(forked) == 1  # the demo's one round
+    for config, trace, ledgers, rounds in (
+        (scale_64, SCALE_64_TRACE, SCALE_64_LEDGERS, 3),
+        (exhaustive_64, EXHAUSTIVE_64_TRACE, EXHAUSTIVE_64_LEDGERS, 4),
+    ):
+        forked.clear()
+        result = run_scenario(ScenarioConfig.from_dict(config()))
+        assert result.trace_digest.hex() == trace
+        assert ledger_digests(result) == ledgers
+        assert len(forked) == rounds
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "config,trace",
+    [(scale_64, SCALE_64_TRACE), (exhaustive_64, EXHAUSTIVE_64_TRACE)],
+    ids=["scale_64", "exhaustive_64"],
+)
+def test_a_copy_taken_mid_run_replays_with_forked_rounds(monkeypatch, config, trace):
+    fork_every_round(monkeypatch)
+    config = ScenarioConfig.from_dict(config())
+    net, cut = Network(config), len(config.script) // 2
+    for ev in config.script[:cut]:
+        net.step(ev)
+    branch = copy.deepcopy(net)
+    for ev in config.script[cut:]:
+        branch.step(ev)
+    assert branch.trace_digest().hex() == trace
+    assert_no_child_left()
 
 
 def reappended_layer0(net: Network) -> dag.Layer0Ledger:
