@@ -25,11 +25,13 @@ import sys
 from . import secmodel
 from .errors import ConfigError, ProtocolError
 from .netsim import U64_MAX, ScenarioConfig, monte_carlo_attack, run_scenario
+from .workers import fork_map, usable_cpus
 
 OUT_ENV = "FLEXICHAIN_OUT"
 # The sampler's memory does not grow with --trials, so a huge value would
 # run for hours instead of failing: 10^8 trials make the grid's ~2.5e10
-# draws, a few minutes by estimate.
+# draws, about 3 minutes on one CPU by estimate, and that divided by about
+# the number of usable CPUs, over which the grid's cells are spread.
 MAX_TRIALS = 10**8
 
 
@@ -130,25 +132,56 @@ def cmd_tables(args) -> int:
     return 0 if not failures and ordering_ok else 1
 
 
+def _grid(seed: int) -> list[tuple]:
+    """The `montecarlo` cells in print order: (table, category, n, factors,
+    sampler seed)."""
+    return [
+        (name, category, n, f, seed + 1000 * i)
+        for i, (name, table) in enumerate(secmodel.REFERENCES.items())
+        for category, f in enumerate(secmodel.chain_factors(table), start=1)
+        for n in (4, 8, 16)
+    ]
+
+
+def _deal(cells: list[tuple], parts: int) -> list[list[int]]:
+    """The cells' indices dealt into `parts` chunks of near-equal stage draws
+    (n per trial), largest n first, each to the lightest chunk so far."""
+    loads, chunks = [0] * parts, [[] for _ in range(parts)]
+    for k in sorted(range(len(cells)), key=lambda k: -cells[k][2]):
+        lightest = loads.index(min(loads))
+        loads[lightest] += cells[k][2]
+        chunks[lightest].append(k)
+    return chunks
+
+
 def cmd_montecarlo(args) -> int:
+    """Sample every grid cell, the cells spread over every usable CPU, and
+    print one line per cell in grid order."""
+    cells = _grid(args.seed)
+
+    def sample(chunk: list[int]) -> list[float]:
+        estimates = []
+        for k in chunk:
+            _, category, n, f, seed = cells[k]
+            estimates.append(
+                monte_carlo_attack(category, n, f.amplitude, f.per_node, args.trials, seed))
+        return estimates
+
+    chunks = _deal(cells, min(usable_cpus(), len(cells)))
+    empirical = {}
+    for chunk, estimates in zip(chunks, fork_map(sample, chunks)):
+        empirical.update(zip(chunk, estimates))
     breaches = 0
-    for i, (name, table) in enumerate(secmodel.REFERENCES.items()):
-        factors = secmodel.chain_factors(table)
-        for category, f in enumerate(factors, start=1):
-            for n in (4, 8, 16):
-                analytic = secmodel.category_probability(f, n)
-                empirical = monte_carlo_attack(
-                    category, n, f.amplitude, f.per_node, args.trials,
-                    args.seed + 1000 * i,
-                )
-                sigma = math.sqrt(analytic * (1 - analytic) / args.trials)
-                ok = abs(empirical - analytic) <= 3 * sigma
-                breaches += 0 if ok else 1
-                print(
-                    f"{'PASS' if ok else 'FAIL'} {name} category {category} n={n}: "
-                    f"empirical {empirical:.6f} vs analytic {analytic:.6f} "
-                    f"(3-sigma {3 * sigma:.6f})"
-                )
+    for k, (name, category, n, f, _) in enumerate(cells):
+        analytic = secmodel.category_probability(f, n)
+        sigma = math.sqrt(analytic * (1 - analytic) / args.trials)
+        ok = abs(empirical[k] - analytic) <= 3 * sigma
+        breaches += 0 if ok else 1
+        print(
+            f"{'PASS' if ok else 'FAIL'} {name} category {category} n={n}: "
+            f"empirical {empirical[k]:.6f} vs analytic {analytic:.6f} "
+            f"(3-sigma {3 * sigma:.6f})"
+        )
     return 0 if breaches == 0 else 1
 
 

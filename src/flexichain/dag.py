@@ -81,6 +81,10 @@ class Transaction:
     def _signed_bytes(self) -> bytes:
         return self.signing_bytes(self.sender, self.block_type_tag, self.payload, self.timestamp)
 
+    def __deepcopy__(self, memo):
+        """Frozen, and built of immutable values: a copy of a run shares it."""
+        return self
+
 
 def merkle_root(leaves: list[bytes]) -> bytes:
     """Pairwise SHA-256 tree; an odd node is paired with itself.
@@ -144,6 +148,10 @@ class DataBlock:
         if narrated_with is None:
             narrated_with = frozenset(self.narration)
         object.__setattr__(self, "narrated", narrated_with)
+
+    def __deepcopy__(self, memo):
+        """Frozen, and built of immutable values: a copy of a run shares it."""
+        return self
 
     def header_bytes(self) -> bytes:
         """Every field the header digest commits, in wire order."""

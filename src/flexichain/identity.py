@@ -80,6 +80,10 @@ class ExtrinsicParameters:
         if not is_valid_public_key(self.constructed_public_id):
             raise InvalidParameters("constructed_public_id is not a valid public key")
 
+    def __deepcopy__(self, memo):
+        """Frozen, and built of immutable values: a copy of a run shares it."""
+        return self
+
     def manufacturing_bytes(self) -> bytes:
         """Canonical serialization of the manufacturing fields only."""
         return encode_fields(
@@ -102,6 +106,10 @@ class Uid:
         if not self.value:
             raise InvalidParameters("uid must be non-empty")
 
+    def __deepcopy__(self, memo):
+        """Frozen, and built of immutable values: a copy of a run shares it."""
+        return self
+
 
 @dataclass(frozen=True)
 class TokenizedUid:
@@ -112,6 +120,10 @@ class TokenizedUid:
     def __post_init__(self):
         if len(self.value) != TUID_LENGTH:
             raise InvalidParameters("tuid must be 32 bytes")
+
+    def __deepcopy__(self, memo):
+        """Frozen, and built of immutable values: a copy of a run shares it."""
+        return self
 
 
 @dataclass(frozen=True)
@@ -134,6 +146,10 @@ class KdfParameters:
         if self.output_length < 1:
             raise InvalidKdf("output_length must be positive")
         scrypt_budget(self.cost, self.block_size, self.parallelism)
+
+    def __deepcopy__(self, memo):
+        """Frozen, and built of immutable values: a copy of a run shares it."""
+        return self
 
 
 def zero_uid(length: int = UID_LENGTH) -> Uid:

@@ -18,7 +18,9 @@ offline is refused before that gate, and no event brings it back. The vault
 is one log, which every full node member holds, and every vault read
 carries its provenance. A network holds only plain data, so
 `copy.deepcopy(net)` branches a run: the copy shares no mutable state with
-the original and steps on to the same bytes.
+the original and steps on to the same bytes. Frozen records (identities,
+KDF parameters, blocks, transactions) copy as themselves, so a copy shares
+them.
 
 An `authenticate` event is one round, `Network.authenticate`. A round of
 `PARALLEL_ATTESTATIONS` or more online members signs and verifies their

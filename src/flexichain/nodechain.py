@@ -109,6 +109,10 @@ class VirtualExistenceBlock:
             raise ValueError("trailing bytes after block")
         return block
 
+    def __deepcopy__(self, memo):
+        """Frozen, and built of immutable values: a copy of a run shares it."""
+        return self
+
 
 @dataclass(frozen=True)
 class VesState:

@@ -10,6 +10,11 @@ child outlives the call. An exception raised in a child is raised again in
 the caller; a child that ended without a complete result raises
 `ChildProcessError`.
 
+Three callers share it: full-mode `nodechain.verify_chain` (one range of
+scrypt derivations per process), `netsim.Network.authenticate` (the
+signatures of a large attestation round) and `cli.cmd_montecarlo` (the
+cells of the `montecarlo` grid).
+
 A fork copies only the calling thread, so a lock another thread held would
 stay held in every child. With a second thread alive, and for a single
 chunk, every chunk runs in the caller. A `ProcessPoolExecutor` would pickle
