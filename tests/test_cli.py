@@ -6,6 +6,7 @@ import json
 import os
 import re
 import tempfile
+import threading
 from importlib import resources
 from pathlib import Path
 
@@ -13,11 +14,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flexichain import netsim, secmodel
+from flexichain import cli, netsim, secmodel
 from flexichain.cli import MAX_TRIALS, build_parser, main
-from flexichain.errors import ConfigError
+from flexichain.errors import ConfigError, DomainError
 
-from test_pins import full_mode_violation, reappended_layer0
+from conftest import assert_no_child_left
+from test_pins import MONTECARLO_STDOUT, full_mode_violation, reappended_layer0
 
 DEMO = str(resources.files("flexichain") / "scenarios" / "demo.json")
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -215,6 +217,81 @@ def test_montecarlo_accepts_the_trials_cap():
     # Parsed only: 10^8 trials per cell would sample for minutes.
     args = build_parser().parse_args(["montecarlo", "--trials", str(MAX_TRIALS)])
     assert args.trials == MAX_TRIALS == 10**8
+
+
+def grid_over(monkeypatch, cpus: int) -> list[int]:
+    """Make `montecarlo` spread its grid over `cpus` processes; the returned
+    list collects the pid of each child forked from here on."""
+    forked, fork = [], os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", recorded)
+    return forked
+
+
+def montecarlo_pin(flags, capsys) -> tuple[str, int]:
+    """(SHA-256 of the stdout, exit code) of `montecarlo` with `flags`."""
+    code = main(["montecarlo", *flags])
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(), code
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_montecarlo_over_every_cpu_prints_the_pinned_stdout(monkeypatch, capsys, cpus):
+    forked = grid_over(monkeypatch, cpus)
+    for flags, pinned in MONTECARLO_STDOUT.items():
+        assert montecarlo_pin(flags, capsys) == pinned, flags
+    assert len(forked) == len(MONTECARLO_STDOUT) * (cpus - 1)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 5, 24])
+def test_the_grid_is_dealt_into_chunks_of_near_equal_draws(parts):
+    cells = cli._grid(0)
+    chunks = cli._deal(cells, parts)
+    assert sorted(k for chunk in chunks for k in chunk) == list(range(24))
+    loads = [sum(cells[k][2] for k in chunk) for chunk in chunks]
+    # Never more apart than one cell of the largest n.
+    assert max(loads) - min(loads) <= 16
+
+
+def test_a_cell_that_raises_in_a_child_raises_here(monkeypatch):
+    grid_over(monkeypatch, 2)
+    parent, sample = os.getpid(), cli.monte_carlo_attack
+
+    def refused_in_a_child(category, n, *args):
+        if os.getpid() != parent:
+            raise DomainError(f"category {category} n={n} refused in a child")
+        return sample(category, n, *args)
+
+    monkeypatch.setattr(cli, "monte_carlo_attack", refused_in_a_child)
+    with pytest.raises(DomainError, match="refused in a child"):
+        main(["montecarlo", "--trials", "100"])
+    assert_no_child_left()
+
+
+def test_montecarlo_beside_a_second_thread_forks_nothing(monkeypatch, capsys):
+    grid_over(monkeypatch, 2)
+
+    def no_fork():
+        raise RuntimeError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        stdout = montecarlo_pin((), capsys)
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert stdout == MONTECARLO_STDOUT[()]
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from flexichain.identity import (
     zero_uid,
 )
 from flexichain.keys import signing_key_from_seed
-from flexichain.wire import encode_u64
+from flexichain.wire import Reader, encode_u64, lp
 
 from conftest import CHEAP_KDF, make_params
 
@@ -197,8 +197,13 @@ def test_derive_uid_chain_sensitivity_random_sample():
         (lambda: Uid(b""), InvalidParameters, "uid must be non-empty"),
         (lambda: encode_u64(-1), ValueError, "canonical integers are unsigned"),
         (lambda: signing_key_from_seed(b"\x00" * 31), ValueError, "seed must be 32 bytes"),
+        (lambda: TokenizedUid(b"\x00" * 31), InvalidParameters, "tuid must be 32 bytes"),
+        (lambda: TokenizedUid(b"\x00" * 33), InvalidParameters, "tuid must be 32 bytes"),
+        # A length prefix that promises more bytes than follow it.
+        (lambda: Reader(lp(b"abc")[:-1]).read_field(), ValueError, "truncated field body"),
     ],
-    ids=["empty-uid", "negative-integer", "short-key-seed"],
+    ids=["empty-uid", "negative-integer", "short-key-seed", "tuid-31-bytes",
+         "tuid-33-bytes", "truncated-field-body"],
 )
 def test_primitives_refuse_malformed_input(make, error, message):
     with pytest.raises(error, match=message):

@@ -276,6 +276,14 @@ def test_replay_yields_identical_serialization():
     assert verify_chain(decoded) is None
 
 
+def test_block_decode_refuses_trailing_bytes():
+    ledger, _, _ = build_chain(2)
+    block = ledger.blocks[1]
+    assert VirtualExistenceBlock.decode(block.encode()) == block
+    with pytest.raises(ValueError, match="trailing bytes after block"):
+        VirtualExistenceBlock.decode(block.encode() + lp(b"Z"))
+
+
 # ---------------------------------------------------------------------------
 # Full-mode derivations in worker processes
 # ---------------------------------------------------------------------------

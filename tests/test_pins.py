@@ -542,3 +542,19 @@ def test_a_copy_keeps_its_own_aliases(config, every):
         assert branch._finality[0] is branch._roster
         assert branch.backup is branch.nodes[branch.backup.name]
         assert all(node is branch.nodes[node.name] for node, _ in branch._members.values())
+
+
+def test_frozen_records_copy_as_themselves():
+    """A copy of a run shares its frozen records instead of rebuilding them."""
+    net = run_scenario(ScenarioConfig.from_file(DEMO)).network
+    node = next(n for n in net.nodes.values() if n.hardware_uid is not None)
+    block = net.layer0.blocks()[0]
+    records = [node.params, node.hardware_uid, node.tuid, net.config.kdf,
+               net.nodechain.blocks[0], block, block.transactions[0]]
+    assert [type(r).__name__ for r in records] == [
+        "ExtrinsicParameters", "Uid", "TokenizedUid", "KdfParameters",
+        "VirtualExistenceBlock", "DataBlock", "Transaction"]
+    for record in records:
+        assert copy.deepcopy(record) is record
+    branch = copy.deepcopy(net)
+    assert branch.nodes[node.name].params is node.params
