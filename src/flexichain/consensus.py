@@ -45,7 +45,7 @@ from .identity import (
 from .keys import is_valid_public_key, public_bytes, sign_message, verify_signature
 from .nodechain import NodeChainLedger, VirtualExistenceBlock, append_virtual_block
 from .vault import CallOrigin, FULL_NODE_ROLES, NodeRole, Vault, VaultEntry
-from .wire import encode_fields, lp
+from .wire import BYTES, INT, TEXT, Record, nested, token
 
 if TYPE_CHECKING:
     from .dag import DataBlock
@@ -71,7 +71,7 @@ class ModuleRegistry:
 
 
 @dataclass(frozen=True)
-class EnrollmentRequest:
+class EnrollmentRequest(Record):
     """The two containers plus the trusted-module attestation over them."""
 
     container1: bytes
@@ -80,39 +80,35 @@ class EnrollmentRequest:
     module_signature: bytes
     nonce: bytes
 
-    @staticmethod
-    def signing_bytes(container1: bytes, container2: bytes) -> bytes:
-        return lp(container1) + lp(container2)
-
-    def encode(self) -> bytes:
-        return self._signed_bytes() + encode_fields(
-            self.module_id.encode(), self.module_signature, self.nonce
-        )
+    NOUN = "enrollment request"
+    FIELDS = (("container1", BYTES), ("container2", BYTES), ("module_id", TEXT),
+              ("module_signature", BYTES), ("nonce", BYTES))
+    PREFIX = 2
 
     def verify(self, public_key: bytes) -> bool:
-        return verify_signature(public_key, self.module_signature, self._signed_bytes())
-
-    def _signed_bytes(self) -> bytes:
-        return self.signing_bytes(self.container1, self.container2)
+        return verify_signature(public_key, self.module_signature, self.prefix())
 
 
 @dataclass(frozen=True)
-class EnrollmentResponse:
+class EnrollmentResponse(Record):
     """Broadcast result of an enrollment: the node's virtual block.
 
-    The block is the new chain head, so the encoding follows it with the
-    VES index, the VES head digest and the vault entry index it implies.
+    The block is the new chain head, so the response follows it with the VES
+    index, head digest and vault entry index it implies: its index, digest, index.
     """
 
     virtual_block: VirtualExistenceBlock
+    ves_index: int
+    ves_head_digest: bytes
+    vault_index: int
 
-    def encode(self) -> bytes:
-        block = self.virtual_block
-        return encode_fields(block.encode(), block.nns_index, block.header_digest, block.nns_index)
+    NOUN = "enrollment response"
+    FIELDS = (("virtual_block", nested(VirtualExistenceBlock)), ("ves_index", INT),
+              ("ves_head_digest", BYTES), ("vault_index", INT))
 
 
 @dataclass(frozen=True)
-class AuthenticationMessage:
+class AuthenticationMessage(Record):
     """A node's signed attestation of one data block."""
 
     block_digest: bytes
@@ -120,18 +116,13 @@ class AuthenticationMessage:
     local_ves_index: int
     signature: bytes
 
-    @staticmethod
-    def signing_bytes(block_digest: bytes, tuid: TokenizedUid, ves_index: int) -> bytes:
-        return encode_fields(block_digest, tuid.value, ves_index)
-
-    def encode(self) -> bytes:
-        return self._signed_bytes() + lp(self.signature)
+    NOUN = "authentication message"
+    FIELDS = (("block_digest", BYTES), ("tuid", token(TokenizedUid)),
+              ("local_ves_index", INT), ("signature", BYTES))
+    PREFIX = 3
 
     def verify(self, public_key: bytes) -> bool:
-        return verify_signature(public_key, self.signature, self._signed_bytes())
-
-    def _signed_bytes(self) -> bytes:
-        return self.signing_bytes(self.block_digest, self.tuid, self.local_ves_index)
+        return verify_signature(public_key, self.signature, self.prefix())
 
 
 def enroll_request(
@@ -227,7 +218,7 @@ def enroll_respond(
         ledger, vault, role, request.container1, request.container2,
         request.module_id, kdf, token_salt, timestamp,
     )
-    return EnrollmentResponse(block)
+    return EnrollmentResponse(block, block.nns_index, block.header_digest, block.nns_index)
 
 
 def authenticate_block(

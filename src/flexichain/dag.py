@@ -28,7 +28,7 @@ from .errors import (
 )
 from .identity import TokenizedUid
 from .keys import sign_message, verify_signature
-from .wire import Reader, ZERO32, encode_fields, lp, sha256
+from .wire import BYTES, INT, TEXT, ZERO32, Record, counted, narration, nested, sha256
 
 # The branch id of the NodeChain mirror, which holds tag "A".
 VIRTUAL_BRANCH_ID = "virtual-existence"
@@ -39,8 +39,8 @@ VIRTUAL_BRANCH_ID = "virtual-existence"
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Transaction:
-    """A signed payload from one sender into one branch."""
+class Transaction(Record):
+    """A signed payload from one sender into one branch; its signature covers the rest."""
 
     sender: bytes
     block_type_tag: str
@@ -48,9 +48,10 @@ class Transaction:
     timestamp: int
     signature: bytes
 
-    @staticmethod
-    def signing_bytes(sender: bytes, tag: str, payload: bytes, timestamp: int) -> bytes:
-        return encode_fields(sender, tag.encode(), payload, timestamp)
+    NOUN = "transaction"
+    FIELDS = (("sender", BYTES), ("block_type_tag", TEXT), ("payload", BYTES),
+              ("timestamp", INT), ("signature", BYTES))
+    PREFIX = 4
 
     @classmethod
     def signed(
@@ -60,30 +61,15 @@ class Transaction:
         message = cls.signing_bytes(sender, tag, payload, timestamp)
         return cls(sender, tag, payload, timestamp, sign_message(key, message))
 
-    def encode(self) -> bytes:
-        return self._signed_bytes() + lp(self.signature)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "Transaction":
-        r = Reader(data)
-        tx = cls(r.read_field(), r.read_field().decode(), r.read_field(), r.read_u64(),
-                 r.read_field())
-        if not r.exhausted():
-            raise ValueError("trailing bytes after transaction")
-        return tx
-
     def digest(self) -> bytes:
         return sha256(self.encode())
 
     def verify(self) -> bool:
-        return verify_signature(self.sender, self.signature, self._signed_bytes())
+        return verify_signature(self.sender, self.signature, self.prefix())
 
-    def _signed_bytes(self) -> bytes:
-        return self.signing_bytes(self.sender, self.block_type_tag, self.payload, self.timestamp)
-
-    def __deepcopy__(self, memo):
-        """Frozen, and built of immutable values: a copy of a run shares it."""
-        return self
+    def check_decoded(self) -> None:
+        if not self.verify():
+            raise BadSignature("transaction signature does not verify")
 
 
 def merkle_root(leaves: list[bytes]) -> bytes:
@@ -118,7 +104,7 @@ def narration_fold(tuids: tuple[TokenizedUid, ...], digest: bytes = NARRATION_SE
 
 
 @dataclass(frozen=True)
-class DataBlock:
+class DataBlock(Record):
     """One data-exchange block of a layer-1 branch.
 
     The header digest commits the tag, transaction root, both arcs, and
@@ -144,24 +130,20 @@ class DataBlock:
     narrated: frozenset[TokenizedUid] = field(init=False, compare=False, repr=False)
     narrated_with: InitVar[frozenset[TokenizedUid] | None] = None
 
+    NOUN = "block"
+    FIELDS = (("block_type_tag", TEXT), ("tx_root", BYTES), ("prev_same_type", BYTES),
+              ("random_arc", BYTES), ("timestamp", INT), ("header_digest", BYTES),
+              ("transactions", counted(nested(Transaction))),
+              ("narration", narration(TokenizedUid, narration_fold, NARRATION_SEED)))
+    PREFIX = 5
+
     def __post_init__(self, narrated_with: frozenset[TokenizedUid] | None) -> None:
         if narrated_with is None:
             narrated_with = frozenset(self.narration)
         object.__setattr__(self, "narrated", narrated_with)
 
-    def __deepcopy__(self, memo):
-        """Frozen, and built of immutable values: a copy of a run shares it."""
-        return self
-
-    def header_bytes(self) -> bytes:
-        """Every field the header digest commits, in wire order."""
-        return encode_fields(
-            self.block_type_tag.encode(), self.tx_root, self.prev_same_type,
-            self.random_arc, self.timestamp,
-        )
-
     def recomputed_header(self) -> bytes:
-        return sha256(self.header_bytes())
+        return sha256(self.prefix())
 
     def with_parents(self, prev_same_type: bytes, random_arc: bytes) -> "DataBlock":
         """Attach arcs and seal the header."""
@@ -171,50 +153,6 @@ class DataBlock:
     def with_narration_entry(self, tuid: TokenizedUid) -> "DataBlock":
         return replace(
             self, narration=self.narration + (tuid,), narrated_with=self.narrated | {tuid}
-        )
-
-    def encode(self) -> bytes:
-        txs = encode_fields(len(self.transactions)) + b"".join(
-            lp(t.encode()) for t in self.transactions
-        )
-        narration, digest = [encode_fields(len(self.narration))], NARRATION_SEED
-        for tuid in self.narration:
-            digest = narration_fold((tuid,), digest)
-            narration.append(lp(tuid.value) + lp(digest))
-        return self.header_bytes() + lp(self.header_digest) + txs + b"".join(narration)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "DataBlock":
-        r = Reader(data)
-        tag = r.read_field().decode()
-        tx_root = r.read_field()
-        prev_same_type = r.read_field()
-        random_arc = r.read_field()
-        timestamp = r.read_u64()
-        header_digest = r.read_field()
-        txs = []
-        for _ in range(r.read_u64()):
-            tx = Transaction.decode(r.read_field())
-            if not tx.verify():
-                raise BadSignature("transaction signature does not verify")
-            txs.append(tx)
-        narration, digest = [], NARRATION_SEED
-        for _ in range(r.read_u64()):
-            narration.append(TokenizedUid(r.read_field()))
-            digest = narration_fold(narration[-1:], digest)
-            if r.read_field() != digest:
-                raise IntegrityViolation("narration digest does not chain")
-        if not r.exhausted():
-            raise ValueError("trailing bytes after block")
-        return cls(
-            block_type_tag=tag,
-            transactions=tuple(txs),
-            tx_root=tx_root,
-            prev_same_type=prev_same_type,
-            random_arc=random_arc,
-            narration=tuple(narration),
-            timestamp=timestamp,
-            header_digest=header_digest,
         )
 
 

@@ -34,7 +34,7 @@ from cryptography.hazmat.primitives.kdf.scrypt import Scrypt
 
 from .errors import InvalidKdf, InvalidParameters
 from .keys import is_valid_public_key
-from .wire import encode_fields, sha256
+from .wire import BYTES, INT, Immutable, Record, sha256
 
 UID_LENGTH = 128
 TUID_LENGTH = 32
@@ -48,11 +48,11 @@ MAX_SCRYPT_MEMORY = 2**28
 
 
 @dataclass(frozen=True)
-class ExtrinsicParameters:
+class ExtrinsicParameters(Record):
     """Manufacturing and constructed identity values presented at enrollment.
 
-    The first six fields are the manufacturing identity; they are hashed
-    into container 1. The constructed public ID travels separately as
+    The first six fields are the manufacturing identity; their `prefix()` is
+    hashed into container 1. The constructed public ID travels separately as
     container 2 and doubles as the node's transaction-signing key.
     """
 
@@ -63,6 +63,12 @@ class ExtrinsicParameters:
     location_tag: bytes
     ip_address: bytes
     constructed_public_id: bytes
+
+    NOUN = "extrinsic parameters"
+    FIELDS = (("mac_address", BYTES), ("firmware_digest", BYTES), ("puf_signature", BYTES),
+              ("process_power_class", INT), ("location_tag", BYTES), ("ip_address", BYTES),
+              ("constructed_public_id", BYTES))
+    PREFIX = 6
 
     def __post_init__(self):
         if len(self.mac_address) != MAC_LENGTH:
@@ -80,24 +86,9 @@ class ExtrinsicParameters:
         if not is_valid_public_key(self.constructed_public_id):
             raise InvalidParameters("constructed_public_id is not a valid public key")
 
-    def __deepcopy__(self, memo):
-        """Frozen, and built of immutable values: a copy of a run shares it."""
-        return self
-
-    def manufacturing_bytes(self) -> bytes:
-        """Canonical serialization of the manufacturing fields only."""
-        return encode_fields(
-            self.mac_address,
-            self.firmware_digest,
-            self.puf_signature,
-            self.process_power_class,
-            self.location_tag,
-            self.ip_address,
-        )
-
 
 @dataclass(frozen=True)
-class Uid:
+class Uid(Immutable):
     """Real node identity: the scrypt-derived key. Kept off chain."""
 
     value: bytes
@@ -106,13 +97,9 @@ class Uid:
         if not self.value:
             raise InvalidParameters("uid must be non-empty")
 
-    def __deepcopy__(self, memo):
-        """Frozen, and built of immutable values: a copy of a run shares it."""
-        return self
-
 
 @dataclass(frozen=True)
-class TokenizedUid:
+class TokenizedUid(Immutable):
     """One-way 32-byte token of a UID; the only identity form stored on chain."""
 
     value: bytes
@@ -121,13 +108,9 @@ class TokenizedUid:
         if len(self.value) != TUID_LENGTH:
             raise InvalidParameters("tuid must be 32 bytes")
 
-    def __deepcopy__(self, memo):
-        """Frozen, and built of immutable values: a copy of a run shares it."""
-        return self
-
 
 @dataclass(frozen=True)
-class KdfParameters:
+class KdfParameters(Immutable):
     """scrypt work parameters OpenSSL accepts, plus network salt. Secret network configuration."""
 
     cost: int
@@ -146,10 +129,6 @@ class KdfParameters:
         if self.output_length < 1:
             raise InvalidKdf("output_length must be positive")
         scrypt_budget(self.cost, self.block_size, self.parallelism)
-
-    def __deepcopy__(self, memo):
-        """Frozen, and built of immutable values: a copy of a run shares it."""
-        return self
 
 
 def zero_uid(length: int = UID_LENGTH) -> Uid:
@@ -214,7 +193,7 @@ def hash_extrinsic(params: ExtrinsicParameters) -> tuple[bytes, bytes]:
     """
     if not isinstance(params, ExtrinsicParameters):
         raise InvalidParameters("expected ExtrinsicParameters")
-    return sha256(params.manufacturing_bytes()), params.constructed_public_id
+    return sha256(params.prefix()), params.constructed_public_id
 
 
 def derive_uid(container1: bytes, prev_uid: Uid, kdf: KdfParameters) -> Uid:

@@ -46,13 +46,13 @@ from .identity import (
     tokenize_uid,
     zero_uid,
 )
-from .wire import Reader, ZERO32, encode_fields, lp, sha256
+from .wire import BYTES, INT, ZERO32, Record, decode_log, encode_log, sha256, token
 from .workers import fork_map, split, usable_cpus
 
 
 @dataclass(frozen=True)
-class VirtualExistenceBlock:
-    """On-chain mirror of one enrolled node."""
+class VirtualExistenceBlock(Record):
+    """On-chain mirror of one enrolled node; its header digest commits the fields before it."""
 
     tuid: TokenizedUid
     constructed_public_key: bytes
@@ -61,6 +61,12 @@ class VirtualExistenceBlock:
     timestamp: int
     extrinsic_digest: bytes
     header_digest: bytes
+
+    NOUN = "block"
+    FIELDS = (("tuid", token(TokenizedUid)), ("constructed_public_key", BYTES),
+              ("prev_link", BYTES), ("nns_index", INT), ("timestamp", INT),
+              ("extrinsic_digest", BYTES), ("header_digest", BYTES))
+    PREFIX = 6
 
     @classmethod
     def create(
@@ -76,42 +82,8 @@ class VirtualExistenceBlock:
                     extrinsic_digest, header_digest=ZERO32)
         return replace(block, header_digest=block.recomputed_header())
 
-    def header_bytes(self) -> bytes:
-        """Every field the header digest commits, in wire order."""
-        return encode_fields(
-            self.tuid.value,
-            self.constructed_public_key,
-            self.prev_link,
-            self.nns_index,
-            self.timestamp,
-            self.extrinsic_digest,
-        )
-
     def recomputed_header(self) -> bytes:
-        return sha256(self.header_bytes())
-
-    def encode(self) -> bytes:
-        return self.header_bytes() + lp(self.header_digest)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "VirtualExistenceBlock":
-        r = Reader(data)
-        block = cls(
-            tuid=TokenizedUid(r.read_field()),
-            constructed_public_key=r.read_field(),
-            prev_link=r.read_field(),
-            nns_index=r.read_u64(),
-            timestamp=r.read_u64(),
-            extrinsic_digest=r.read_field(),
-            header_digest=r.read_field(),
-        )
-        if not r.exhausted():
-            raise ValueError("trailing bytes after block")
-        return block
-
-    def __deepcopy__(self, memo):
-        """Frozen, and built of immutable values: a copy of a run shares it."""
-        return self
+        return sha256(self.prefix())
 
 
 @dataclass(frozen=True)
@@ -166,14 +138,12 @@ class NodeChainLedger:
         return self._blocks[nns_index - 1]
 
     def serialize(self) -> bytes:
-        return b"".join(lp(b.encode()) for b in self._blocks)
+        return encode_log(self._blocks)
 
     @classmethod
     def deserialize(cls, data: bytes) -> "NodeChainLedger":
         ledger = cls()
-        r = Reader(data)
-        while not r.exhausted():
-            ledger._blocks.append(VirtualExistenceBlock.decode(r.read_field()))
+        ledger._blocks = decode_log(VirtualExistenceBlock, data)
         return ledger
 
 

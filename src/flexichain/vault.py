@@ -21,7 +21,7 @@ from .errors import (
     Unauthorized,
 )
 from .identity import TokenizedUid, Uid, tokenize_uid
-from .wire import encode_fields, lp
+from .wire import BYTES, INT, TEXT, Record, encode_log, token
 
 
 class NodeRole(enum.Enum):
@@ -41,7 +41,7 @@ FULL_NODE_ROLES = frozenset({NodeRole.BACKUP, NodeRole.EDGE})
 
 
 @dataclass(frozen=True)
-class VaultEntry:
+class VaultEntry(Record):
     """One enrollment record: the token/real-UID binding plus its provenance."""
 
     enrollment_index: int
@@ -50,14 +50,10 @@ class VaultEntry:
     extrinsic_digest: bytes
     module_id: str
 
-    def encode(self) -> bytes:
-        return encode_fields(
-            self.enrollment_index,
-            self.real_uid.value,
-            self.tuid.value,
-            self.extrinsic_digest,
-            self.module_id.encode(),
-        )
+    NOUN = "vault entry"
+    FIELDS = (("enrollment_index", INT), ("real_uid", token(Uid)),
+              ("tuid", token(TokenizedUid)), ("extrinsic_digest", BYTES),
+              ("module_id", TEXT))
 
 
 class Vault:
@@ -125,4 +121,4 @@ class Vault:
 
     def serialize(self) -> bytes:
         """Canonical vault file: length-prefixed entries in enrollment order."""
-        return b"".join(lp(e.encode()) for e in self._entries)
+        return encode_log(self._entries)

@@ -309,6 +309,16 @@ def test_unenrolled_node_cannot_authenticate(responder):
         authenticate_block(ghost, data_block(), ves, ves, TOKEN_SALT)
 
 
+def test_node_with_hardware_but_no_token_is_not_enrolled(responder):
+    # A device that holds a real UID but was never given its token is refused
+    # as not enrolled, before the match layer is handed a missing token.
+    node = enrolled_participant(responder, "auth-1")
+    node.tuid = None
+    ves = responder.ledger.ves.index
+    with pytest.raises(IdentityMismatch, match="node is not enrolled"):
+        authenticate_block(node, data_block(), ves, ves, TOKEN_SALT)
+
+
 def test_match_layer_failure_blocks_authentication(responder):
     node = enrolled_participant(responder, "auth-1")
     node.hardware_uid = Uid(b"\xee" * 128)

@@ -568,14 +568,14 @@ def test_datablock_decode_refuses_trailing_bytes():
         DataBlock.decode(block.encode() + lp(b"Z"))
     (tx,) = block.transactions
     padded_tx = (
-        block.header_bytes() + lp(block.header_digest)
+        block.prefix() + lp(block.header_digest)
         + encode_fields(1) + lp(tx.encode() + lp(b"Z")) + encode_fields(0)
     )
     with pytest.raises(ValueError, match="trailing bytes after transaction"):
         DataBlock.decode(padded_tx)
     # The same bytes without the padding are the block itself.
     assert DataBlock.decode(
-        block.header_bytes() + lp(block.header_digest)
+        block.prefix() + lp(block.header_digest)
         + encode_fields(1) + lp(tx.encode()) + encode_fields(0)
     ) == block
 

@@ -93,7 +93,7 @@ def test_scrypt_kdf_equals_hashlib(password, salt, log_cost, block_size, paralle
 
 def test_canonical_serialization_is_deterministic():
     params = make_params("node-a")
-    assert params.manufacturing_bytes() == make_params("node-a").manufacturing_bytes()
+    assert params.prefix() == make_params("node-a").prefix()
 
 
 def test_canonical_order_sensitivity():
@@ -113,7 +113,7 @@ def test_canonical_order_sensitivity():
 def test_hash_extrinsic_containers():
     params = make_params("node-a")
     c1, c2 = hash_extrinsic(params)
-    assert c1 == hashlib.sha256(params.manufacturing_bytes()).digest()
+    assert c1 == hashlib.sha256(params.prefix()).digest()
     assert c2 == params.constructed_public_id
     # The constructed ID is excluded from container 1.
     other_key = make_params("node-b").constructed_public_id
@@ -233,6 +233,13 @@ def test_kdf_parameter_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(InvalidKdf):
         KdfParameters(**base)
+
+
+@pytest.mark.parametrize("block_size", [0, -1])
+def test_kdf_refuses_a_block_size_below_one_by_name(block_size):
+    # Without its own check, scrypt's limit would report "cost >= 2^(16 * block_size)".
+    with pytest.raises(InvalidKdf, match="block_size must be positive"):
+        KdfParameters(cost=16, block_size=block_size, parallelism=1, salt=b"s")
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,9 @@
 
 Every name a package module imports is used in it or exported, scrypt
 runs on one kernel, from one function, a UID is derived only where an
-identity is bound or the chain is checked in full, netsim's scenario
-nodes and attack outcomes are plain dicts, and no module imports a process
-pool.
+identity is bound or the chain is checked in full, one walker encodes and
+decodes every record, netsim's scenario nodes and attack outcomes are
+plain dicts, and no module imports a process pool.
 """
 
 import ast
@@ -73,23 +73,28 @@ def test_one_scrypt_kernel_from_one_function():
         assert not re.search(r"hashlib\.scrypt\(|from hashlib import .*\bscrypt\b", text)
 
 
-def references(path: Path, name: str) -> list[str]:
+def references(path: Path, name: str, members: bool = False) -> list[str]:
     """`module.holder` for each read of `name` in `path`, as a bare name or
     an attribute, called or not, where the holder is the top-level function
-    or class that holds the read, or `<module>` if none does."""
+    or class that holds the read, or `<module>` if none does. With
+    `members`, a read inside a class is held by `Class.member` instead."""
     refs = []
     for top in ast.parse(path.read_text()).body:
-        holder = getattr(top, "name", "<module>")
-        for node in ast.walk(top):
-            if isinstance(node, (ast.Name, ast.Attribute)) and name in (
-                getattr(node, "id", None), getattr(node, "attr", None)
-            ):
-                refs.append(f"{path.stem}.{holder}")
+        holders = [(getattr(top, "name", "<module>"), top)]
+        if members and isinstance(top, ast.ClassDef):
+            holders = [(f"{top.name}.{getattr(node, 'name', '<body>')}", node)
+                       for node in top.body]
+        for holder, tree in holders:
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Name, ast.Attribute)) and name in (
+                    getattr(node, "id", None), getattr(node, "attr", None)
+                ):
+                    refs.append(f"{path.stem}.{holder}")
     return refs
 
 
-def package_references(name: str) -> list[str]:
-    return [r for path in sorted(PACKAGE.glob("*.py")) for r in references(path, name)]
+def package_references(name: str, members: bool = False) -> list[str]:
+    return [r for path in sorted(PACKAGE.glob("*.py")) for r in references(path, name, members)]
 
 
 def test_uids_are_derived_only_at_binding_and_full_verification():
@@ -105,6 +110,25 @@ def test_each_signed_message_verifies_itself():
     # builds its own signing bytes; no caller assembles them to verify.
     assert set(package_references("verify_signature")) == {
         "dag.Transaction", "consensus.EnrollmentRequest", "consensus.AuthenticationMessage"
+    }
+
+
+def test_one_codec_walks_every_record():
+    # Records are encoded and decoded only by `wire`'s table walker, whose
+    # cursor is `Reader`. Outside `wire`, the field encoders build only the
+    # trace payloads that are not records: netsim's fixture material, and
+    # the `sync`, `branch`, `attack_outcome` and `attack` lines. A record
+    # codec written by hand anywhere else fails here.
+    assert {ref.split(".")[0] for ref in package_references("Reader")} == {"wire"}
+    outside = {name: [ref for ref in package_references(name, members=True)
+                      if not ref.startswith("wire.")]
+               for name in ("encode_fields", "lp")}
+    assert outside == {
+        "encode_fields": ["netsim.Network.enroll", "netsim.Network._handle_register_branch",
+                          "netsim.Network._handle_attack", "netsim._attack_bytes"],
+        "lp": ["netsim._material", "netsim._material",
+               "netsim.Network._handle_register_branch",
+               "netsim.Network._handle_register_branch"],
     }
 
 
