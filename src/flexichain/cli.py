@@ -21,11 +21,12 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 
 from . import secmodel
 from .errors import ConfigError, ProtocolError
 from .netsim import U64_MAX, ScenarioConfig, monte_carlo_attack, run_scenario
-from .workers import fork_map, usable_cpus
+from .workers import fork_map
 
 OUT_ENV = "FLEXICHAIN_OUT"
 # The sampler's memory does not grow with --trials, so a huge value would
@@ -143,43 +144,25 @@ def _grid(seed: int) -> list[tuple]:
     ]
 
 
-def _deal(cells: list[tuple], parts: int) -> list[list[int]]:
-    """The cells' indices dealt into `parts` chunks of near-equal stage draws
-    (n per trial), largest n first, each to the lightest chunk so far."""
-    loads, chunks = [0] * parts, [[] for _ in range(parts)]
-    for k in sorted(range(len(cells)), key=lambda k: -cells[k][2]):
-        lightest = loads.index(min(loads))
-        loads[lightest] += cells[k][2]
-        chunks[lightest].append(k)
-    return chunks
-
-
 def cmd_montecarlo(args) -> int:
-    """Sample every grid cell, the cells spread over every usable CPU, and
-    print one line per cell in grid order."""
+    """Sample every grid cell, the cells in the runs `workers.fork_map`
+    places, and print one line per cell in grid order."""
     cells = _grid(args.seed)
 
-    def sample(chunk: list[int]) -> list[float]:
-        estimates = []
-        for k in chunk:
-            _, category, n, f, seed = cells[k]
-            estimates.append(
-                monte_carlo_attack(category, n, f.amplitude, f.per_node, args.trials, seed))
-        return estimates
+    def sample(run: list[tuple]) -> list[float]:
+        return [monte_carlo_attack(category, n, f.amplitude, f.per_node, args.trials, seed)
+                for _, category, n, f, seed in run]
 
-    chunks = _deal(cells, min(usable_cpus(), len(cells)))
-    empirical = {}
-    for chunk, estimates in zip(chunks, fork_map(sample, chunks)):
-        empirical.update(zip(chunk, estimates))
+    empirical = chain.from_iterable(fork_map(sample, cells))
     breaches = 0
-    for k, (name, category, n, f, _) in enumerate(cells):
+    for (name, category, n, f, _), estimate in zip(cells, empirical):
         analytic = secmodel.category_probability(f, n)
         sigma = math.sqrt(analytic * (1 - analytic) / args.trials)
-        ok = abs(empirical[k] - analytic) <= 3 * sigma
+        ok = abs(estimate - analytic) <= 3 * sigma
         breaches += 0 if ok else 1
         print(
             f"{'PASS' if ok else 'FAIL'} {name} category {category} n={n}: "
-            f"empirical {empirical[k]:.6f} vs analytic {analytic:.6f} "
+            f"empirical {estimate:.6f} vs analytic {analytic:.6f} "
             f"(3-sigma {3 * sigma:.6f})"
         )
     return 0 if breaches == 0 else 1

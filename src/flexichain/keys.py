@@ -12,10 +12,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
-from cryptography.hazmat.primitives.serialization import (
-    Encoding,
-    PublicFormat,
-)
 
 PUBLIC_KEY_LENGTH = 32
 SEED_LENGTH = 32
@@ -29,7 +25,7 @@ def signing_key_from_seed(seed: bytes) -> Ed25519PrivateKey:
 
 
 def public_bytes(key: Ed25519PrivateKey) -> bytes:
-    return key.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+    return key.public_key().public_bytes_raw()
 
 
 def sign_message(key: Ed25519PrivateKey, message: bytes) -> bytes:

@@ -22,11 +22,12 @@ the original and steps on to the same bytes. Frozen records (identities,
 KDF parameters, blocks, transactions) copy as themselves, so a copy shares
 them.
 
-An `authenticate` event is one round, `Network.authenticate`. A round of
-`PARALLEL_ATTESTATIONS` or more online members signs and verifies their
-attestations on every CPU, in processes forked for the round and reaped
-before it returns; a smaller one, or one beside another thread, stays in
-this process. Either way the trace is the same.
+An `authenticate` event is one round, `Network.authenticate`. It hands
+the attestations of its online members to `workers.fork_map`, with half of
+`PARALLEL_ATTESTATIONS` as the fewest worth a process: on 2 CPUs a round of
+96 or more signs and verifies them in two processes, the second forked for
+the round and reaped before it returns; a smaller one, or one beside
+another thread, stays in this process. Either way the trace is the same.
 
 Adversaries are modeled by an explicit capability lattice. An attack event
 holds a subset of {constructed_keys, module_key, vault_access, tuids} and
@@ -77,7 +78,7 @@ from .identity import (
 from .keys import public_bytes, sign_message, signing_key_from_seed
 from .vault import CallOrigin, FULL_NODE_ROLES, NodeRole, Vault
 from .wire import encode_fields, encode_u64, lp, sha256
-from .workers import fork_map, split, usable_cpus
+from .workers import fork_map
 
 # Name prefix of the identities an attack fabricates. Scenario nodes may not
 # use it: a fabricated node would take over such a node's name and share its
@@ -87,14 +88,14 @@ SECRET_KINDS = frozenset({"constructed_keys", "module_key", "vault_access", "tui
 # Key brute force: the one attack category that looks the vault up remotely.
 REMOTE_VAULT_CATEGORY = 4
 # Attestations in one round from which `Network.authenticate` signs and
-# verifies them on every CPU, giving each process at least half as many.
-# Forked time over serial time of a round split over 2 processes, by its
-# attestations, as the range of medians of 15 or 25 alternations over up to
-# five sets on a shared 2-vCPU machine: 16: 1.85, 32: 1.22-1.44, 48:
-# 0.96-1.13, 64: 0.89-1.06, 96: 0.76-0.88, 128: 0.76-0.96, 256: 0.74-0.93.
-# 64 is break-even there; 96 is the smallest size measured as a clear win.
-# A fork and its child's exit cost about 2.5 ms there. Splits over more than
-# 2 processes are unmeasured.
+# verifies them over 2 processes; half of it, 48, is the fewest attestations
+# worth a process. Forked time over serial time of a round split over 2
+# processes, by its attestations, as the range of medians of 15 or 25
+# alternations over up to five sets on a shared 2-vCPU machine: 16: 1.85,
+# 32: 1.22-1.44, 48: 0.96-1.13, 64: 0.89-1.06, 96: 0.76-0.88, 128:
+# 0.76-0.96, 256: 0.74-0.93. 64 is break-even there; 96 is the smallest
+# size measured as a clear win. Splits over more than 2 processes are
+# unmeasured.
 PARALLEL_ATTESTATIONS = 96
 
 
@@ -699,8 +700,8 @@ class Network:
 
         Signing and verifying read nothing the round changes, so the
         attestation of every online member the round names is signed and
-        checked up front with `workers.fork_map`: on every CPU once there are
-        `PARALLEL_ATTESTATIONS` of them, else in this process. That includes
+        checked up front in the runs `workers.fork_map` places, each of at
+        least half of `PARALLEL_ATTESTATIONS` attestations. That includes
         members whose gates refuse them and those reached after the block
         finalized, whose attestation is then never used. Signatures are
         deterministic and the gates still run per node, in order, so the
@@ -709,11 +710,10 @@ class Network:
         """
         ves_index = len(self.nodechain)
         signers = {n.name: n for n in nodes if n.online and n.tuid in self._members}
-        parts = max(1, min(usable_cpus(), 2 * len(signers) // PARALLEL_ATTESTATIONS))
-        chunks = split(list(signers.values()), parts)
         signed = dict(zip(signers, chain.from_iterable(fork_map(
-            lambda chunk: [self._attestation(n, block_digest, ves_index) for n in chunk],
-            chunks,
+            lambda run: [self._attestation(n, block_digest, ves_index) for n in run],
+            list(signers.values()),
+            PARALLEL_ATTESTATIONS // 2,
         ))))
         for node in nodes:
             block = self.pending_blocks.get(block_digest)

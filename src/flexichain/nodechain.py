@@ -13,12 +13,10 @@ by the binding step in `consensus`; `verify_chain` replays its derivation.
 
 Full-mode `verify_chain` costs one scrypt derivation per block. Each takes
 the block's extrinsic digest and the previous vault entry's UID, both known
-before any derivation runs, so the derivations are independent: under 32
-MiB of scrypt memory in all, or with one usable CPU, they run in this
-process; otherwise `workers.fork_map` splits them into one contiguous range
-per process, the first derived here and each other in a child forked for
-the call (beside another thread, all of them here). All processes together
-hold no more scrypt memory than one join may. Threads would not help, since
+before any derivation runs, so the derivations are independent: they go to
+`workers.fork_map`, which places them, with the fewest derivations worth a
+process (16 MiB of scrypt memory) and no more processes than fit together in
+the scrypt memory of one join. Threads would not help, since
 `cryptography`'s scrypt holds the GIL.
 """
 
@@ -47,7 +45,7 @@ from .identity import (
     zero_uid,
 )
 from .wire import BYTES, INT, ZERO32, Record, decode_log, encode_log, sha256, token
-from .workers import fork_map, split, usable_cpus
+from .workers import fork_map
 
 
 @dataclass(frozen=True)
@@ -176,10 +174,9 @@ def verify_chain(
     is a TypeError.
 
     The cheap checks run first, in chain order, up to the first failure;
-    the derivations of the blocks before it run after them, serially or on
-    every CPU (`_pool_workers`, `workers.fork_map`). The violation at the
-    lowest index wins, so the result is the one a single block-by-block walk
-    would return.
+    the derivations of the blocks before it run after them, in the runs
+    `workers.fork_map` places. The violation at the lowest index wins, so
+    the result is the one a single block-by-block walk would return.
     """
     given = [arg is not None for arg in (kdf, vault, token_salt)]
     if any(given) != all(given):
@@ -189,7 +186,7 @@ def verify_chain(
         raise EmptyChain("cannot verify an empty chain")
     prev_digest = ZERO32
     prev_uid = zero_uid(kdf.output_length) if full_mode else None
-    jobs: list[tuple[bytes, Uid, Uid]] = []
+    jobs: list[tuple[int, bytes, Uid, Uid]] = []
     found = None
     for i, block in enumerate(ledger.blocks, start=1):
         if block.nns_index != i:
@@ -205,7 +202,7 @@ def verify_chain(
                     or entry.extrinsic_digest != block.extrinsic_digest):
                 found = Violation(i, ViolationKind.TOKEN_MISMATCH)
             else:
-                jobs.append((block.extrinsic_digest, prev_uid, entry.real_uid))
+                jobs.append((i, block.extrinsic_digest, prev_uid, entry.real_uid))
                 prev_uid = entry.real_uid
         if found is not None:
             break
@@ -213,44 +210,35 @@ def verify_chain(
     if not jobs:
         return found
     memory = scrypt_memory(kdf.cost, kdf.block_size, kdf.parallelism)
-    chunks = split(jobs, _pool_workers(len(jobs), memory, usable_cpus()))
-    start = 1
-    for chunk, k in zip(chunks, fork_map(partial(_first_mismatch, kdf=kdf), chunks)):
-        if k is not None:
-            return Violation(start + k, ViolationKind.TOKEN_MISMATCH)
-        start += len(chunk)
-    return found
+    # At least half of POOL_SCRYPT_WORK per process, and no more processes
+    # than one join's scrypt memory cap holds derivations: the fewest jobs
+    # per run that leave at most `cap` runs.
+    cap = MAX_SCRYPT_MEMORY // memory
+    least = max(-(-POOL_SCRYPT_WORK // (2 * memory)), len(jobs) // (cap + 1) + 1)
+    mismatches = fork_map(partial(_first_mismatch, kdf=kdf), jobs, least)
+    return next((Violation(i, ViolationKind.TOKEN_MISMATCH)
+                 for i in mismatches if i is not None), found)
 
 
-# Total scrypt memory (derivations times `scrypt_memory`) below which a full
-# verification derives serially: under it, forking the workers costs more
-# than they save. Measured on 2 CPUs (ROADMAP.md, Baseline).
+# Scrypt memory of a full verification's derivations, in all, from which
+# two processes derive them faster than one: measured on 2 CPUs (ROADMAP.md,
+# Baseline). Half of it is the fewest derivations worth a process.
 POOL_SCRYPT_WORK = 32 << 20
 
 
-def _pool_workers(jobs: int, memory: int, cpus: int) -> int:
-    """Processes for `jobs` derivations of `memory` scrypt bytes each; 1 is serial.
-
-    One per CPU and per job, and no more than fit in one join's memory cap
-    together, so a verification never asks for more scrypt memory at once
-    than a scenario may ask of one join.
-    """
-    if jobs * memory < POOL_SCRYPT_WORK:
-        return 1
-    return max(1, min(cpus, jobs, MAX_SCRYPT_MEMORY // memory))
-
-
-def _first_mismatch(jobs: list[tuple[bytes, Uid, Uid]], kdf: KdfParameters) -> int | None:
-    """Position of the first (extrinsic digest, previous UID, expected UID)
-    whose derivation differs, or None.
+def _first_mismatch(
+    jobs: list[tuple[int, bytes, Uid, Uid]], kdf: KdfParameters
+) -> int | None:
+    """Chain index of the first (index, extrinsic digest, previous UID,
+    expected UID) whose derivation differs, or None.
 
     It reads `derive_uid` by its global name when called, so a wrapper
     patched in, as the benchmark's tracer does, runs here and in a forked
     worker alike.
     """
-    for k, (digest, prev_uid, expected) in enumerate(jobs):
+    for i, digest, prev_uid, expected in jobs:
         if derive_uid(digest, prev_uid, kdf) != expected:
-            return k
+            return i
     return None
 
 

@@ -1,25 +1,31 @@
-"""Run independent chunks of work on every CPU, in processes forked per call.
+"""Run a list of independent jobs on every CPU, in processes forked per call.
 
-`fork_map(fn, chunks)` runs `chunks[0]` in the calling process and forks one
-child for each other chunk. A child reads its chunk and `fn` from the memory
-it inherits, so nothing is pickled on the way in: an Ed25519 private key or
-a wrapped function reaches it as it is. It pipes back only its pickled
-result and ends in `os._exit`, so it never runs the caller's cleanup. The
-caller reads every pipe, then reaps every child, also when it raises: no
-child outlives the call. An exception raised in a child is raised again in
-the caller; a child that ended without a complete result raises
-`ChildProcessError`.
+`fork_map(fn, jobs, least)` is the one place that decides where work runs.
+It cuts `jobs` into contiguous runs of near-equal length, one per usable
+CPU but none of fewer than `least` jobs, the fewest worth a process of
+their own. It calls `fn` on the first run in the calling process and on
+each other run in a child forked for it, and returns the results in run
+order. A child reads its run and `fn` from the memory it inherits, so
+nothing is pickled on the way in: an Ed25519 private key or a wrapped
+function reaches it as it is. It pipes back only its pickled result and
+ends in `os._exit`, so it never runs the caller's cleanup. The caller reads
+every pipe, then reaps every child, also when it raises: no child outlives
+the call. An exception raised in a child is raised again in the caller; a
+child that ended without a complete result raises `ChildProcessError`.
 
-Three callers share it: full-mode `nodechain.verify_chain` (one range of
-scrypt derivations per process), `netsim.Network.authenticate` (the
-signatures of a large attestation round) and `cli.cmd_montecarlo` (the
-cells of the `montecarlo` grid).
+Three callers state only their work and its floor: full-mode
+`nodechain.verify_chain` (scrypt derivations), `netsim.Network.authenticate`
+(the signatures of an attestation round) and `cli.cmd_montecarlo` (the
+cells of the `montecarlo` grid). A fork, its child's first byte back and
+its reaping cost 2.9-3.9 ms (medians of 40 in each of 15 sets) from a 39 MB
+process that imported the CLI, on a shared 2-vCPU machine under Python
+3.11, so a run must hold more work than that to be worth a process.
 
 A fork copies only the calling thread, so a lock another thread held would
-stay held in every child. With a second thread alive, and for a single
-chunk, every chunk runs in the caller. A `ProcessPoolExecutor` would pickle
-each job (an `Ed25519PrivateKey` does not pickle) and cost about 15 ms to
-start; `spawn` children would import the package again.
+stay held in every child. With a second thread alive every job runs in the
+caller, as one run. A `ProcessPoolExecutor` would pickle each job (an
+`Ed25519PrivateKey` does not pickle) and cost about 15 ms to start; `spawn`
+children would import the package again.
 """
 
 from __future__ import annotations
@@ -44,16 +50,20 @@ def split(jobs: list, parts: int) -> list[list]:
     return [jobs[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def fork_map(fn, chunks: list) -> list:
-    """`[fn(chunk) for chunk in chunks]`, each chunk after the first in a
-    child forked for it."""
-    if len(chunks) < 2 or threading.active_count() > 1:
-        return [fn(chunk) for chunk in chunks]
+def fork_map(fn, jobs: list, least: int = 1) -> list:
+    """`[fn(run) for run in runs]`, where `runs` cuts `jobs` in order into
+    as many runs as there are usable CPUs, each of at least `least` jobs (a
+    `least` below 1 counts as 1), and into one run if that makes fewer than
+    two: the first run in this process, each other in a child forked for it."""
+    parts = min(usable_cpus(), len(jobs) // max(least, 1))
+    if parts < 2 or threading.active_count() > 1:
+        return [fn(jobs)]
+    runs = split(jobs, parts)
     children: list[tuple[int, object]] = []  # (pid, read end of its pipe)
     try:
-        for chunk in chunks[1:]:
-            children.append(_fork(fn, chunk))
-        first = fn(chunks[0])
+        for run in runs[1:]:
+            children.append(_fork(fn, run))
+        first = fn(runs[0])
     finally:
         try:
             replies = [pipe.read() for _, pipe in children]
@@ -73,8 +83,8 @@ def fork_map(fn, chunks: list) -> list:
     return results
 
 
-def _fork(fn, chunk) -> tuple[int, object]:
-    """Fork a child that pipes back the pickled outcome of `fn(chunk)`."""
+def _fork(fn, run) -> tuple[int, object]:
+    """Fork a child that pipes back the pickled outcome of `fn(run)`."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -86,7 +96,7 @@ def _fork(fn, chunk) -> tuple[int, object]:
         try:
             os.close(read_fd)
             try:
-                outcome = (True, fn(chunk))
+                outcome = (True, fn(run))
             except BaseException as exc:  # the caller raises it again
                 outcome = (False, exc)
             with open(write_fd, "wb") as pipe:

@@ -59,13 +59,8 @@ def params_factory():
     return make_params
 
 
-def fork_every_round(monkeypatch, cpus: int = 2) -> list[int]:
-    """Make every attestation round of more than one online member sign and
-    verify over `cpus` processes, as a round of `PARALLEL_ATTESTATIONS`
-    does; the returned list collects the pid of each child forked from here
-    on."""
-    from flexichain import netsim
-
+def record_forks(monkeypatch) -> list[int]:
+    """The list that collects the pid of each child forked from here on."""
     forked, fork = [], os.fork
 
     def recorded():
@@ -74,10 +69,36 @@ def fork_every_round(monkeypatch, cpus: int = 2) -> list[int]:
             forked.append(pid)
         return pid
 
-    monkeypatch.setattr(netsim, "PARALLEL_ATTESTATIONS", 1)
-    monkeypatch.setattr(netsim, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(os, "fork", recorded)
     return forked
+
+
+def record_runs(monkeypatch, module) -> list[list[int]]:
+    """Make `module.fork_map` record the length of each run that
+    `workers.fork_map` places, a list per call; returns the list of them."""
+    from flexichain import workers
+
+    calls = []
+
+    def recorded(fn, jobs, least=1):
+        results = workers.fork_map(lambda run: (len(run), fn(run)), jobs, least)
+        calls.append([length for length, _ in results])
+        return [result for _, result in results]
+
+    monkeypatch.setattr(module, "fork_map", recorded)
+    return calls
+
+
+def fork_every_round(monkeypatch, cpus: int = 2) -> list[int]:
+    """Make every attestation round of more than one online member sign and
+    verify over up to `cpus` processes, as a round of `PARALLEL_ATTESTATIONS`
+    does; the returned list collects the pid of each child forked from here
+    on."""
+    from flexichain import netsim, workers
+
+    monkeypatch.setattr(netsim, "PARALLEL_ATTESTATIONS", 1)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+    return record_forks(monkeypatch)
 
 
 def assert_no_child_left() -> None:

@@ -14,11 +14,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flexichain import cli, netsim, secmodel
+from flexichain import cli, netsim, secmodel, workers
 from flexichain.cli import MAX_TRIALS, build_parser, main
 from flexichain.errors import ConfigError, DomainError
 
-from conftest import assert_no_child_left
+from conftest import assert_no_child_left, record_forks, record_runs
 from test_pins import MONTECARLO_STDOUT, full_mode_violation, reappended_layer0
 
 DEMO = str(resources.files("flexichain") / "scenarios" / "demo.json")
@@ -222,17 +222,8 @@ def test_montecarlo_accepts_the_trials_cap():
 def grid_over(monkeypatch, cpus: int) -> list[int]:
     """Make `montecarlo` spread its grid over `cpus` processes; the returned
     list collects the pid of each child forked from here on."""
-    forked, fork = [], os.fork
-
-    def recorded():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
-    monkeypatch.setattr(os, "fork", recorded)
-    return forked
+    monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+    return record_forks(monkeypatch)
 
 
 def montecarlo_pin(flags, capsys) -> tuple[str, int]:
@@ -241,23 +232,16 @@ def montecarlo_pin(flags, capsys) -> tuple[str, int]:
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(), code
 
 
-@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_montecarlo_over_every_cpu_prints_the_pinned_stdout(monkeypatch, capsys, cpus):
-    forked = grid_over(monkeypatch, cpus)
+    forked, placed = grid_over(monkeypatch, cpus), record_runs(monkeypatch, cli)
     for flags, pinned in MONTECARLO_STDOUT.items():
         assert montecarlo_pin(flags, capsys) == pinned, flags
+    # The 24 cells in one run per CPU: on 2 CPUs, one table's 12 cells each,
+    # 112 stage draws per trial.
+    assert placed == [[24 // cpus] * cpus] * len(MONTECARLO_STDOUT)
     assert len(forked) == len(MONTECARLO_STDOUT) * (cpus - 1)
     assert_no_child_left()
-
-
-@pytest.mark.parametrize("parts", [1, 2, 3, 5, 24])
-def test_the_grid_is_dealt_into_chunks_of_near_equal_draws(parts):
-    cells = cli._grid(0)
-    chunks = cli._deal(cells, parts)
-    assert sorted(k for chunk in chunks for k in chunk) == list(range(24))
-    loads = [sum(cells[k][2] for k in chunk) for chunk in chunks]
-    # Never more apart than one cell of the largest n.
-    assert max(loads) - min(loads) <= 16
 
 
 def test_a_cell_that_raises_in_a_child_raises_here(monkeypatch):

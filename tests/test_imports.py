@@ -4,7 +4,8 @@ Every name a package module imports is used in it or exported, scrypt
 runs on one kernel, from one function, a UID is derived only where an
 identity is bound or the chain is checked in full, one walker encodes and
 decodes every record, netsim's scenario nodes and attack outcomes are
-plain dicts, and no module imports a process pool.
+plain dicts, only `workers` decides where work runs, and no module imports
+a process pool.
 """
 
 import ast
@@ -149,9 +150,19 @@ def test_scenario_nodes_and_attack_outcomes_are_plain_records():
                             if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
+def test_placement_is_decided_only_in_workers():
+    # `workers.fork_map` alone decides how many processes a call uses and
+    # which jobs each runs; its callers state only their jobs and the fewest
+    # worth a process. No other module reads the CPU count, cuts jobs into
+    # runs or forks.
+    for name in ("usable_cpus", "split", "fork"):
+        assert {ref.split(".")[0] for ref in package_references(name)} == {"workers"}, name
+
+
 def test_cli_import_loads_no_process_pool():
     # Workers are forked by `workers.fork_map`; no package module imports a
-    # process pool, and importing the CLI loads none.
+    # process pool, and importing the CLI loads none. Nor does it load
+    # `cryptography`'s key serialization: a raw public key needs none.
     pools = ("multiprocessing", "concurrent")
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -163,7 +174,8 @@ def test_cli_import_loads_no_process_pool():
                 continue
             assert not [n for n in names if n.split(".")[0] in pools], path.name
     code = ("import sys, flexichain.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent') "
+            "or m.startswith('cryptography.hazmat.primitives.serialization')))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -23,7 +23,7 @@ from flexichain.errors import (
 )
 from flexichain.identity import TokenizedUid
 from flexichain.keys import sign_message
-from flexichain import netsim, vault
+from flexichain import netsim, vault, workers
 from flexichain.netsim import (
     Network,
     ScenarioConfig,
@@ -33,7 +33,13 @@ from flexichain.netsim import (
 from flexichain.nodechain import verify_chain
 from flexichain.wire import encode_fields, sha256
 
-from conftest import assert_no_child_left, fork_every_round, material
+from conftest import (
+    assert_no_child_left,
+    fork_every_round,
+    material,
+    record_forks,
+    record_runs,
+)
 
 CHEAP_KDF_JSON = {"cost": 16, "block_size": 1, "parallelism": 1, "output_length": 128}
 
@@ -729,6 +735,50 @@ def pending_round(joins=JOIN_ALL, builder="c1") -> Network:
 
 
 ROUND = {"at": 70, "event": "authenticate", "block": "latest", "nodes": "all"}
+
+
+def round_of(members: int) -> Network:
+    """`members` enrolled online nodes and c1's block pending, at t = 10 * members + 20."""
+    cps = [f"c{i}" for i in range(1, members)]
+    nodes = [{"name": "bn", "role": "backup", "module": "tm-1"}]
+    nodes += [{"name": c, "role": "cps", "module": "tm-2"} for c in cps]
+    script = [{"at": 10 * i, "event": "join", "node": c} for i, c in enumerate(cps, start=1)]
+    t = 10 * members
+    script += [
+        {"at": t, "event": "register_branch", "branch": "telemetry"},
+        {"at": t + 10, "event": "transactions", "node": "c1", "branch": "telemetry"},
+        {"at": t + 20, "event": "build_block", "node": "c1", "branch": "telemetry"},
+    ]
+    return run_scenario(ScenarioConfig.from_dict(scenario(nodes=nodes, script=script))).network
+
+
+@pytest.mark.parametrize(
+    "members,cpus,runs",
+    [
+        (2, 2, [2]),             # ingest-kdf's rounds
+        (33, 2, [33]),           # enroll-384's rounds
+        (95, 2, [95]),
+        (96, 2, [48, 48]),       # PARALLEL_ATTESTATIONS
+        (143, 3, [71, 72]),
+        (144, 3, [48, 48, 48]),
+        (256, 2, [128, 128]),    # attest-256's rounds
+        (256, 1, [256]),
+    ],
+)
+def test_a_round_signs_in_runs_of_at_least_half_parallel_attestations(
+    monkeypatch, members, cpus, runs
+):
+    net = round_of(members)
+    serial = copy.deepcopy(net)
+    serial.step({**ROUND, "at": 10 * members + 30})
+    monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+    forked, placed = record_forks(monkeypatch), record_runs(monkeypatch, netsim)
+    net.step({**ROUND, "at": 10 * members + 30})
+    assert placed == [runs]
+    assert len(forked) == len(runs) - 1
+    assert_no_child_left()
+    assert net.trace == serial.trace
+    assert net.metrics["authentications"] == members
 
 
 def test_attestation_is_checked_against_the_on_chain_key(monkeypatch):

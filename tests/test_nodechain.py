@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flexichain import identity, nodechain
+from flexichain import identity, nodechain, workers
 from flexichain.consensus import ModuleRegistry, enroll_request, enroll_respond, genesis
 from flexichain.errors import (
     EmptyChain,
@@ -42,7 +42,15 @@ from flexichain.nodechain import (
 from flexichain.vault import NodeRole, Vault, VaultEntry
 from flexichain.wire import ZERO32, lp
 
-from conftest import CHEAP_KDF, TOKEN_SALT, assert_no_child_left, make_params, material
+from conftest import (
+    CHEAP_KDF,
+    TOKEN_SALT,
+    assert_no_child_left,
+    make_params,
+    material,
+    record_forks,
+    record_runs,
+)
 
 
 def build_chain(n: int):
@@ -294,38 +302,30 @@ def force_pool(monkeypatch, cpus: int = 2) -> list[int]:
 
     `derive_uid` becomes a closure at both of its bindings, as the
     benchmark's tracer makes it. `fork_map`, at nodechain's binding, raises
-    unless the first range derives in this process and each other range in
-    a child of its own. Returns the pids of the children forked from here on.
+    unless the first run derives in this process and each other run in a
+    child of its own. Returns the pids of the children forked from here on.
     """
     parent, derive, run = os.getpid(), identity.derive_uid, nodechain.fork_map
-    forked, fork = [], os.fork
 
     def derive_wrapped(*args):
         return derive(*args)
 
-    def fork_map_placed(fn, chunks):
-        def placed(numbered):
-            k, chunk = numbered
-            assert (os.getpid() == parent) == (k == 0), f"range {k} derived in the wrong process"
-            return os.getpid(), fn(chunk)
+    def fork_map_placed(fn, jobs, least):
+        def placed(jobs_run):
+            first = jobs_run[0] is jobs[0]
+            assert (os.getpid() == parent) == first, "a run derived in the wrong process"
+            return os.getpid(), fn(jobs_run)
 
-        pids, results = zip(*run(placed, list(enumerate(chunks))))
-        assert len(set(pids)) == len(chunks), "two ranges shared a process"
+        pids, results = zip(*run(placed, jobs, least))
+        assert len(set(pids)) == len(pids), "two runs shared a process"
         return list(results)
 
-    def recorded():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
     monkeypatch.setattr(nodechain, "POOL_SCRYPT_WORK", 0)
-    monkeypatch.setattr(nodechain, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(nodechain, "fork_map", fork_map_placed)
-    monkeypatch.setattr(os, "fork", recorded)
     for module in (identity, nodechain):
         monkeypatch.setattr(module, "derive_uid", derive_wrapped)
-    return forked
+    return record_forks(monkeypatch)
 
 
 def test_pool_derives_while_derive_uid_is_wrapped(monkeypatch):
@@ -346,7 +346,7 @@ def test_a_second_thread_keeps_the_derivations_in_this_process(monkeypatch):
         raise RuntimeError("forked")
 
     monkeypatch.setattr(nodechain, "POOL_SCRYPT_WORK", 0)
-    monkeypatch.setattr(nodechain, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", no_fork)
     release = threading.Event()
     waiter = threading.Thread(target=release.wait)
@@ -363,19 +363,31 @@ def test_a_second_thread_keeps_the_derivations_in_this_process(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "jobs,memory,cpus,workers",
+    "jobs,memory,cpus,processes",
     [
         (12, 8 << 20, 2, 2),   # ingest-kdf: 96 MiB of scrypt work
         (384, 256, 2, 1),      # enroll-384: far below the threshold
         (12, 8 << 20, 1, 1),   # one CPU
         (64, MAX_SCRYPT_MEMORY, 8, 1),  # one derivation fills a join's cap
         (64, MAX_SCRYPT_MEMORY // 4, 8, 4),
-        (3, 16 << 20, 8, 3),   # no more workers than derivations
+        (13, MAX_SCRYPT_MEMORY // 2, 2, 2),  # two fill the cap: runs of 6 and 7
+        (3, 16 << 20, 8, 3),   # no more processes than derivations
         (3, 8 << 20, 2, 1),    # 24 MiB: forking costs more than it saves
     ],
 )
-def test_pool_size(jobs, memory, cpus, workers):
-    assert nodechain._pool_workers(jobs, memory, cpus) == workers
+def test_pool_size(monkeypatch, jobs, memory, cpus, processes):
+    # `jobs` derivations, each taken to hold `memory` bytes of scrypt memory.
+    ledger, vault, _ = build_chain(jobs)
+    monkeypatch.setattr(nodechain, "scrypt_memory", lambda *params: memory)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+    forked, runs = record_forks(monkeypatch), record_runs(monkeypatch, nodechain)
+    assert verify_chain(ledger, kdf=CHEAP_KDF, vault=vault, token_salt=TOKEN_SALT) is None
+    assert 1 + len(forked) == processes
+    # In runs of near-equal length: ingest-kdf's 12 derivations as 6 and 6.
+    [lengths] = runs
+    assert len(lengths) == processes and sum(lengths) == jobs
+    assert max(lengths) - min(lengths) <= 1
+    assert_no_child_left()
 
 
 def walk_chain(ledger, kdf, vault, token_salt):

@@ -1,36 +1,67 @@
-"""Forked workers: results in chunk order, failures raised, children reaped."""
+"""Forked workers: jobs cut into runs, results in run order, failures
+raised, children reaped."""
 
 import os
 import threading
 
 import pytest
 
+from flexichain import workers
 from flexichain.workers import fork_map, split, usable_cpus
 
 from conftest import assert_no_child_left
 
 
-def where(chunk):
-    return os.getpid(), chunk
+@pytest.fixture(autouse=True)
+def three_cpus(monkeypatch):
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 3)
+
+
+def where(run):
+    return os.getpid(), run
 
 
 def test_the_first_chunk_runs_here_and_each_other_in_a_child_of_its_own():
-    results = fork_map(where, [[1], [2, 3], [4]])
-    assert [chunk for _, chunk in results] == [[1], [2, 3], [4]]
+    results = fork_map(where, [1, 2, 3, 4])
+    assert [run for _, run in results] == [[1], [2], [3, 4]]
     pids = [pid for pid, _ in results]
     assert pids[0] == os.getpid()
     assert len(set(pids)) == 3
     assert_no_child_left()
 
 
-def test_a_job_that_raises_in_a_child_raises_here():
-    def job(chunk):
-        if chunk == [2]:
-            raise ValueError(f"chunk {chunk} in {os.getpid()}")
-        return chunk
+@pytest.mark.parametrize(
+    "n,least,cpus,lengths",
+    [
+        (7, 1, 3, [2, 2, 3]),   # one run per CPU
+        (2, 1, 3, [1, 1]),      # no more runs than jobs
+        (7, 3, 3, [3, 4]),      # no run under `least` jobs
+        (5, 3, 3, [5]),         # one run: nothing is forked
+        (4, 0, 2, [2, 2]),      # a `least` below 1 counts as 1
+        (4, -5, 2, [2, 2]),
+        (9, 1, 1, [9]),         # one CPU
+    ],
+)
+def test_jobs_are_cut_into_a_run_per_cpu_of_at_least_least_jobs(
+    monkeypatch, n, least, cpus, lengths
+):
+    monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+    results = fork_map(where, list(range(n)), least)
+    assert [len(run) for _, run in results] == lengths
+    assert [x for _, run in results for x in run] == list(range(n))
+    assert len({pid for pid, _ in results}) == len(lengths)
+    assert results[0][0] == os.getpid()
+    assert_no_child_left()
 
-    with pytest.raises(ValueError, match="chunk") as raised:
-        fork_map(job, [[1], [2], [3]])
+
+def test_a_job_that_raises_in_a_child_raises_here():
+    def job(run):
+        if run == [2]:
+            raise ValueError(f"run {run} in {os.getpid()}")
+        return run
+
+    with pytest.raises(ValueError, match="run") as raised:
+        fork_map(job, [1, 2, 3])
     assert str(os.getpid()) not in str(raised.value)
     assert_no_child_left()
 
@@ -38,13 +69,13 @@ def test_a_job_that_raises_in_a_child_raises_here():
 def test_a_job_that_raises_here_still_reaps_every_child():
     parent = os.getpid()
 
-    def job(chunk):
+    def job(run):
         if os.getpid() == parent:
             raise KeyError("here")
-        return chunk
+        return run
 
     with pytest.raises(KeyError, match="here"):
-        fork_map(job, [[1], [2], [3]])
+        fork_map(job, [1, 2, 3])
     assert_no_child_left()
 
 
@@ -56,11 +87,11 @@ def test_a_job_that_raises_here_still_reaps_every_child():
 def test_a_child_without_a_result_raises(child):
     parent = os.getpid()
 
-    def job(chunk):
-        return chunk if os.getpid() == parent else child()
+    def job(run):
+        return run if os.getpid() == parent else child()
 
     with pytest.raises(ChildProcessError):
-        fork_map(job, [[1], [2]])
+        fork_map(job, [1, 2])
     assert_no_child_left()
 
 
@@ -69,19 +100,27 @@ def test_one_chunk_or_a_second_thread_forks_nothing(monkeypatch):
         raise RuntimeError("forked")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    assert fork_map(where, [[1]]) == [(os.getpid(), [1])]
-    assert fork_map(where, []) == []
+    assert fork_map(where, [1]) == [(os.getpid(), [1])]
     release = threading.Event()
     waiter = threading.Thread(target=release.wait)
     waiter.start()
     try:
-        assert fork_map(where, [[1], [2]]) == [(os.getpid(), [1]), (os.getpid(), [2])]
+        assert fork_map(where, [1, 2]) == [(os.getpid(), [1, 2])]
     finally:
         release.set()
         waiter.join(timeout=10)
     assert not waiter.is_alive()
     with pytest.raises(RuntimeError, match="forked"):
-        fork_map(where, [[1], [2]])
+        fork_map(where, [1, 2])
+
+
+def test_no_jobs_make_one_empty_run_here(monkeypatch):
+    def no_fork():
+        raise RuntimeError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert fork_map(where, []) == [(os.getpid(), [])]
+    assert fork_map(where, [], least=4) == [(os.getpid(), [])]
 
 
 @pytest.mark.parametrize(
