@@ -23,11 +23,12 @@ KDF parameters, blocks, transactions) copy as themselves, so a copy shares
 them.
 
 An `authenticate` event is one round, `Network.authenticate`. It hands
-the attestations of its online members to `workers.fork_map`, with half of
-`PARALLEL_ATTESTATIONS` as the fewest worth a process: on 2 CPUs a round of
-96 or more signs and verifies them in two processes, the second forked for
-the round and reaped before it returns; a smaller one, or one beside
-another thread, stays in this process. Either way the trace is the same.
+the attestations of its online members to `workers.fork_map`, with no more
+processes than leave each at least half of `PARALLEL_ATTESTATIONS`: on 2
+CPUs a round of 96 or more signs and verifies them in two processes, the
+second forked for the round and reaped before it returns; a smaller one,
+or one beside another thread, stays in this process. Either way the trace
+is the same.
 
 Adversaries are modeled by an explicit capability lattice. An attack event
 holds a subset of {constructed_keys, module_key, vault_access, tuids} and
@@ -88,14 +89,13 @@ SECRET_KINDS = frozenset({"constructed_keys", "module_key", "vault_access", "tui
 # Key brute force: the one attack category that looks the vault up remotely.
 REMOTE_VAULT_CATEGORY = 4
 # Attestations in one round from which `Network.authenticate` signs and
-# verifies them over 2 processes; half of it, 48, is the fewest attestations
-# worth a process. Forked time over serial time of a round split over 2
-# processes, by its attestations, as the range of medians of 15 or 25
-# alternations over up to five sets on a shared 2-vCPU machine: 16: 1.85,
-# 32: 1.22-1.44, 48: 0.96-1.13, 64: 0.89-1.06, 96: 0.76-0.88, 128:
-# 0.76-0.96, 256: 0.74-0.93. 64 is break-even there; 96 is the smallest
-# size measured as a clear win. Splits over more than 2 processes are
-# unmeasured.
+# verifies them on every CPU, giving each process at least half as many.
+# Forked time over serial time of a round split over 2 processes, by its
+# attestations, as the range of medians of 15 or 25 alternations over up to
+# five sets on a shared 2-vCPU machine: 16: 1.85, 32: 1.22-1.44, 48:
+# 0.96-1.13, 64: 0.89-1.06, 96: 0.76-0.88, 128: 0.76-0.96, 256: 0.74-0.93.
+# 64 is break-even there; 96 is the smallest size measured as a clear win.
+# Splits over more than 2 processes are unmeasured.
 PARALLEL_ATTESTATIONS = 96
 
 
@@ -713,7 +713,7 @@ class Network:
         signed = dict(zip(signers, chain.from_iterable(fork_map(
             lambda run: [self._attestation(n, block_digest, ves_index) for n in run],
             list(signers.values()),
-            PARALLEL_ATTESTATIONS // 2,
+            2 * len(signers) // PARALLEL_ATTESTATIONS,
         ))))
         for node in nodes:
             block = self.pending_blocks.get(block_digest)

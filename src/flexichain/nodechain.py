@@ -14,9 +14,9 @@ by the binding step in `consensus`; `verify_chain` replays its derivation.
 Full-mode `verify_chain` costs one scrypt derivation per block. Each takes
 the block's extrinsic digest and the previous vault entry's UID, both known
 before any derivation runs, so the derivations are independent: they go to
-`workers.fork_map`, which places them, with the fewest derivations worth a
-process (16 MiB of scrypt memory) and no more processes than fit together in
-the scrypt memory of one join. Threads would not help, since
+`workers.fork_map`, which places them. Under 32 MiB of scrypt memory in all
+they run in this process; otherwise in no more processes than fit together
+in the scrypt memory of one join. Threads would not help, since
 `cryptography`'s scrypt holds the GIL.
 """
 
@@ -210,19 +210,16 @@ def verify_chain(
     if not jobs:
         return found
     memory = scrypt_memory(kdf.cost, kdf.block_size, kdf.parallelism)
-    # At least half of POOL_SCRYPT_WORK per process, and no more processes
-    # than one join's scrypt memory cap holds derivations: the fewest jobs
-    # per run that leave at most `cap` runs.
-    cap = MAX_SCRYPT_MEMORY // memory
-    least = max(-(-POOL_SCRYPT_WORK // (2 * memory)), len(jobs) // (cap + 1) + 1)
-    mismatches = fork_map(partial(_first_mismatch, kdf=kdf), jobs, least)
+    # All processes together hold no more scrypt memory than one join may.
+    most = MAX_SCRYPT_MEMORY // memory if len(jobs) * memory >= POOL_SCRYPT_WORK else 1
+    mismatches = fork_map(partial(_first_mismatch, kdf=kdf), jobs, most)
     return next((Violation(i, ViolationKind.TOKEN_MISMATCH)
                  for i in mismatches if i is not None), found)
 
 
-# Scrypt memory of a full verification's derivations, in all, from which
-# two processes derive them faster than one: measured on 2 CPUs (ROADMAP.md,
-# Baseline). Half of it is the fewest derivations worth a process.
+# Total scrypt memory (derivations times `scrypt_memory`) below which a full
+# verification derives serially: under it, forking the workers costs more
+# than they save. Measured on 2 CPUs (ROADMAP.md, Baseline).
 POOL_SCRYPT_WORK = 32 << 20
 
 

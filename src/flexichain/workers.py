@@ -1,25 +1,26 @@
 """Run a list of independent jobs on every CPU, in processes forked per call.
 
-`fork_map(fn, jobs, least)` is the one place that decides where work runs.
+`fork_map(fn, jobs, most)` is the one place that decides where work runs.
 It cuts `jobs` into contiguous runs of near-equal length, one per usable
-CPU but none of fewer than `least` jobs, the fewest worth a process of
-their own. It calls `fn` on the first run in the calling process and on
-each other run in a child forked for it, and returns the results in run
-order. A child reads its run and `fn` from the memory it inherits, so
-nothing is pickled on the way in: an Ed25519 private key or a wrapped
-function reaches it as it is. It pipes back only its pickled result and
-ends in `os._exit`, so it never runs the caller's cleanup. The caller reads
-every pipe, then reaps every child, also when it raises: no child outlives
-the call. An exception raised in a child is raised again in the caller; a
-child that ended without a complete result raises `ChildProcessError`.
+CPU, but no more runs than jobs, nor than `most`, the ceiling its caller
+states. It calls `fn` on the first run in the calling process and on each
+other run in a child forked for it, and returns the results in run order.
+A child reads its run and `fn` from the memory it inherits, so nothing is
+pickled on the way in: an Ed25519 private key or a wrapped function reaches
+it as it is. It pipes back only its pickled result and ends in `os._exit`,
+so it never runs the caller's cleanup. The caller reads every pipe, then
+reaps every child, also when it raises: no child outlives the call. An
+exception raised in a child is raised again in the caller; a child that
+ended without a complete result raises `ChildProcessError`.
 
-Three callers state only their work and its floor: full-mode
+Three callers state only their work and its ceiling: full-mode
 `nodechain.verify_chain` (scrypt derivations), `netsim.Network.authenticate`
 (the signatures of an attestation round) and `cli.cmd_montecarlo` (the
-cells of the `montecarlo` grid). A fork, its child's first byte back and
-its reaping cost 2.9-3.9 ms (medians of 40 in each of 15 sets) from a 39 MB
-process that imported the CLI, on a shared 2-vCPU machine under Python
-3.11, so a run must hold more work than that to be worth a process.
+cells of the `montecarlo` grid, with no ceiling). A fork, its child's first
+byte back and its reaping cost 2.9-3.9 ms (medians of 40 in each of 15
+sets) from a 39 MB process that imported the CLI, on a shared 2-vCPU
+machine under Python 3.11, so a run must hold more work than that to be
+worth a process.
 
 A fork copies only the calling thread, so a lock another thread held would
 stay held in every child. With a second thread alive every job runs in the
@@ -50,12 +51,12 @@ def split(jobs: list, parts: int) -> list[list]:
     return [jobs[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def fork_map(fn, jobs: list, least: int = 1) -> list:
+def fork_map(fn, jobs: list, most: int | None = None) -> list:
     """`[fn(run) for run in runs]`, where `runs` cuts `jobs` in order into
-    as many runs as there are usable CPUs, each of at least `least` jobs (a
-    `least` below 1 counts as 1), and into one run if that makes fewer than
-    two: the first run in this process, each other in a child forked for it."""
-    parts = min(usable_cpus(), len(jobs) // max(least, 1))
+    one run per usable CPU, but no more runs than jobs nor than `most`, and
+    into one run if that makes fewer than two: the first run in this
+    process, each other in a child forked for it."""
+    parts = min(usable_cpus(), len(jobs), len(jobs) if most is None else most)
     if parts < 2 or threading.active_count() > 1:
         return [fn(jobs)]
     runs = split(jobs, parts)

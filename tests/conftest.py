@@ -80,8 +80,8 @@ def record_runs(monkeypatch, module) -> list[list[int]]:
 
     calls = []
 
-    def recorded(fn, jobs, least=1):
-        results = workers.fork_map(lambda run: (len(run), fn(run)), jobs, least)
+    def recorded(fn, jobs, most=None):
+        results = workers.fork_map(lambda run: (len(run), fn(run)), jobs, most)
         calls.append([length for length, _ in results])
         return [result for _, result in results]
 

@@ -150,13 +150,46 @@ def test_scenario_nodes_and_attack_outcomes_are_plain_records():
                             if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
+def placement_reads(source: str) -> list[str]:
+    """`module.name` for each read in `source` of the CPU count, the run
+    cutter or the fork: `usable_cpus` or `split` of `workers`, or `fork` of
+    `os`, imported by name or read as an attribute of its module."""
+    owned = {"workers": {"usable_cpus", "split"}, "os": {"fork"}}
+    reads = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            reads += [f"{module}.{alias.name}" for alias in node.names
+                      if alias.name in owned.get(module, ())]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.attr in owned.get(node.value.id, ()):
+                reads.append(f"{node.value.id}.{node.attr}")
+    return reads
+
+
+@pytest.mark.parametrize(
+    "source,reads",
+    [
+        ("from .workers import fork_map, split\n", ["workers.split"]),
+        ("from flexichain.workers import usable_cpus\n", ["workers.usable_cpus"]),
+        ("from . import workers\nworkers.usable_cpus()\n", ["workers.usable_cpus"]),
+        ("import os\nos.fork()\n", ["os.fork"]),
+        ("from os import fork\n", ["os.fork"]),
+        ("import re\nre.split(',', 'a,b')\n'a b'.split()\n", []),
+        ("from .workers import fork_map\nfork_map(len, [])\n", []),
+    ],
+)
+def test_placement_checker(source, reads):
+    assert placement_reads(source) == reads
+
+
 def test_placement_is_decided_only_in_workers():
     # `workers.fork_map` alone decides how many processes a call uses and
-    # which jobs each runs; its callers state only their jobs and the fewest
-    # worth a process. No other module reads the CPU count, cuts jobs into
-    # runs or forks.
-    for name in ("usable_cpus", "split", "fork"):
-        assert {ref.split(".")[0] for ref in package_references(name)} == {"workers"}, name
+    # which jobs each runs; its callers state only their jobs and a ceiling
+    # on processes. No other module reads the CPU count, cuts jobs into runs
+    # or forks.
+    assert [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if placement_reads(path.read_text())] == ["workers.py"]
 
 
 def test_cli_import_loads_no_process_pool():

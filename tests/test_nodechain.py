@@ -310,13 +310,13 @@ def force_pool(monkeypatch, cpus: int = 2) -> list[int]:
     def derive_wrapped(*args):
         return derive(*args)
 
-    def fork_map_placed(fn, jobs, least):
+    def fork_map_placed(fn, jobs, most):
         def placed(jobs_run):
             first = jobs_run[0] is jobs[0]
             assert (os.getpid() == parent) == first, "a run derived in the wrong process"
             return os.getpid(), fn(jobs_run)
 
-        pids, results = zip(*run(placed, jobs, least))
+        pids, results = zip(*run(placed, jobs, most))
         assert len(set(pids)) == len(pids), "two runs shared a process"
         return list(results)
 
@@ -371,8 +371,13 @@ def test_a_second_thread_keeps_the_derivations_in_this_process(monkeypatch):
         (64, MAX_SCRYPT_MEMORY, 8, 1),  # one derivation fills a join's cap
         (64, MAX_SCRYPT_MEMORY // 4, 8, 4),
         (13, MAX_SCRYPT_MEMORY // 2, 2, 2),  # two fill the cap: runs of 6 and 7
+        (3, 128 << 20, 2, 2),  # 384 MiB: as many as the cap holds
+        (5, MAX_SCRYPT_MEMORY // 4, 8, 4),
         (3, 16 << 20, 8, 3),   # no more processes than derivations
+        (3, 12 << 20, 2, 2),   # 36 MiB
         (3, 8 << 20, 2, 1),    # 24 MiB: forking costs more than it saves
+        (40, 1 << 20, 8, 8),   # one process per CPU
+        (12, 8 << 20, 8, 8),   # ingest-kdf on 8 CPUs
     ],
 )
 def test_pool_size(monkeypatch, jobs, memory, cpus, processes):

@@ -31,22 +31,22 @@ def test_the_first_chunk_runs_here_and_each_other_in_a_child_of_its_own():
 
 
 @pytest.mark.parametrize(
-    "n,least,cpus,lengths",
+    "n,most,cpus,lengths",
     [
-        (7, 1, 3, [2, 2, 3]),   # one run per CPU
-        (2, 1, 3, [1, 1]),      # no more runs than jobs
-        (7, 3, 3, [3, 4]),      # no run under `least` jobs
-        (5, 3, 3, [5]),         # one run: nothing is forked
-        (4, 0, 2, [2, 2]),      # a `least` below 1 counts as 1
-        (4, -5, 2, [2, 2]),
-        (9, 1, 1, [9]),         # one CPU
+        (7, None, 3, [2, 2, 3]),  # one run per CPU
+        (2, None, 3, [1, 1]),     # no more runs than jobs
+        (7, 2, 3, [3, 4]),        # no more runs than `most`
+        (7, 5, 3, [2, 2, 3]),
+        (5, 1, 3, [5]),           # one run: nothing is forked
+        (4, 0, 2, [4]),
+        (9, None, 1, [9]),        # one CPU
     ],
 )
-def test_jobs_are_cut_into_a_run_per_cpu_of_at_least_least_jobs(
-    monkeypatch, n, least, cpus, lengths
+def test_jobs_are_cut_into_a_run_per_cpu_and_at_most_most_runs(
+    monkeypatch, n, most, cpus, lengths
 ):
     monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
-    results = fork_map(where, list(range(n)), least)
+    results = fork_map(where, list(range(n)), most)
     assert [len(run) for _, run in results] == lengths
     assert [x for _, run in results for x in run] == list(range(n))
     assert len({pid for pid, _ in results}) == len(lengths)
@@ -120,7 +120,7 @@ def test_no_jobs_make_one_empty_run_here(monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     assert fork_map(where, []) == [(os.getpid(), [])]
-    assert fork_map(where, [], least=4) == [(os.getpid(), [])]
+    assert fork_map(where, [], most=4) == [(os.getpid(), [])]
 
 
 @pytest.mark.parametrize(
