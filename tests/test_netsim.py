@@ -1173,15 +1173,55 @@ def test_chunked_monte_carlo_equals_the_one_piece_draw(
     )
 
 
+def _first_trial_draws(category, n, trials, seed):
+    """The first trial's gate draw and the largest of its stage draws, in a
+    `trials`-trial run."""
+    gates = np.random.default_rng([seed, category, n])
+    stages = np.random.default_rng([seed, category, n])
+    stages.bit_generator.advance(trials)
+    return float(gates.random()), float(stages.random(n).max())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 12, 16, 17, 40])
+def test_monte_carlo_equals_the_one_piece_draw_at_every_word_width(n):
+    # The n in the list reach each width of the words a row's stage
+    # outcomes are read in (1, 2, 4 and 8 bytes), and the trials each side
+    # of the chunk boundaries. One amplitude and one per_node are actual
+    # draws, so the gate or stage that drew it failed: each passes only
+    # below its probability.
+    category, seed = 2, 12345
+    rows = netsim.MC_CHUNK_DRAWS // n
+    for trials in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
+        gate, stage = _first_trial_draws(category, n, trials, seed)
+        for amplitude in (1.0, 0.75, gate):
+            for per_node in (0.0, 1.0, stage):
+                args = (category, n, amplitude, per_node, trials, seed)
+                assert monte_carlo_attack(*args) == _monte_carlo_in_one_piece(*args), args
+    # A lone trial succeeds iff its gate draw is below the amplitude and
+    # every stage draw is below per_node.
+    gate, stage = _first_trial_draws(category, n, 1, seed)
+    above = np.nextafter(gate, 2.0), np.nextafter(stage, 2.0)
+    assert monte_carlo_attack(category, n, *above, 1, seed) == 1.0
+    assert monte_carlo_attack(category, n, gate, above[1], 1, seed) == 0.0
+    assert monte_carlo_attack(category, n, above[0], stage, 1, seed) == 0.0
+
+
 def test_monte_carlo_memory_does_not_grow_with_trials():
-    tracemalloc.start()
-    try:
-        monte_carlo_attack(1, 16, 0.25, 0.9, 10**6, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # Drawn in one piece, the 10^6 x 16 stage draws alone take 128 MB.
-    assert peak < 8 * 2**20
+    # The first call imports numpy.random, whose modules are not the
+    # sampler's memory.
+    monte_carlo_attack(1, 1, 0.25, 0.9, 1, seed=3)
+    # n = 1 takes the most: 2^17 rows of a gate and a stage draw, 2 MiB of
+    # doubles, and three bytes of outcomes a row.
+    for n in (1, 16):
+        tracemalloc.start()
+        try:
+            monte_carlo_attack(1, n, 0.25, 0.9, 10**6, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Drawn in one piece, 10^6 trials at n = 16 take 128 MB of stage
+        # draws alone.
+        assert peak < 3 * 2**20, (n, peak)
 
 
 def test_monte_carlo_band_coverage_is_at_least_99_percent():
