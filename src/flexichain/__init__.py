@@ -18,8 +18,9 @@ from .identity import (
     match_layer,
     tokenize_uid,
 )
-from .netsim import ScenarioConfig, monte_carlo_attack, run_scenario
+from .netsim import monte_carlo_attack, run_scenario
 from .nodechain import NodeChainLedger, verify_chain
+from .scenario import ScenarioConfig
 from .vault import NodeRole, Vault, VaultEntry
 
 __version__ = "0.1.0"

@@ -25,7 +25,8 @@ from itertools import chain
 
 from . import secmodel
 from .errors import ConfigError, ProtocolError
-from .netsim import U64_MAX, ScenarioConfig, monte_carlo_attack, run_scenario
+from .netsim import monte_carlo_attack, run_scenario
+from .scenario import U64_MAX, ScenarioConfig
 from .workers import fork_map
 
 OUT_ENV = "FLEXICHAIN_OUT"

@@ -1,14 +1,10 @@
-"""Deterministic discrete-event harness for the protocol.
+"""The network: one scenario's protocol state, stepped event by event.
 
-A scenario is a JSON document executed on a virtual clock. One table per
-object (`SCENARIO`, `KDF`, `NODE`, `EXTRINSIC`, and `EVENTS` for the script
-events `join`, `register_branch`, `transactions`, `build_block`,
-`authenticate`, `attack`, `disable`, `genesis`) gives every field's rule and
-default; see "Scenario schema" below and README.md. The simulator reads each
-node and each event as the plain dict its table's walk produced. Every value
-it consumes (extrinsic fixtures, signing keys, nonces, payloads) is derived
-from the scenario seed by counter-mode SHA-256, and all timestamps come from
-the script, so a scenario replays to a byte-identical trace.
+A `Network` runs a parsed scenario (`scenario.ScenarioConfig`) on a virtual
+clock, one script event per `step`. Every value it consumes (signing keys,
+nonces, payloads) is derived from the scenario seed by `scenario.material`,
+and all timestamps come from the script, so a scenario replays to a
+byte-identical trace.
 
 The NodeChain, the layer-0 ledger (which owns the branch table) and the
 module registry are network state, passed to `consensus` as arguments; a
@@ -30,27 +26,19 @@ second forked for the round and reaped before it returns; a smaller one,
 or one beside another thread, stays in this process. Either way the trace
 is the same.
 
-Adversaries are modeled by an explicit capability lattice. An attack event
-holds a subset of {constructed_keys, module_key, vault_access, tuids} and
-attempts its category's protocol actions with exactly those secrets. Its
-outcome is the dict `summary.json` lists under `attacks`: the category,
-whether it succeeded, and the first check that blocked it (module registry,
-signature, ledger validation, NNS gate, vault access, offline gate, match
-layer, or finality quorum). A final fraud block must pass
-`Layer0Ledger.append_block`, as an honest one does. Knowing TUIDs grants
-nothing extra: they are already public on chain.
+An `attack` event goes to `adversary.inject_attack`, which acts on the
+network only through its public methods and attributes.
 """
 
 from __future__ import annotations
 
-import json
-import reprlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from . import consensus, dag, identity, nodechain
+from . import consensus, dag, nodechain, secmodel
+from .adversary import inject_attack
 from .consensus import (
     NONCE_LENGTH,
     AuthenticationMessage,
@@ -61,33 +49,18 @@ from .consensus import (
 from .errors import (
     AlreadyInitialized,
     BlockNotPending,
-    ConfigError,
     DomainError,
     IdentityMismatch,
-    OfflineViolation,
     ProtocolError,
     Unauthorized,
-    UnknownBranch,
 )
-from .identity import (
-    ExtrinsicParameters,
-    KdfParameters,
-    TokenizedUid,
-    Uid,
-    match_layer,
-)
+from .identity import ExtrinsicParameters, TokenizedUid, Uid
 from .keys import public_bytes, sign_message, signing_key_from_seed
+from .scenario import ScenarioConfig, material
 from .vault import CallOrigin, FULL_NODE_ROLES, NodeRole, Vault
-from .wire import encode_fields, encode_u64, lp, sha256
+from .wire import encode_fields, lp, sha256
 from .workers import fork_map
 
-# Name prefix of the identities an attack fabricates. Scenario nodes may not
-# use it: a fabricated node would take over such a node's name and share its
-# extrinsic fixture.
-SYBIL_PREFIX = "sybil-"
-SECRET_KINDS = frozenset({"constructed_keys", "module_key", "vault_access", "tuids"})
-# Key brute force: the one attack category that looks the vault up remotely.
-REMOTE_VAULT_CATEGORY = 4
 # Attestations in one round from which `Network.authenticate` signs and
 # verifies them on every CPU, giving each process at least half as many.
 # Forked time over serial time of a round split over 2 processes, by its
@@ -97,324 +70,6 @@ REMOTE_VAULT_CATEGORY = 4
 # 64 is break-even there; 96 is the smallest size measured as a clear win.
 # Splits over more than 2 processes are unmeasured.
 PARALLEL_ATTESTATIONS = 96
-
-
-# ---------------------------------------------------------------------------
-# Seeded fixture derivation
-# ---------------------------------------------------------------------------
-
-def _material(seed: int, *labels: object) -> bytes:
-    """32 deterministic bytes bound to the seed and a label path."""
-    blob = b"flexichain.fixture" + encode_u64(seed)
-    for label in labels:
-        if isinstance(label, int):
-            blob += lp(encode_u64(label))
-        else:
-            blob += lp(str(label).encode())
-    return sha256(blob)
-
-
-# ---------------------------------------------------------------------------
-# Scenario schema
-# ---------------------------------------------------------------------------
-#
-# Every JSON object of a scenario has one table: key -> (rule, default).
-# `_walk` applies a table: it refuses unknown keys and fills in every absent
-# one, so the simulator reads parsed fields and applies no default again.
-# - A rule takes (value, key path, context) and returns the parsed value or
-#   raises ConfigError naming the path. No rule takes `bool` for an integer.
-# - A default is what the file would hold and goes through the rule, except
-#   a callable one, which computes the parsed value from the fields parsed
-#   so far in this object and at the top level.
-# - REQUIRED marks a key without a default; null is accepted exactly where
-#   the default is None.
-
-REQUIRED = object()
-U64_MAX = 2**64 - 1
-# A transactions event signs one transaction per unit, ~0.35 ms each: 4096
-# stays near 1.4 s, and the generated workloads use at most 16.
-MAX_TX_COUNT = 4096
-# Genesis allocates a zero UID of this size and the vault keeps UIDs
-# of it: 1024 bytes is eight times the default.
-MAX_UID_LENGTH = 1024
-# Scope keys of the names declared so far; no scenario key has a space.
-_NODE_NAMES, _BRANCH_NAMES = "node names", "branch names"
-
-
-def _fail(path: str, what: str, value) -> None:
-    raise ConfigError(f"{path or 'scenario'}: must be {what}, not {reprlib.repr(value)}")
-
-
-def _walk(table: dict, raw, path: str, scope: dict, out: dict | None = None) -> dict:
-    """Apply one table to the object `raw` found at `path`, into `out`.
-
-    `scope` holds the top-level fields and the names declared so far; the
-    top level is walked into `scope` itself.
-    """
-    if type(raw) is not dict:
-        _fail(path, "an object", raw)
-    prefix = f"{path}." if path else ""
-    for key in raw:
-        if key not in table:
-            raise ConfigError(f"{prefix}{key}: unknown key")
-    out = {} if out is None else out
-    for key, (rule, default) in table.items():
-        if key in raw:
-            value = raw[key]
-        elif default is REQUIRED:
-            raise ConfigError(f"{prefix}{key}: required")
-        elif callable(default):
-            out[key] = default({**scope, **out})
-            continue
-        else:
-            value = default
-        out[key] = None if value is None and default is None else rule(value, prefix + key, scope)
-    return out
-
-
-def _rule(what: str, ok, parse=None):
-    """Values for which `ok(value, scope)` holds, converted by `parse`."""
-    def rule(value, path, scope):
-        if not ok(value, scope):
-            _fail(path, what, value)
-        return parse(value) if parse else value
-    return rule
-
-
-def _integer(lo: int, hi: int = U64_MAX):
-    bound = "2^64)" if hi == U64_MAX else f"{hi}]"
-    return _rule(f"an integer in [{lo}, {bound}", lambda v, s: type(v) is int and lo <= v <= hi)
-
-
-def _hex_length(value) -> int:
-    try:
-        return len(bytes.fromhex(value))
-    except (TypeError, ValueError):
-        return -1
-
-
-def _hex(what: str, length_ok=lambda n: n >= 0):
-    return _rule(what, lambda v, s: length_ok(_hex_length(v)), bytes.fromhex)
-
-
-def _choice(options: dict):
-    """One of the names in `options`, parsed to the value it maps to."""
-    what = "one of " + ", ".join(map(repr, options))
-    return _rule(what, lambda v, s: type(v) is str and v in options, options.get)
-
-
-def _list(item, what: str = "a list", min_length: int = 0, into=tuple):
-    def rule(value, path, scope):
-        if type(value) is not list or len(value) < min_length:
-            _fail(path, what, value)
-        return into(item(v, f"{path}[{i}]", scope) for i, v in enumerate(value))
-    return rule
-
-
-def _fields(table: dict, make):
-    """An object walked by `table` and built by `make`."""
-    def rule(value, path, scope):
-        parsed = _walk(table, value, path, scope)
-        try:
-            return make(**parsed)
-        except ProtocolError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    return rule
-
-
-def _declare(names: str, reserved, why: str):
-    """A new name in the scope `names`, refusing a repeat and a `reserved` one."""
-    def declare(value, path, scope):
-        name = _text(value, path, scope)
-        if reserved(name):
-            raise ConfigError(f"{path}: {why}")
-        if name in scope[names]:
-            raise ConfigError(f"{path}: duplicate {name!r}")
-        scope[names].add(name)
-        return name
-    return declare
-
-
-def _distinct(rule):
-    """The list `rule` parses, refusing an item that repeats an earlier one."""
-    def distinct(value, path, scope):
-        items, seen = rule(value, path, scope), set()
-        for j, item in enumerate(items):
-            if item in seen:
-                raise ConfigError(f"{path}[{j}]: duplicate {item!r}")
-            seen.add(item)
-        return items
-    return distinct
-
-
-def _either(word: str, rule):
-    """The literal `word`, or a value `rule` takes."""
-    return lambda v, path, scope: v if v == word else rule(v, path, scope)
-
-
-_bool = _rule("true or false", lambda v, s: type(v) is bool)
-_text = _rule("a non-empty string", lambda v, s: type(v) is str and v != "")
-_object = _rule("an object", lambda v, s: type(v) is dict, dict)  # walked by _event or from_dict
-_node_ref = _rule("a declared node name", lambda v, s: type(v) is str and v in s[_NODE_NAMES])
-_branch_ref = _rule("a branch registered earlier in the script",
-                    lambda v, s: type(v) is str and v in s[_BRANCH_NAMES])
-_window = _rule(
-    "two integers [start, end] in [0, 2^64) with start <= end",
-    lambda v, s: type(v) is list and len(v) == 2
-    and all(type(t) is int and 0 <= t <= U64_MAX for t in v) and v[0] <= v[1],
-    tuple,
-)
-_declare_node = _declare(_NODE_NAMES, lambda name: name.startswith(SYBIL_PREFIX),
-                         f"prefix {SYBIL_PREFIX!r} is reserved for fabricated identities")
-_declare_branch = _declare(_BRANCH_NAMES, lambda name: name == dag.VIRTUAL_BRANCH_ID,
-                           f"{dag.VIRTUAL_BRANCH_ID!r} is reserved for the NodeChain mirror")
-
-
-def _fixture(label: str, size: int | None = None):
-    """The default of an extrinsic field: seeded bytes bound to the node."""
-    return lambda s: _material(s["seed"], label, s["name"])[:size]
-
-
-EXTRINSIC = {
-    "mac_address": (_hex("6 hex-encoded bytes", lambda n: n == identity.MAC_LENGTH),
-                    _fixture("mac", identity.MAC_LENGTH)),
-    "firmware_digest": (_hex("32 hex-encoded bytes",
-                             lambda n: n == identity.FIRMWARE_DIGEST_LENGTH),
-                        _fixture("firmware")),
-    "puf_signature": (_hex("a non-empty hex string", lambda n: n > 0), _fixture("puf")),
-    "process_power_class": (_integer(0, 2**32 - 1),
-                            lambda s: _material(s["seed"], "power", s["name"])[0] % 8),
-    "location_tag": (_hex("a non-empty hex string", lambda n: n > 0), _fixture("location", 8)),
-    "ip_address": (_hex("4 or 16 hex-encoded bytes", lambda n: n in (4, 16)), _fixture("ip", 4)),
-}
-
-
-NODE = {
-    "name": (_declare_node, REQUIRED),
-    "role": (_choice({r.value: r for r in NodeRole}), REQUIRED),
-    # A module outside `modules` is allowed here: such a node's enrollment
-    # must be rejected at runtime, not at parse time.
-    "module": (_text, REQUIRED),
-    "via": (_text, None),  # a node declared anywhere; checked after the walk
-    "extrinsic": (_object, {}),  # walked by EXTRINSIC last, in ScenarioConfig.from_dict
-}
-
-KDF = {
-    "cost": (_integer(2), 2**14),
-    "block_size": (_integer(1), 8),
-    "parallelism": (_integer(1), 1),
-    "salt": (_hex("a hex string"), lambda s: _material(s["seed"], "kdf-salt")[:16]),
-    "output_length": (_integer(1, MAX_UID_LENGTH), identity.UID_LENGTH),
-}
-
-
-def _event_rows(**rows) -> dict:
-    return {"at": (_integer(0), REQUIRED), "event": (_text, REQUIRED), **rows}
-
-
-EVENTS = {
-    "join": _event_rows(node=(_node_ref, REQUIRED)),
-    "register_branch": _event_rows(branch=(_declare_branch, REQUIRED)),
-    "transactions": _event_rows(
-        node=(_node_ref, REQUIRED),
-        branch=(_branch_ref, REQUIRED),
-        count=(_integer(0, MAX_TX_COUNT), 1),
-    ),
-    "build_block": _event_rows(
-        node=(_node_ref, REQUIRED),
-        branch=(_branch_ref, REQUIRED),
-        window=(_window, lambda s: (0, s["at"])),
-    ),
-    "authenticate": _event_rows(
-        block=(_either("latest", _hex("'latest' or 32 hex-encoded bytes", lambda n: n == 32)),
-               "latest"),
-        nodes=(_either("all", _list(_node_ref, "'all' or a list")), "all"),
-    ),
-    "attack": _event_rows(
-        at=(_integer(0, U64_MAX - 1), REQUIRED),  # the fraud block is sealed at `at` + 1
-        category=(_integer(1, 4), REQUIRED),
-        targets=(_distinct(_list(_node_ref)), []),
-        secrets=(_list(_choice({k: k for k in sorted(SECRET_KINDS)}), into=frozenset), []),
-        stale_ledger=(_bool, False),
-        branch=(_branch_ref, None),  # None: tag "B", registered or not
-    ),
-    "disable": _event_rows(node=(_node_ref, REQUIRED)),
-    "genesis": _event_rows(),
-}
-
-
-def _event(value, path, scope):
-    kind = _object(value, path, scope).get("event", REQUIRED)
-    if kind is REQUIRED:
-        raise ConfigError(f"{path}.event: required")
-    if type(kind) is not str or kind not in EVENTS:
-        _fail(f"{path}.event", "one of " + ", ".join(EVENTS), kind)
-    return _walk(EVENTS[kind], value, path, scope)
-
-
-SCENARIO = {
-    "seed": (_integer(0), 0),
-    "finality_mode": (_choice({m.value: m for m in FinalityMode}), "exhaustive"),
-    "kdf": (_fields(KDF, KdfParameters), {}),
-    "token_salt": (_hex("a hex string"), lambda s: _material(s["seed"], "token-salt")[:16]),
-    "latest_count": (_integer(1), 1),
-    "modules": (_list(_text, "a non-empty list", 1), REQUIRED),
-    "nodes": (_list(_fields(NODE, dict), "a non-empty list", 1), REQUIRED),
-    "script": (_list(_event), []),
-}
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    seed: int
-    kdf: KdfParameters
-    token_salt: bytes
-    finality_mode: FinalityMode
-    latest_count: int
-    modules: tuple[str, ...]
-    nodes: tuple[dict, ...]
-    script: tuple[dict, ...]
-
-    @classmethod
-    def from_dict(cls, data: dict, seed_override: int | None = None) -> "ScenarioConfig":
-        if seed_override is not None:
-            _integer(0)(seed_override, "--seed", None)
-            if type(data) is dict:
-                data = {**data, "seed": seed_override}
-        scope = {_NODE_NAMES: set(), _BRANCH_NAMES: set()}
-        _walk(SCENARIO, data, "", scope, out=scope)
-        config = cls(**{key: scope[key] for key in SCENARIO})
-        # The checks no single field can make.
-        kdf = config.kdf
-        memory = identity.scrypt_memory(kdf.cost, kdf.block_size, kdf.parallelism)
-        if memory > identity.MAX_SCRYPT_MEMORY:
-            raise ConfigError("kdf: 128 * cost * block_size * parallelism must be at most "
-                              "2^28 (256 MiB of scrypt memory per join)")
-        if [s["role"] for s in config.nodes].count(NodeRole.BACKUP) != 1:
-            raise ConfigError("nodes: exactly one backup node is required")
-        for i, spec in enumerate(config.nodes):
-            if spec["via"] is not None and spec["via"] not in scope[_NODE_NAMES]:
-                raise ConfigError(f"nodes[{i}].via: unknown node {spec['via']!r}")
-        for i in range(1, len(config.script)):
-            if config.script[i]["at"] < config.script[i - 1]["at"]:
-                raise ConfigError(f"script[{i}].at: events must be time-ordered")
-        # Each node's extrinsic fixture (a PUF readout stand-in) with its
-        # overrides, walked after every check above, whose errors come first.
-        return replace(config, nodes=tuple(
-            {**spec, "extrinsic": _walk(EXTRINSIC, spec["extrinsic"], f"nodes[{i}].extrinsic",
-                                        {"seed": config.seed, "name": spec["name"]})}
-            for i, spec in enumerate(config.nodes)
-        ))
-
-    @classmethod
-    def from_file(cls, path: str, seed_override: int | None = None) -> "ScenarioConfig":
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        try:
-            data = json.loads(raw)
-        except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, too deep
-            raise ConfigError(f"scenario: invalid JSON ({exc})") from exc
-        return cls.from_dict(data, seed_override=seed_override)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +124,7 @@ class Network:
         }
 
         self._module_keys = {
-            mid: signing_key_from_seed(_material(config.seed, "module", mid))
+            mid: signing_key_from_seed(material(config.seed, "module", mid))
             for mid in config.modules
         }
         self.module_registry = ModuleRegistry(
@@ -478,8 +133,8 @@ class Network:
 
         self.nodes: dict[str, NodeState] = {}
         for spec in config.nodes:
-            signing_seed = _material(config.seed, "constructed-key", spec["name"])
-            self.nodes[spec["name"]] = self._new_node(spec, signing_seed)
+            signing_seed = material(config.seed, "constructed-key", spec["name"])
+            self.nodes[spec["name"]] = self.new_node(spec, signing_seed)
         self.backup = next(n for n in self.nodes.values() if n.role is NodeRole.BACKUP)
 
         # Members in enrollment (= chain) order: tuid -> (node, on-chain block),
@@ -488,8 +143,6 @@ class Network:
             TokenizedUid, tuple[NodeState, nodechain.VirtualExistenceBlock]
         ] = {}
         self._roster: list[TokenizedUid] = []
-        # check_finality's and append_block's rules; the roster grows in place.
-        self._finality = (self._roster, config.finality_mode, config.latest_count)
 
         # Genesis: the backup node's virtual existence is block 1.
         self.nodechain, self.vault, self.backup.hardware_uid = consensus.genesis(
@@ -502,7 +155,8 @@ class Network:
         self.tx_pool: dict[dag.Transaction, None] = {}  # in arrival order
         self.pending_blocks: dict[bytes, dag.DataBlock] = {}
         self.latest_pending: bytes | None = None
-        self._fraud_counter = 0
+        # Identities attacks have fabricated; the adversary numbers the next.
+        self.fabrications = 0
 
         self.record(self.backup.name, "genesis", genesis_block.encode())
 
@@ -521,7 +175,7 @@ class Network:
     def trace_digest(self) -> bytes:
         return sha256(("\n".join(self.trace) + "\n").encode())
 
-    def _new_node(self, spec: dict, signing_seed: bytes) -> NodeState:
+    def new_node(self, spec: dict, signing_seed: bytes) -> NodeState:
         """An actor built from a parsed `nodes` record, with a constructed key
         derived from `signing_seed`."""
         key = signing_key_from_seed(signing_seed)
@@ -535,7 +189,7 @@ class Network:
             via=spec["via"],
         )
 
-    def _request(self, node: NodeState, nonce: bytes) -> consensus.EnrollmentRequest:
+    def request(self, node: NodeState, nonce: bytes) -> consensus.EnrollmentRequest:
         """`node`'s request, signed by its trusted module; an unregistered
         module holds no key, and the registry refuses it first."""
         return consensus.enroll_request(
@@ -543,7 +197,7 @@ class Network:
             self.module_registry, nonce[:NONCE_LENGTH],
         )
 
-    def _respond(
+    def respond(
         self, responder: NodeState, node: NodeState, request: consensus.EnrollmentRequest
     ) -> consensus.EnrollmentResponse:
         """`responder` checks and binds `request`; `node` becomes its member."""
@@ -568,6 +222,12 @@ class Network:
         self._members[block.tuid] = (node, block)
         self._roster.append(block.tuid)
         self.metrics["enrollments"] += 1
+
+    @property
+    def finality(self) -> tuple[list[TokenizedUid], FinalityMode, int]:
+        """The rules `check_finality` and `append_block` take: the roster,
+        which grows in place, the finality mode and the latest count."""
+        return self._roster, self.config.finality_mode, self.config.latest_count
 
     def roster(self) -> list[TokenizedUid]:
         """A copy of the on-chain identity roster in enrollment order."""
@@ -615,10 +275,10 @@ class Network:
         """Full request/response/broadcast flow for one joining node."""
         if not node.online:
             raise Unauthorized("offline node cannot join")
-        request = self._request(node, _material(self.config.seed, "nonce", node.name))
+        request = self.request(node, material(self.config.seed, "nonce", node.name))
         self.record(node.name, "request", request.encode())
         responder = self._route_responder(node)
-        response = self._respond(responder, node, request)
+        response = self.respond(responder, node, request)
         self.record(responder.name, "response", response.encode())
         # The joining node receives its hardware identity; a full node
         # already holds the vault.
@@ -652,7 +312,7 @@ class Network:
             self.reject(node.name, "transactions", Unauthorized("node not enrolled or offline"))
             return
         for _ in range(ev["count"]):
-            payload = _material(self.config.seed, "tx", node.name, self.metrics["transactions"])
+            payload = material(self.config.seed, "tx", node.name, self.metrics["transactions"])
             tx = dag.Transaction.signed(
                 node.signing_key, node.public_id, tag, payload, self.clock
             )
@@ -764,10 +424,10 @@ class Network:
 
     def _check_block_finality(self, block_digest: bytes) -> None:
         block = self.pending_blocks[block_digest]
-        if not check_finality(block, *self._finality):
+        if not check_finality(block, *self.finality):
             return
         try:
-            self.layer0.append_block(block, *self._finality)
+            self.layer0.append_block(block, *self.finality)
         except ProtocolError as exc:
             self.reject("network", "finalize", exc)
             return
@@ -787,13 +447,7 @@ class Network:
         self.record(node.name, "disable", b"")
 
     def _handle_attack(self, ev: dict) -> None:
-        self.record("adversary", "attack", _attack_bytes(ev))
-        outcome = inject_attack(self, ev)
-        self.metrics["attacks"].append(outcome)
-        self.record("adversary", "attack_outcome", encode_fields(
-            outcome["category"], b"\x01" if outcome["succeeded"] else b"\x00",
-            (outcome["blocked_at"] or "").encode(), outcome["detail"].encode(),
-        ))
+        self.metrics["attacks"].append(inject_attack(self, ev))
 
     # -- summary ------------------------------------------------------------
 
@@ -837,142 +491,6 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
 
 
 # ---------------------------------------------------------------------------
-# Adversary model
-# ---------------------------------------------------------------------------
-
-def _attack_bytes(ev: dict) -> bytes:
-    """The trace payload of a parsed attack event."""
-    return encode_fields(
-        ev["category"],
-        ",".join(ev["targets"]).encode(),
-        ",".join(sorted(ev["secrets"])).encode(),
-        b"\x01" if ev["stale_ledger"] else b"\x00",
-        b"\x01" if ev["category"] == REMOTE_VAULT_CATEGORY else b"\x00",
-        (ev["branch"] or "").encode(),
-    )
-
-
-def inject_attack(net: Network, ev: dict) -> dict:
-    """Attempt one attack category with exactly the parsed event's secrets.
-
-    The adversary walks the protocol in its category's natural order and
-    the outcome records the first check that stopped it. Nothing here
-    bypasses the protocol surface: enrollment goes through the real
-    responder, vault access goes through provenance-tagged lookups, and
-    finality is evaluated with the real narration rules.
-
-    Stages: module registry, signature, ledger validation (no such branch),
-    NNS gate, vault access, offline gate, match layer, finality quorum, and
-    ledger validation (`append_block`, which keeps a block it accepts).
-    """
-    category, targets, secrets = ev["category"], ev["targets"], ev["secrets"]
-
-    def blocked(stage: str | None, detail: str) -> dict:
-        return {"category": category, "succeeded": stage is None,
-                "blocked_at": stage, "detail": detail}
-
-    # Fabricated-identity enrollment. Mandatory for Sybil; any category
-    # holding a registered module key may strengthen itself the same way.
-    fake: NodeState | None = None
-    if category == 1 and "module_key" not in secrets:
-        return blocked("module registry", "no registered module key")
-    if "module_key" in secrets:
-        fake = _enroll_fabricated_identity(net)
-        if fake is None:
-            return blocked("module registry", "no responder accepted enrollment")
-
-    # Author the fraudulent block.
-    if fake is not None:
-        author = fake
-    elif "constructed_keys" in secrets and targets:
-        author = net.nodes[targets[0]]
-    else:
-        return blocked("signature", "no usable signing identity")
-    try:
-        block = _craft_fraud_block(net, author, ev["branch"])
-    except UnknownBranch as exc:  # the ledger has no arcs to offer
-        return blocked("ledger validation", str(exc))
-
-    # NNS gate: an adversary replaying against a stale ledger view.
-    if ev["stale_ledger"]:
-        return blocked("NNS gate", "ledger version cursor lags the network")
-
-    # Authentication: the adversary attests as every identity it can sign
-    # for, acquiring each real UID through the only channels that exist.
-    attempt_order: list[NodeState] = []
-    if "constructed_keys" in secrets:
-        attempt_order.extend(net.nodes[name] for name in targets)
-    if fake is not None:
-        attempt_order.append(fake)
-
-    # No vault lookup changes whether a node is online: one scan serves all.
-    remote = category == REMOTE_VAULT_CATEGORY
-    reads_vault = "vault_access" in secrets or remote
-    vault_offline = reads_vault and not any(n.online for n in net.full_nodes())
-    for actor in attempt_order:
-        if not actor.enrolled:
-            continue
-        if vault_offline:
-            return blocked("vault access", "no full node is online")
-        if "vault_access" in secrets:
-            # Compromised full-node endpoint: reads carry local provenance.
-            uid = net.vault.lookup(actor.tuid, CallOrigin.LOCAL).real_uid
-        elif remote:
-            try:
-                uid = net.vault.lookup(actor.tuid, CallOrigin.REMOTE).real_uid
-            except OfflineViolation:
-                return blocked("offline gate", "remote vault lookup rejected")
-        else:
-            return blocked("match layer", f"no real UID for {actor.name}")
-        if not match_layer(actor.tuid, uid, net.config.token_salt):
-            return blocked("match layer", f"token mismatch for {actor.name}")
-        block = block.with_narration_entry(actor.tuid)
-
-    if not check_finality(block, *net._finality):
-        return blocked("finality quorum", "insufficient authenticators")
-    try:
-        net.layer0.append_block(block, *net._finality)
-    except ProtocolError as exc:
-        return blocked("ledger validation", str(exc))
-    net.record("adversary", "fraud_finalized", block.encode())
-    return blocked(None, "fraudulent block finalized")
-
-
-def _enroll_fabricated_identity(net: Network) -> NodeState | None:
-    """Enroll a Sybil identity with a stolen (real) module key."""
-    net._fraud_counter += 1
-    name = f"{SYBIL_PREFIX}{net._fraud_counter}"
-    fake = net._new_node(
-        {"name": name, "role": NodeRole.CPS_IOT, "module": net.config.modules[0], "via": None,
-         "extrinsic": _walk(EXTRINSIC, {}, "", {"seed": net.config.seed, "name": name})},
-        _material(net.config.seed, "sybil-key", net._fraud_counter),
-    )
-    try:
-        request = net._request(fake, _material(net.config.seed, "sybil-nonce", net._fraud_counter))
-        response = net._respond(net.responder(), fake, request)
-    except ProtocolError:
-        return None
-    net.record(name, "attack_enroll", response.encode())
-    # The fabricated device has no genuine hardware (hardware_uid stays
-    # None): its real UID exists only inside the vault.
-    net.nodes[name] = fake
-    return fake
-
-
-def _craft_fraud_block(net: Network, author: NodeState, branch: str | None) -> dag.DataBlock:
-    """A forged block on `branch` (None: tag "B"), signed by `author`."""
-    tag = "B" if branch is None else net.layer0.branches[branch]
-    payload = _material(net.config.seed, "fraud", net._fraud_counter, author.name)
-    tx = dag.Transaction.signed(
-        author.signing_key, author.public_id, tag, payload, net.clock
-    )
-    candidate = dag.build_candidate_block(
-        [tx], author.public_id, tag, (net.clock, net.clock + 1)
-    )
-    return candidate.with_parents(*net.layer0.select_parents(candidate))
-
-
-# ---------------------------------------------------------------------------
 # Monte-Carlo sampling of the analytic attack model
 # ---------------------------------------------------------------------------
 
@@ -1006,10 +524,7 @@ def monte_carlo_attack(
     drawn and tested in buffers allocated once per call, so memory is
     O(MC_CHUNK_DRAWS + n) whatever `trials` is.
     """
-    if not 0.0 <= amplitude <= 1.0:
-        raise DomainError("amplitude must be a probability")
-    if not 0.0 <= per_node <= 1.0:
-        raise DomainError("per-node factor must be a probability")
+    secmodel.CategoryFactors(amplitude, per_node)  # refuses a non-probability
     if trials < 1:
         raise DomainError("trials must be at least 1")
     if n < 1:

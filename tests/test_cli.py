@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flexichain import cli, netsim, secmodel, workers
+from flexichain import cli, netsim, scenario, secmodel, workers
 from flexichain.cli import MAX_TRIALS, build_parser, main
 from flexichain.errors import ConfigError, DomainError
 
@@ -458,12 +458,12 @@ def test_unreadable_scenario_file_is_worded_alike_by_run_and_verify(tmp_path, ca
 
 def _field_slots(demo):
     """Every (container path, key) of the demo that a schema table governs."""
-    slots = [((), key) for key in netsim.SCENARIO]
-    slots += [(("kdf",), key) for key in netsim.KDF]
+    slots = [((), key) for key in scenario.SCENARIO]
+    slots += [(("kdf",), key) for key in scenario.KDF]
     for i in range(len(demo["nodes"])):
-        slots += [(("nodes", i), key) for key in netsim.NODE]
+        slots += [(("nodes", i), key) for key in scenario.NODE]
     for i, ev in enumerate(demo["script"]):
-        slots += [(("script", i), key) for key in netsim.EVENTS[ev["event"]]]
+        slots += [(("script", i), key) for key in scenario.EVENTS[ev["event"]]]
     return slots
 
 
@@ -532,7 +532,7 @@ def test_any_single_field_mutation_exits_cleanly(capsys, slot_value):
         code = main(["run", "--scenario", path, "--out", out])
         assert code in (0, 1, 2)
         try:
-            netsim.ScenarioConfig.from_file(path)
+            scenario.ScenarioConfig.from_file(path)
         except ConfigError:
             assert code == 2
         else:
@@ -544,7 +544,7 @@ def test_any_single_field_mutation_exits_cleanly(capsys, slot_value):
             # finalized block must re-append from its bytes on the roster it
             # finalized on.
             assert main(["verify", "--scenario", path, "--out", out]) == 0
-            net = netsim.run_scenario(netsim.ScenarioConfig.from_file(path)).network
+            net = netsim.run_scenario(scenario.ScenarioConfig.from_file(path)).network
             assert full_mode_violation(net) is None
             assert reappended_layer0(net).export_text() == net.layer0.export_text()
     assert "Traceback" not in capsys.readouterr().err
@@ -648,7 +648,7 @@ def _readme_schema_keys() -> dict[str, set[str]]:
 
 
 def test_readme_schema_tables_name_every_key():
-    expected = {"SCENARIO": set(netsim.SCENARIO), "KDF": set(netsim.KDF),
-                "NODE": set(netsim.NODE), "EXTRINSIC": set(netsim.EXTRINSIC)}
-    expected |= {kind: set(table) - {"at", "event"} for kind, table in netsim.EVENTS.items()}
+    expected = {"SCENARIO": set(scenario.SCENARIO), "KDF": set(scenario.KDF),
+                "NODE": set(scenario.NODE), "EXTRINSIC": set(scenario.EXTRINSIC)}
+    expected |= {kind: set(table) - {"at", "event"} for kind, table in scenario.EVENTS.items()}
     assert _readme_schema_keys() == expected

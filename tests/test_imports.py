@@ -4,8 +4,8 @@ Every name a package module imports is used in it or exported, scrypt
 runs on one kernel, from one function, a UID is derived only where an
 identity is bound or the chain is checked in full, one walker encodes and
 decodes every record, netsim's scenario nodes and attack outcomes are
-plain dicts, only `workers` decides where work runs, and no module imports
-a process pool.
+plain dicts, only `workers` decides where work runs, no module imports
+a process pool, and the adversary reads only the network's public surface.
 """
 
 import ast
@@ -125,11 +125,11 @@ def test_one_codec_walks_every_record():
                       if not ref.startswith("wire.")]
                for name in ("encode_fields", "lp")}
     assert outside == {
-        "encode_fields": ["netsim.Network.enroll", "netsim.Network._handle_register_branch",
-                          "netsim.Network._handle_attack", "netsim._attack_bytes"],
-        "lp": ["netsim._material", "netsim._material",
+        "encode_fields": ["adversary._attack_bytes", "adversary.inject_attack",
+                          "netsim.Network.enroll", "netsim.Network._handle_register_branch"],
+        "lp": ["netsim.Network._handle_register_branch",
                "netsim.Network._handle_register_branch",
-               "netsim.Network._handle_register_branch"],
+               "scenario.material", "scenario.material"],
     }
 
 
@@ -192,6 +192,16 @@ def test_placement_is_decided_only_in_workers():
             if placement_reads(path.read_text())] == ["workers.py"]
 
 
+def fresh_python(code: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of `code` run by a new interpreter that
+    imports the package from this tree."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def test_cli_import_loads_no_process_pool():
     # Workers are forked by `workers.fork_map`; no package module imports a
     # process pool, and importing the CLI loads none. Nor does it load
@@ -209,11 +219,7 @@ def test_cli_import_loads_no_process_pool():
     code = ("import sys, flexichain.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('multiprocessing', 'concurrent') "
             "or m.startswith('cryptography.hazmat.primitives.serialization')))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    assert fresh_python(code) == (0, "[]\n", "")
 
 
 def test_benchmark_reads_numpy_and_the_sampler_where_they_are():
@@ -223,8 +229,83 @@ def test_benchmark_reads_numpy_and_the_sampler_where_they_are():
     # item 3 (the sampler's move to `secmodel`) retire this test.
     code = ("import sys, flexichain.cli, flexichain.netsim as netsim; "
             "print('numpy' in sys.modules, callable(vars(netsim).get('monte_carlo_attack')))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True True\n", "")
+    assert fresh_python(code) == (0, "True True\n", "")
+
+
+@pytest.mark.parametrize("module", ["adversary", "scenario", "netsim"])
+def test_each_simulator_module_imports_first(module):
+    # The imports run scenario <- adversary <- netsim; a cycle among them
+    # fails for the module that a fresh interpreter imports first.
+    assert fresh_python(f"import flexichain.{module}") == (0, "", "")
+
+
+def private_reads(source: str) -> list[str]:
+    """Each `_`-prefixed name that `source` reads as an attribute of any
+    object or names in an import, dunders aside."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            names.append(node.attr)
+        elif isinstance(node, ast.Import):
+            names += [part for alias in node.names for part in alias.name.split(".")]
+        elif isinstance(node, ast.ImportFrom):
+            names += (node.module or "").split(".") + [alias.name for alias in node.names]
+    return [n for n in names
+            if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))]
+
+
+@pytest.mark.parametrize(
+    "source,reads",
+    [
+        ("net._finality\n", ["_finality"]),
+        ("net.request(node)._fields\n", ["_fields"]),
+        ("from .netsim import _material\n", ["_material"]),
+        ("from ._private import x\n", ["_private"]),
+        ("import a._b\n", ["_b"]),
+        ("from __future__ import annotations\nx.__class__\n", []),
+        ("def _own(): ...\n_own()\n", []),
+    ],
+)
+def test_private_read_checker(source, reads):
+    assert private_reads(source) == reads
+
+
+# The adversary's powers: what it reads of the `Network` and the names it
+# imports from the package. README.md lists the same surface under
+# "Adversary surface".
+ADVERSARY_SURFACE = {
+    "net.clock", "net.config", "net.fabrications", "net.finality", "net.full_nodes",
+    "net.layer0", "net.new_node", "net.nodes", "net.record", "net.request",
+    "net.respond", "net.responder", "net.vault",
+    "consensus.check_finality", "dag", "errors.OfflineViolation", "errors.ProtocolError",
+    "errors.UnknownBranch", "identity.match_layer", "netsim.Network", "netsim.NodeState",
+    "scenario.SYBIL_PREFIX", "scenario.extrinsic", "scenario.material",
+    "vault.CallOrigin", "vault.NodeRole", "wire.encode_fields",
+}
+
+
+def test_adversary_is_a_client_of_the_public_surface():
+    # `inject_attack` and its helpers read no private name of the network,
+    # of a node or of a protocol module; the network they act on is `net`.
+    source = (PACKAGE / "adversary.py").read_text()
+    assert private_reads(source) == []
+    surface = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "net":
+            surface.add(f"net.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            surface |= {".".join(filter(None, [node.module, alias.name]))
+                        for alias in node.names}
+    assert surface == ADVERSARY_SURFACE
+
+
+def test_netsim_holds_the_network_and_the_sampler_only():
+    # The schema lives in `scenario` and the attacks in `adversary`.
+    defined = set()
+    for node in ast.parse((PACKAGE / "netsim.py").read_text()).body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined |= {target.id for target in node.targets}
+    assert defined == {"PARALLEL_ATTESTATIONS", "NodeState", "Network", "SimulationResult",
+                       "run_scenario", "MC_CHUNK_DRAWS", "monte_carlo_attack"}

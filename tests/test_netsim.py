@@ -23,14 +23,12 @@ from flexichain.errors import (
 )
 from flexichain.identity import TokenizedUid
 from flexichain.keys import sign_message
-from flexichain import netsim, vault, workers
-from flexichain.netsim import (
-    Network,
-    ScenarioConfig,
-    monte_carlo_attack,
-    run_scenario,
-)
+from flexichain import adversary, netsim, vault, workers
+from flexichain import scenario as schema
+from flexichain.netsim import Network, monte_carlo_attack, run_scenario
 from flexichain.nodechain import verify_chain
+from flexichain.scenario import ScenarioConfig
+from flexichain.secmodel import CategoryFactors
 from flexichain.wire import encode_fields, sha256
 
 from conftest import (
@@ -174,7 +172,7 @@ BLOCK_FLOW = JOIN_ALL + [
                      id="unknown-event-key"),
         pytest.param(lambda d: d["kdf"].update(slat="00"), "kdf.slat", id="unknown-kdf-key"),
         pytest.param(lambda d: d.update(sede=1), "sede", id="unknown-top-level-key"),
-        pytest.param(lambda d: d["script"][4].update(count=netsim.MAX_TX_COUNT + 1),
+        pytest.param(lambda d: d["script"][4].update(count=schema.MAX_TX_COUNT + 1),
                      "script[4].count", id="count-over-bound"),
         pytest.param(lambda d: d["script"][6].update(block="zz"), "script[6].block",
                      id="block-not-hex"),
@@ -193,8 +191,8 @@ def test_config_errors_name_the_offending_key(mutate, needle):
 
 def test_count_bound_is_accepted():
     data = scenario(script=[dict(ev) for ev in BLOCK_FLOW])
-    data["script"][4]["count"] = netsim.MAX_TX_COUNT
-    assert ScenarioConfig.from_dict(data).script[4]["count"] == netsim.MAX_TX_COUNT
+    data["script"][4]["count"] = schema.MAX_TX_COUNT
+    assert ScenarioConfig.from_dict(data).script[4]["count"] == schema.MAX_TX_COUNT
 
 
 def test_scrypt_memory_is_bounded_at_parse_time():
@@ -249,7 +247,7 @@ def _schema_fields():
     first = {}
     for i, ev in enumerate(demo["script"]):
         first.setdefault(ev["event"], i)
-    assert set(first) == set(netsim.EVENTS)
+    assert set(first) == set(schema.EVENTS)
 
     def at(*keys):
         def put(data, value):
@@ -262,16 +260,16 @@ def _schema_fields():
                 target[keys[-1]] = value
         return put
 
-    for key, row in netsim.SCENARIO.items():
+    for key, row in schema.SCENARIO.items():
         yield key, row, at(key)
-    for key, row in netsim.KDF.items():
+    for key, row in schema.KDF.items():
         yield f"kdf.{key}", row, at("kdf", key)
-    for key, row in netsim.NODE.items():
+    for key, row in schema.NODE.items():
         yield f"nodes[3].{key}", row, at("nodes", 3, key)
-    for key, row in netsim.EXTRINSIC.items():
+    for key, row in schema.EXTRINSIC.items():
         # Overrides are walked after the rest of the file.
         yield f"nodes.extrinsic.{key}", row, at("nodes", 3, "extrinsic", key)
-    for kind, table in netsim.EVENTS.items():
+    for kind, table in schema.EVENTS.items():
         for key, row in table.items():
             yield f"script[{first[kind]}].{key}", row, at("script", first[kind], key)
 
@@ -283,7 +281,7 @@ def _schema_fields():
 def test_every_schema_field_refuses_wrong_shapes(path, row, put, shape):
     rule, default = row
     value = WRONG_SHAPES[shape]
-    if (value is None and default is None) or (value is True and rule is netsim._bool) \
+    if (value is None and default is None) or (value is True and rule is schema._bool) \
             or (value == "" and path in HEX_ANY_LENGTH):
         pytest.skip("the field takes this value")
     data = _demo_with_every_event()
@@ -303,7 +301,7 @@ def test_every_schema_field_refuses_wrong_shapes(path, row, put, shape):
 def test_every_schema_field_without_its_key(path, row, put):
     data = _demo_with_every_event()
     put(data, MISSING)
-    if row[1] is not netsim.REQUIRED:
+    if row[1] is not schema.REQUIRED:
         ScenarioConfig.from_dict(data)  # the default stands in
         return
     with pytest.raises(ConfigError) as excinfo:
@@ -636,7 +634,7 @@ def test_fraud_block_never_takes_the_virtual_existence_tag():
     author = net.nodes["sybil-1"]
     net.layer0.register_branch("firmware", material("netsim/firmware", 32), net.clock)
     for branch, tag in ((None, "B"), ("telemetry", "B"), ("firmware", "C")):
-        assert netsim._craft_fraud_block(net, author, branch).block_type_tag == tag
+        assert adversary._craft_fraud_block(net, author, branch).block_type_tag == tag
 
 
 def test_offline_node_cannot_attest():
@@ -1131,6 +1129,21 @@ def test_monte_carlo_domain_errors(kwargs):
     args.update(kwargs)
     with pytest.raises(DomainError):
         monte_carlo_attack(**args)
+
+
+@pytest.mark.parametrize("factor", [1.5, -0.1])
+@pytest.mark.parametrize("field,message", [
+    ("amplitude", "amplitude must be a probability"),
+    ("per_node", "per-node factor must be a probability"),
+])
+def test_monte_carlo_refuses_a_factor_as_the_model_does(field, message, factor):
+    # The sampler takes its factors through `secmodel.CategoryFactors`.
+    factors = {"amplitude": 0.25, "per_node": 0.9, field: factor}
+    with pytest.raises(DomainError) as model:
+        CategoryFactors(**factors)
+    with pytest.raises(DomainError) as sampler:
+        monte_carlo_attack(1, 4, trials=100, seed=0, **factors)
+    assert str(sampler.value) == str(model.value) == message
 
 
 def _monte_carlo_in_one_piece(category, n, amplitude, per_node, trials, seed):

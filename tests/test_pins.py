@@ -14,8 +14,9 @@ import pytest
 
 from flexichain import dag, identity, netsim
 from flexichain.cli import _replayed_artifacts, _write_artifacts, main
-from flexichain.netsim import Network, ScenarioConfig, SimulationResult, run_scenario
+from flexichain.netsim import Network, SimulationResult, run_scenario
 from flexichain.nodechain import verify_chain
+from flexichain.scenario import ScenarioConfig
 
 from conftest import assert_no_child_left, fork_every_round
 
@@ -539,9 +540,31 @@ def test_a_copy_keeps_its_own_aliases(config, every):
     for _, branch, cut in branch_points(config(), every):
         full = branch.full_nodes()
         assert full and all(n.vault is branch.vault for n in full), cut
-        assert branch._finality[0] is branch._roster
+        assert branch.finality[0] is branch._roster
         assert branch.backup is branch.nodes[branch.backup.name]
         assert all(node is branch.nodes[node.name] for node, _ in branch._members.values())
+
+
+def test_a_copy_numbers_its_own_fabrications():
+    """The fabrication counter is network state: a copy taken before two
+    Sybil attacks fabricates the same two identities as the original."""
+    data = scale_64()
+    data["script"].append({"at": data["script"][-1]["at"] + 10, "event": "attack",
+                           "category": 2, "secrets": ["module_key"]})
+    config = ScenarioConfig.from_dict(data)
+    first = next(i for i, ev in enumerate(config.script) if ev["event"] == "attack")
+    net = Network(config)
+    for ev in config.script[:first]:
+        net.step(ev)
+    branch = copy.deepcopy(net)
+    for run in (net, branch):
+        for ev in config.script[first:]:
+            run.step(ev)
+    assert branch.trace_digest() == net.trace_digest()
+    for run in (net, branch):
+        assert [name for name in run.nodes if name.startswith("sybil-")] == [
+            "sybil-1", "sybil-2"]
+        assert [a["category"] for a in run.metrics["attacks"]] == [1, 2]
 
 
 def test_frozen_records_copy_as_themselves():
