@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from itertools import islice
+from typing import TYPE_CHECKING, KeysView, Sequence
 
 from .errors import (
     AlreadyEnrolled,
@@ -26,6 +27,7 @@ from .errors import (
     EmptyChain,
     EmptyRoster,
     IdentityMismatch,
+    IntegrityViolation,
     InvalidParameters,
     StaleState,
     Unauthorized,
@@ -45,7 +47,7 @@ from .identity import (
 from .keys import is_valid_public_key, public_bytes, sign_message, verify_signature
 from .nodechain import NodeChainLedger, VirtualExistenceBlock, append_virtual_block
 from .vault import CallOrigin, FULL_NODE_ROLES, NodeRole, Vault, VaultEntry
-from .wire import BYTES, INT, TEXT, Record, nested, token
+from .wire import BYTES, INT, TEXT, Record, nested, token, wire
 
 if TYPE_CHECKING:
     from .dag import DataBlock
@@ -74,15 +76,13 @@ class ModuleRegistry:
 class EnrollmentRequest(Record):
     """The two containers plus the trusted-module attestation over them."""
 
-    container1: bytes
-    container2: bytes
-    module_id: str
-    module_signature: bytes
-    nonce: bytes
+    container1: bytes = wire(BYTES)
+    container2: bytes = wire(BYTES)
+    module_id: str = wire(TEXT)
+    module_signature: bytes = wire(BYTES)
+    nonce: bytes = wire(BYTES)
 
     NOUN = "enrollment request"
-    FIELDS = (("container1", BYTES), ("container2", BYTES), ("module_id", TEXT),
-              ("module_signature", BYTES), ("nonce", BYTES))
     PREFIX = 2
 
     def verify(self, public_key: bytes) -> bool:
@@ -91,34 +91,36 @@ class EnrollmentRequest(Record):
 
 @dataclass(frozen=True)
 class EnrollmentResponse(Record):
-    """Broadcast result of an enrollment: the node's virtual block.
+    """Broadcast result of an enrollment: the node's virtual block, the new
+    chain head, then the VES index, head digest and vault entry index that
+    block implies (`of`): its index, digest, index."""
 
-    The block is the new chain head, so the response follows it with the VES
-    index, head digest and vault entry index it implies: its index, digest, index.
-    """
-
-    virtual_block: VirtualExistenceBlock
-    ves_index: int
-    ves_head_digest: bytes
-    vault_index: int
+    virtual_block: VirtualExistenceBlock = wire(nested(VirtualExistenceBlock))
+    ves_index: int = wire(INT)
+    ves_head_digest: bytes = wire(BYTES)
+    vault_index: int = wire(INT)
 
     NOUN = "enrollment response"
-    FIELDS = (("virtual_block", nested(VirtualExistenceBlock)), ("ves_index", INT),
-              ("ves_head_digest", BYTES), ("vault_index", INT))
+
+    @classmethod
+    def of(cls, block: VirtualExistenceBlock) -> "EnrollmentResponse":
+        return cls(block, block.nns_index, block.header_digest, block.nns_index)
+
+    def check_decoded(self) -> None:
+        if self != self.of(self.virtual_block):
+            raise IntegrityViolation("response contradicts its virtual block")
 
 
 @dataclass(frozen=True)
 class AuthenticationMessage(Record):
     """A node's signed attestation of one data block."""
 
-    block_digest: bytes
-    tuid: TokenizedUid
-    local_ves_index: int
-    signature: bytes
+    block_digest: bytes = wire(BYTES)
+    tuid: TokenizedUid = wire(token(TokenizedUid))
+    local_ves_index: int = wire(INT)
+    signature: bytes = wire(BYTES)
 
     NOUN = "authentication message"
-    FIELDS = (("block_digest", BYTES), ("tuid", token(TokenizedUid)),
-              ("local_ves_index", INT), ("signature", BYTES))
     PREFIX = 3
 
     def verify(self, public_key: bytes) -> bool:
@@ -218,7 +220,7 @@ def enroll_respond(
         ledger, vault, role, request.container1, request.container2,
         request.module_id, kdf, token_salt, timestamp,
     )
-    return EnrollmentResponse(block, block.nns_index, block.header_digest, block.nns_index)
+    return EnrollmentResponse.of(block)
 
 
 def authenticate_block(
@@ -255,15 +257,16 @@ def authenticate_block(
 
 def check_finality(
     block: DataBlock,
-    roster: Sequence[TokenizedUid],
+    roster: Sequence[TokenizedUid] | KeysView[TokenizedUid],
     mode: FinalityMode,
     latest_count: int = 1,
 ) -> bool:
-    """Decide finality from the narration against the enrollment roster.
+    """Decide finality from the narration against the enrollment roster, a
+    list or a live view of the enrolled tokens in enrollment order.
 
     Exhaustive: the narration token set equals the roster set. Narrated:
     the narration contains the `latest_count` most recently enrolled
-    tokens (default: just the latest).
+    tokens (default: just the latest), read from the roster's end.
 
     The roster lists distinct tokens, so in exhaustive mode equal sizes
     plus containment is set equality; the containment walk runs only on
@@ -274,4 +277,4 @@ def check_finality(
     narrated = block.narrated
     if mode is FinalityMode.EXHAUSTIVE:
         return len(narrated) == len(roster) and narrated.issuperset(roster)
-    return narrated.issuperset(roster[-latest_count:])
+    return narrated.issuperset(islice(reversed(roster), latest_count))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field, replace
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, KeysView, Mapping, Sequence
 
 from .consensus import FinalityMode, check_finality
 from .errors import (
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .identity import TokenizedUid
 from .keys import sign_message, verify_signature
-from .wire import BYTES, INT, TEXT, ZERO32, Record, counted, narration, nested, sha256
+from .wire import BYTES, INT, TEXT, ZERO32, Record, counted, narration, nested, sha256, wire
 
 # The branch id of the NodeChain mirror, which holds tag "A".
 VIRTUAL_BRANCH_ID = "virtual-existence"
@@ -42,15 +42,13 @@ VIRTUAL_BRANCH_ID = "virtual-existence"
 class Transaction(Record):
     """A signed payload from one sender into one branch; its signature covers the rest."""
 
-    sender: bytes
-    block_type_tag: str
-    payload: bytes
-    timestamp: int
-    signature: bytes
+    sender: bytes = wire(BYTES)
+    block_type_tag: str = wire(TEXT)
+    payload: bytes = wire(BYTES)
+    timestamp: int = wire(INT)
+    signature: bytes = wire(BYTES)
 
     NOUN = "transaction"
-    FIELDS = (("sender", BYTES), ("block_type_tag", TEXT), ("payload", BYTES),
-              ("timestamp", INT), ("signature", BYTES))
     PREFIX = 4
 
     @classmethod
@@ -119,22 +117,19 @@ class DataBlock(Record):
     rebuilding it.
     """
 
-    block_type_tag: str
-    transactions: tuple[Transaction, ...]
-    tx_root: bytes
-    prev_same_type: bytes
-    random_arc: bytes
-    narration: tuple[TokenizedUid, ...]
-    timestamp: int
-    header_digest: bytes
+    block_type_tag: str = wire(TEXT)
+    tx_root: bytes = wire(BYTES)
+    prev_same_type: bytes = wire(BYTES)
+    random_arc: bytes = wire(BYTES)
+    timestamp: int = wire(INT)
+    header_digest: bytes = wire(BYTES)
+    transactions: tuple[Transaction, ...] = wire(counted(nested(Transaction)))
+    narration: tuple[TokenizedUid, ...] = wire(
+        narration(TokenizedUid, narration_fold, NARRATION_SEED))
     narrated: frozenset[TokenizedUid] = field(init=False, compare=False, repr=False)
     narrated_with: InitVar[frozenset[TokenizedUid] | None] = None
 
     NOUN = "block"
-    FIELDS = (("block_type_tag", TEXT), ("tx_root", BYTES), ("prev_same_type", BYTES),
-              ("random_arc", BYTES), ("timestamp", INT), ("header_digest", BYTES),
-              ("transactions", counted(nested(Transaction))),
-              ("narration", narration(TokenizedUid, narration_fold, NARRATION_SEED)))
     PREFIX = 5
 
     def __post_init__(self, narrated_with: frozenset[TokenizedUid] | None) -> None:
@@ -293,7 +288,8 @@ class Layer0Ledger:
         pick = int.from_bytes(candidate.tx_root, "big") % len(branch)
         return branch[-1], branch[pick]
 
-    def append_block(self, block: DataBlock, roster: Sequence[TokenizedUid],
+    def append_block(self, block: DataBlock,
+                     roster: Sequence[TokenizedUid] | KeysView[TokenizedUid],
                      mode: FinalityMode, latest_count: int = 1) -> None:
         """Store a final block after arc and commitment checks: the one way
         a data block enters the ledger, honest or adversarial.

@@ -34,7 +34,7 @@ from cryptography.hazmat.primitives.kdf.scrypt import Scrypt
 
 from .errors import InvalidKdf, InvalidParameters
 from .keys import is_valid_public_key
-from .wire import BYTES, INT, Immutable, Record, sha256
+from .wire import BYTES, INT, Immutable, Record, sha256, wire
 
 UID_LENGTH = 128
 TUID_LENGTH = 32
@@ -56,18 +56,15 @@ class ExtrinsicParameters(Record):
     container 2 and doubles as the node's transaction-signing key.
     """
 
-    mac_address: bytes
-    firmware_digest: bytes
-    puf_signature: bytes
-    process_power_class: int
-    location_tag: bytes
-    ip_address: bytes
-    constructed_public_id: bytes
+    mac_address: bytes = wire(BYTES)
+    firmware_digest: bytes = wire(BYTES)
+    puf_signature: bytes = wire(BYTES)
+    process_power_class: int = wire(INT)
+    location_tag: bytes = wire(BYTES)
+    ip_address: bytes = wire(BYTES)
+    constructed_public_id: bytes = wire(BYTES)
 
     NOUN = "extrinsic parameters"
-    FIELDS = (("mac_address", BYTES), ("firmware_digest", BYTES), ("puf_signature", BYTES),
-              ("process_power_class", INT), ("location_tag", BYTES), ("ip_address", BYTES),
-              ("constructed_public_id", BYTES))
     PREFIX = 6
 
     def __post_init__(self):

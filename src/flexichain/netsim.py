@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from typing import KeysView
 
 import numpy as np
 
@@ -137,12 +138,11 @@ class Network:
             self.nodes[spec["name"]] = self.new_node(spec, signing_seed)
         self.backup = next(n for n in self.nodes.values() if n.role is NodeRole.BACKUP)
 
-        # Members in enrollment (= chain) order: tuid -> (node, on-chain block),
-        # and their tokens as the roster finality is decided against.
+        # Members in enrollment (= chain) order: tuid -> (node, on-chain block);
+        # the keys are the roster finality is decided against.
         self._members: dict[
             TokenizedUid, tuple[NodeState, nodechain.VirtualExistenceBlock]
         ] = {}
-        self._roster: list[TokenizedUid] = []
 
         # Genesis: the backup node's virtual existence is block 1.
         self.nodechain, self.vault, self.backup.hardware_uid = consensus.genesis(
@@ -213,25 +213,24 @@ class Network:
         responder just accepted.
 
         A full node holds the network's vault log. The vault refuses a
-        repeated token, so every `block.tuid` is new and the roster stays a
-        list of distinct tokens.
+        repeated token, so every `block.tuid` is a new member.
         """
         node.tuid = block.tuid
         if node.role in FULL_NODE_ROLES:
             node.vault = self.vault
         self._members[block.tuid] = (node, block)
-        self._roster.append(block.tuid)
         self.metrics["enrollments"] += 1
 
     @property
-    def finality(self) -> tuple[list[TokenizedUid], FinalityMode, int]:
-        """The rules `check_finality` and `append_block` take: the roster,
-        which grows in place, the finality mode and the latest count."""
-        return self._roster, self.config.finality_mode, self.config.latest_count
+    def finality(self) -> tuple[KeysView[TokenizedUid], FinalityMode, int]:
+        """The rules `check_finality` and `append_block` take: the roster, a
+        live view of the members' tokens in enrollment order, the finality
+        mode and the latest count."""
+        return self._members.keys(), self.config.finality_mode, self.config.latest_count
 
     def roster(self) -> list[TokenizedUid]:
         """A copy of the on-chain identity roster in enrollment order."""
-        return list(self._roster)
+        return list(self._members)
 
     def node_for_tuid(self, tuid: TokenizedUid) -> NodeState | None:
         member = self._members.get(tuid)

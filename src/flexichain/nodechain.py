@@ -44,7 +44,7 @@ from .identity import (
     tokenize_uid,
     zero_uid,
 )
-from .wire import BYTES, INT, ZERO32, Record, decode_log, encode_log, sha256, token
+from .wire import BYTES, INT, ZERO32, Record, decode_log, encode_log, sha256, token, wire
 from .workers import fork_map
 
 
@@ -52,18 +52,15 @@ from .workers import fork_map
 class VirtualExistenceBlock(Record):
     """On-chain mirror of one enrolled node; its header digest commits the fields before it."""
 
-    tuid: TokenizedUid
-    constructed_public_key: bytes
-    prev_link: bytes
-    nns_index: int
-    timestamp: int
-    extrinsic_digest: bytes
-    header_digest: bytes
+    tuid: TokenizedUid = wire(token(TokenizedUid))
+    constructed_public_key: bytes = wire(BYTES)
+    prev_link: bytes = wire(BYTES)
+    nns_index: int = wire(INT)
+    timestamp: int = wire(INT)
+    extrinsic_digest: bytes = wire(BYTES)
+    header_digest: bytes = wire(BYTES)
 
     NOUN = "block"
-    FIELDS = (("tuid", token(TokenizedUid)), ("constructed_public_key", BYTES),
-              ("prev_link", BYTES), ("nns_index", INT), ("timestamp", INT),
-              ("extrinsic_digest", BYTES), ("header_digest", BYTES))
     PREFIX = 6
 
     @classmethod

@@ -21,7 +21,7 @@ from .errors import (
     Unauthorized,
 )
 from .identity import TokenizedUid, Uid, tokenize_uid
-from .wire import BYTES, INT, TEXT, Record, encode_log, token
+from .wire import BYTES, INT, TEXT, Record, encode_log, token, wire
 
 
 class NodeRole(enum.Enum):
@@ -44,16 +44,13 @@ FULL_NODE_ROLES = frozenset({NodeRole.BACKUP, NodeRole.EDGE})
 class VaultEntry(Record):
     """One enrollment record: the token/real-UID binding plus its provenance."""
 
-    enrollment_index: int
-    real_uid: Uid
-    tuid: TokenizedUid
-    extrinsic_digest: bytes
-    module_id: str
+    enrollment_index: int = wire(INT)
+    real_uid: Uid = wire(token(Uid))
+    tuid: TokenizedUid = wire(token(TokenizedUid))
+    extrinsic_digest: bytes = wire(BYTES)
+    module_id: str = wire(TEXT)
 
     NOUN = "vault entry"
-    FIELDS = (("enrollment_index", INT), ("real_uid", token(Uid)),
-              ("tuid", token(TokenizedUid)), ("extrinsic_digest", BYTES),
-              ("module_id", TEXT))
 
 
 class Vault:

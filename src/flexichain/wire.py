@@ -6,16 +6,18 @@ to 8-byte big-endian before prefixing. The encoding has no optional fields
 and no padding, so serializing the same value twice always yields identical
 bytes.
 
-A `Record` declares its fields once, as (name, kind) pairs in wire order;
-`encode` and `decode` walk that table, with `Reader` as the only cursor, so
-every framing fault is raised there. A record's signature or header digest
-commits its leading `PREFIX` fields. A log file (`nodechain.bin`,
-`vault.bin`) is its records' encodings, length-prefixed, end to end.
-`encode_fields` builds the trace payloads, which are not records.
+A `Record` declares each field once, `name: type = wire(KIND)`, in wire
+order; `encode` and `decode` walk the `FIELDS` table built from those, with
+`Reader` as the only cursor, so every framing fault is raised there. A
+record's signature or header digest commits its leading `PREFIX` fields. A
+log file (`nodechain.bin`, `vault.bin`) is its records' encodings,
+length-prefixed, end to end. `encode_fields` builds the trace payloads,
+which are not records.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import struct
 from typing import Callable, ClassVar, Iterable, NamedTuple
@@ -138,19 +140,26 @@ class Immutable:
         return self
 
 
+def wire(kind: Kind):
+    """A record field written to the wire as `kind`."""
+    return dataclasses.field(metadata={"wire": kind})
+
+
 class Record(Immutable):
-    """A frozen dataclass whose bytes its `FIELDS` table declares: (attribute,
-    kind) pairs in wire order, which need not be the dataclass's order. Its
-    signature or header digest commits the leading `PREFIX` fields; `NOUN`
-    names it when its bytes run on past the last field."""
+    """A frozen dataclass whose `wire(...)` fields are its bytes, in the
+    order they are declared; `FIELDS` lists them as (attribute, kind) pairs.
+    Its signature or header digest commits the leading `PREFIX` fields;
+    `NOUN` names it when its bytes run on past the last field."""
 
     NOUN: ClassVar[str]
     FIELDS: ClassVar[tuple[tuple[str, Kind], ...]]
     PREFIX: ClassVar[int] = 0
 
     def __init_subclass__(cls, **kwargs):
-        """Read the table once: each field's name and writer, in wire order."""
+        """Build the table once from the class body's `wire` fields, before `@dataclass` runs."""
         super().__init_subclass__(**kwargs)
+        cls.FIELDS = tuple((name, f.metadata["wire"]) for name, f in vars(cls).items()
+                           if isinstance(f, dataclasses.Field) and "wire" in f.metadata)
         cls._puts = tuple((name, put) for name, (put, _) in cls.FIELDS)
 
     def encode(self) -> bytes:

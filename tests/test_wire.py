@@ -1,4 +1,4 @@
-"""The wire tables: every record's bytes come from its `FIELDS` table.
+"""The wire tables: every record's bytes come from its `wire(...)` fields.
 
 The records and their values are generated from the tables themselves: each
 field's strategy follows its dataclass type, so a record or field added to
@@ -15,8 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import flexichain  # noqa: F401  (imports every module that declares a record)
+from flexichain.consensus import EnrollmentResponse
 from flexichain.dag import Transaction
-from flexichain.errors import BadSignature, ProtocolError
+from flexichain.errors import BadSignature, IntegrityViolation, ProtocolError
 from flexichain.identity import ExtrinsicParameters, TokenizedUid, Uid
 from flexichain.keys import public_bytes
 from flexichain.nodechain import VirtualExistenceBlock
@@ -69,7 +70,9 @@ def values(hint) -> st.SearchStrategy:
 
 def records(cls) -> st.SearchStrategy:
     """A record drawn field by field from its table. A transaction is signed
-    by its sender, since decoding refuses one whose signature fails."""
+    by its sender and a response follows its block, since decoding refuses
+    a transaction whose signature fails and a response that contradicts its
+    block."""
     hints = typing.get_type_hints(cls)
     fields = {name: FIELD_VALUES.get((cls, name), values(hints[name]))
               for name, _ in cls.FIELDS}
@@ -79,6 +82,8 @@ def records(cls) -> st.SearchStrategy:
                 key, public_bytes(key), tag, payload, timestamp),
             st.sampled_from(KEYS), fields["block_type_tag"], fields["payload"],
             fields["timestamp"])
+    if cls is EnrollmentResponse:
+        return fields["virtual_block"].map(EnrollmentResponse.of)
     return st.fixed_dictionaries(fields).map(lambda kw: cls(**kw))
 
 
@@ -87,9 +92,10 @@ def test_every_record_has_a_table():
         "AuthenticationMessage", "DataBlock", "EnrollmentRequest", "EnrollmentResponse",
         "ExtrinsicParameters", "Transaction", "VaultEntry", "VirtualExistenceBlock"]
     for cls in RECORDS:
-        # Each table names every init field once, and its prefix is inside it.
+        # Each table names every init field once, in declaration order, and
+        # its prefix is inside it.
         init = [f.name for f in dataclasses.fields(cls) if f.init]
-        assert sorted(name for name, _ in cls.FIELDS) == sorted(init), cls
+        assert [name for name, _ in cls.FIELDS] == init, cls
         assert 0 <= cls.PREFIX < len(cls.FIELDS), cls
 
 
@@ -141,6 +147,21 @@ def test_a_transaction_read_from_bytes_carries_a_valid_signature():
     forged = Transaction(tx.sender, tx.block_type_tag, b"q", tx.timestamp, tx.signature)
     with pytest.raises(BadSignature, match="transaction signature does not verify"):
         Transaction.decode(forged.encode())
+
+
+def test_a_response_that_contradicts_its_block_is_refused():
+    key = KEYS[0]
+    block = VirtualExistenceBlock.create(
+        TokenizedUid(bytes(range(32))), public_bytes(key), bytes(32), 3, 5, bytes(32))
+    good = EnrollmentResponse.of(block)
+    assert EnrollmentResponse.decode(good.encode()) == good
+    for forged in (dataclasses.replace(good, ves_index=99, ves_head_digest=bytes(32),
+                                       vault_index=7),
+                   dataclasses.replace(good, ves_index=4),
+                   dataclasses.replace(good, ves_head_digest=bytes(32)),
+                   dataclasses.replace(good, vault_index=2)):
+        with pytest.raises(IntegrityViolation, match="contradicts its virtual block"):
+            EnrollmentResponse.decode(forged.encode())
 
 
 def _readme_records() -> dict[str, tuple[list[str], int]]:
